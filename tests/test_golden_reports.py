@@ -1,0 +1,57 @@
+"""Byte-level regression pins for experiment reports.
+
+Each digest is the SHA-256 of the CSV that ``run_experiment`` wrote for the
+config of the same name when the digest was captured. Together the configs
+cover what the acceptance-scale goldens do not: exponential valuations,
+random play order, the linear refund with and without a matched utility
+baseline, runs without control cells, deviator counts that floor a
+fractional alpha*n (down to zero deviators), and instances whose optimum is
+empty, so normalized welfare is excluded.
+"""
+
+import hashlib
+
+import pytest
+
+from ccfund import ExperimentConfig, LinearAdditiveRefund, SamplerConfig, run_experiment
+from ccfund.generators import ValuationDist
+
+
+def _config(sampler=None, **overrides):
+    sampler = SamplerConfig(**{"n": 30, "p": 6, "bonus_fraction": 0.9, **(sampler or {})})
+    kwargs = {"sampler": sampler, "alphas": (0.2, 0.5, 1.0), "instances_per_cell": 20, "seed": 3}
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+CONFIGS = {
+    "uniform-ppr": lambda: _config(),
+    "exponential": lambda: _config({"valuation_dist": ValuationDist("exponential", rate=1.5)}),
+    "random-order": lambda: _config(play_order="random"),
+    "linear": lambda: _config({"refund": LinearAdditiveRefund(0.5)}),
+    "linear-matched": lambda: _config({"refund": LinearAdditiveRefund(0.5)}, matched_baseline=True),
+    "no-control": lambda: _config(include_control=False),
+    "fractional-alpha": lambda: _config(alphas=(0.15, 0.33, 0.71)),
+    # pools too small for any project on some draws: excluded welfare cells
+    "two-projects": lambda: _config({"p": 2}),
+    # floor(0.1 * 7) = 0: deviant cells without a deviator
+    "tiny-crowd": lambda: _config({"n": 7, "p": 3}, alphas=(0.1, 0.5, 1.0)),
+}
+
+GOLDEN = {
+    "uniform-ppr": "ee878a17cb4a306b5deb4a5fbfed5689a654fd46ca2b2c83cd40e53190c14629",
+    "exponential": "ff729b34a6ecbea2e83d2c36cd1d63f2a64f0d71c0e1fc7b72170f4b5de90b1f",
+    "random-order": "3ac7e343d146fa592aeaf45edd997301970ab233672406e9d797f3e27c26f076",
+    "linear": "b7a16b29994d537f225d48fb6a96cfcab296ca6f2669ee4c98fb729049f90dfe",
+    "linear-matched": "1fd702b5ff07978c5fd02ac36c6e847364cc9ad083605fd618fd69efe2177126",
+    "no-control": "ce7e75ed8e1e23170b5944fea6db6fd2f31601c9c079d3ca622989ee5f2633d5",
+    "fractional-alpha": "b063d906aa2a82f180f2fb8381e228bf283307fe0dcdd9b4e1f8f845c5547d46",
+    "two-projects": "c9a96a42e2eb6e6a5b4c50dfba7046e93dad698191f68d1067b6c503dbfd0bda",
+    "tiny-crowd": "10962f4211ba5669a794a42fd6c7fad94bb4fa0e879c323b299341ac727a09e2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden(name):
+    text = run_experiment(CONFIGS[name]()).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
