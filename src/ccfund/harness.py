@@ -11,10 +11,12 @@ random draw derives from the experiment seed, so reports are byte-stable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,12 +189,15 @@ class ExperimentReport:
         return written
 
 
-def sw_n(instance: Instance, outcome: Outcome, pstar_welfare: float) -> float | None:
-    """Welfare relative to the optimum; None when the optimum carries none."""
+def sw_n(instance: Instance, outcome: Outcome, pstar_welfare: float):
+    """Welfare relative to the optimum; None when the optimum carries none.
+
+    A float for one profile, an array for a stacked outcome.
+    """
     if pstar_welfare <= METRIC_TOL:
         logger.info("undefined normalized welfare: optimal welfare %.3g", pstar_welfare)
         return None
-    return float(outcome.social_welfare / pstar_welfare)
+    return outcome.social_welfare / pstar_welfare
 
 
 def au_n(instance: Instance, outcome: Outcome, threshold_matrix: np.ndarray) -> np.ndarray:
@@ -200,7 +205,7 @@ def au_n(instance: Instance, outcome: Outcome, threshold_matrix: np.ndarray) -> 
 
     The baseline is what each agent would earn if it could contribute its
     threshold everywhere and everything funded: valuation minus threshold,
-    summed over projects.
+    summed over projects. A stacked outcome gives one row per profile.
     """
     baseline = (instance.valuations - threshold_matrix).sum(axis=1)
     defined = baseline > METRIC_TOL
@@ -221,143 +226,117 @@ def deviation_split(values: np.ndarray, deviator_mask: np.ndarray):
     return side(deviator_mask), side(~deviator_mask)
 
 
-@dataclass
-class _Moments:
-    total: float = 0.0
-    square: float = 0.0
-    count: int = 0
-
-    def add_values(self, values: np.ndarray) -> None:
-        values = values[~np.isnan(values)]
-        if len(values):
-            self.total += float(values.sum())
-            self.square += float((values * values).sum())
-            self.count += len(values)
-
-    def add_one(self, value: float) -> None:
-        self.total += value
-        self.square += value * value
-        self.count += 1
-
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
-
-    @property
-    def se(self) -> float | None:
-        if self.count < 2:
-            return None
-        var = max(self.square - self.total * self.total / self.count, 0.0) / (self.count - 1)
-        return math.sqrt(var) / math.sqrt(self.count)
+#: Metrics a cell accumulates, in the order of the accumulator's second axis.
+_METRICS = ("sw", "au", "dev", "nondev")
 
 
-@dataclass
-class _CellAccumulator:
-    sw: _Moments = field(default_factory=_Moments)
-    au: _Moments = field(default_factory=_Moments)
-    dev: _Moments = field(default_factory=_Moments)
-    nondev: _Moments = field(default_factory=_Moments)
-    excluded: int = 0
+def _row_moments(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """(rows, 3): total, square total and count of each row's kept values.
+
+    Rows keeping equally many values are gathered into one (rows, count)
+    block, so each total is the same pairwise sum numpy takes over that
+    row's kept values as a 1-D array, and reports keep their bytes.
+    """
+    counts = keep.sum(axis=1)
+    out = np.zeros((len(values), 3))
+    out[:, 2] = counts
+    for count in np.unique(counts[counts > 0]):
+        group = counts == count
+        picked = values[keep & group[:, None]].reshape(-1, count)
+        out[group, 0] = picked.sum(axis=1)
+        out[group, 1] = (picked * picked).sum(axis=1)
+    return out
 
 
-def _prepare_instance(cfg: ExperimentConfig, k: int):
+def _deviator_masks(cfg: ExperimentConfig, n: int, k: int) -> np.ndarray:
+    """Instance ``k``'s deviators, one row per deviant cell in ``cell_keys`` order."""
+    cells = cfg.cell_keys[: len(cfg.deviant_heuristics) * len(cfg.alphas)]
+    masks = np.zeros((len(cells), n), dtype=bool)
+    for ci, (_, alpha) in enumerate(cells):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEVIATOR_SALT, ci, k)))
+        masks[ci, rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)] = True
+    return masks
+
+
+def _instance_moments(cfg: ExperimentConfig, k: int) -> np.ndarray:
+    """Moment sums instance ``k`` adds to each cell: (cells, metric, moment).
+
+    Every deviant cell's play is one row of a stacked (rows, n, p) intent
+    tensor; the control cells all play the baseline, so they share one last
+    row. The stack is played out, evaluated and scored in one pass each.
+    """
     instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
+    n, p = instance.valuations.shape
     thr = thresholds(instance)
     if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
         thr_base = thr
     else:
         thr_base = thresholds(instance, scheme=PprRefund())
-    intents = {}
-    rules = set(cfg.deviant_heuristics) | {Heuristic.OPT_WELFARE}
-    for rule in rules:
-        intents[rule] = intent_matrix(
-            instance, Assignment.uniform(rule, instance.n_agents), solution.subset, thr
-        )
-    return instance, solution, thr_base, intents
 
+    def uniform_intents(rule: Heuristic) -> np.ndarray:
+        return intent_matrix(instance, Assignment.uniform(rule, n), solution.subset, thr)
 
-def _instance_partials(cfg: ExperimentConfig, k: int) -> list[tuple]:
-    """Per-cell metric contributions of instance ``k``; one tuple per cell."""
-    instance, solution, thr_base, intents = _prepare_instance(cfg, k)
-    n = instance.n_agents
+    baseline = uniform_intents(Heuristic.OPT_WELFARE)
+    rules, alphas = len(cfg.deviant_heuristics), len(cfg.alphas)
+    deviant = np.array([uniform_intents(rule) for rule in cfg.deviant_heuristics])
+    masks = _deviator_masks(cfg, n, k)
+    played = np.where(
+        masks.reshape(rules, alphas, n, 1), deviant.reshape(rules, 1, n, p), baseline
+    )
+    intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
+    deviators = np.concatenate([masks, np.zeros((1, n), dtype=bool)])
+
     order = PlayOrder(cfg.play_order, seed=cfg.seed + k)
     permutation = order.permutation(n)
     if (permutation == np.arange(n)).all():
         permutation = None
-    rows = []
-    for ci, (rule, alpha) in enumerate(cfg.cell_keys):
-        if rule == Heuristic.OPT_WELFARE:
-            mask = np.zeros(n, dtype=bool)
-            intent_rows = intents[rule]
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, _DEVIATOR_SALT, ci, k))
-            )
-            deviators = rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)
-            mask = np.zeros(n, dtype=bool)
-            mask[deviators] = True
-            intent_rows = np.where(mask[:, None], intents[rule], intents[Heuristic.OPT_WELFARE])
-        realized = clamp_play(intent_rows, instance.targets, permutation)
-        outcome = evaluate(instance, ContributionProfile(realized))
-        sw = sw_n(instance, outcome, solution.welfare)
-        au = au_n(instance, outcome, thr_base)
-        dev_mean, nondev_mean = deviation_split(au, mask)
-        rows.append((ci, sw, au, mask, dev_mean, nondev_mean))
-    return rows
+    realized = clamp_play(intents, instance.targets, permutation)
+    outcome = evaluate(instance, ContributionProfile(realized))
+    sw = sw_n(instance, outcome, solution.welfare)
+    au = au_n(instance, outcome, thr_base)
+
+    moments = np.zeros((len(intents), len(_METRICS), 3))
+    if sw is not None:
+        moments[:, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
+    defined = ~np.isnan(au)
+    keep = np.concatenate([defined, defined & deviators, defined & ~deviators])
+    au_moments = _row_moments(np.tile(au, (3, 1)), keep)
+    moments[:, 1:] = au_moments.reshape(3, len(intents), 3).swapaxes(0, 1)
+    control = [len(intents) - 1] * (alphas if cfg.include_control else 0)
+    return moments[list(range(rules * alphas)) + control]
 
 
-def _worker(args) -> list[tuple]:
-    cfg, k = args
-    reduced = []
-    for ci, sw, au, mask, _, _ in _instance_partials(cfg, k):
-        au_clean = au[~np.isnan(au)]
-        dev = au[mask]
-        dev = dev[~np.isnan(dev)]
-        nondev = au[~mask]
-        nondev = nondev[~np.isnan(nondev)]
-        reduced.append(
-            (
-                ci,
-                sw,
-                float(au_clean.sum()),
-                float((au_clean * au_clean).sum()),
-                len(au_clean),
-                float(dev.sum()),
-                float((dev * dev).sum()),
-                len(dev),
-                float(nondev.sum()),
-                float((nondev * nondev).sum()),
-                len(nondev),
-            )
-        )
-    return reduced
-
-
-def _merge(acc: list[_CellAccumulator], reduced: list[tuple]) -> None:
-    for ci, sw, au_s, au_q, au_n_, d_s, d_q, d_n, nd_s, nd_q, nd_n in reduced:
-        cell = acc[ci]
-        if sw is None:
-            cell.excluded += 1
-        else:
-            cell.sw.add_one(sw)
-        cell.au.total += au_s
-        cell.au.square += au_q
-        cell.au.count += au_n_
-        cell.dev.total += d_s
-        cell.dev.square += d_q
-        cell.dev.count += d_n
-        cell.nondev.total += nd_s
-        cell.nondev.square += nd_q
-        cell.nondev.count += nd_n
+def _stats(total: float, square: float, count: float) -> tuple[float | None, float | None]:
+    """Mean and standard error from moment sums; None where undefined."""
+    count = int(count)
+    mean = total / count if count else None
+    if count < 2:
+        return mean, None
+    var = max(square - total * total / count, 0.0) / (count - 1)
+    return mean, math.sqrt(var) / math.sqrt(count)
 
 
 def worker_count() -> int:
-    """Worker cap from the environment; 1 means run in-process."""
+    """Worker cap from ``CCFUND_THREADS``; 1 means run in-process.
+
+    A value that is not a positive integer falls back to 1 and one above the
+    core count is capped at it; either way one line on stderr says so.
+    """
     raw = os.environ.get("CCFUND_THREADS", "1")
+    cores = os.cpu_count() or 1
     try:
-        return max(int(raw), 1)
+        wanted = int(raw)
     except ValueError:
+        wanted = 0
+    if wanted < 1:
+        print(f"ccfund: CCFUND_THREADS={raw!r} is not a positive integer; using 1 worker",
+              file=sys.stderr)
         return 1
+    if wanted > cores:
+        print(f"ccfund: CCFUND_THREADS={wanted} exceeds the {cores} cores; using {cores} workers",
+              file=sys.stderr)
+        return cores
+    return wanted
 
 
 def run_experiment(cfg: ExperimentConfig, full_scale: bool = False) -> ExperimentReport:
@@ -371,38 +350,40 @@ def run_experiment(cfg: ExperimentConfig, full_scale: bool = False) -> Experimen
 
     count = FULL_SCALE_INSTANCES if full_scale else cfg.instances_per_cell
     keys = cfg.cell_keys
-    acc = [_CellAccumulator() for _ in keys]
+    # one accumulator for every cell: (cells, metric, [total, square, count])
+    acc = np.zeros((len(keys), len(_METRICS), 3))
 
     workers = worker_count()
     if workers > 1 and count > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            for reduced in pool.imap(
-                _worker, ((cfg, k) for k in range(count)), chunksize=32
+            for moments in pool.imap(
+                functools.partial(_instance_moments, cfg), range(count), chunksize=32
             ):
-                _merge(acc, reduced)
+                acc += moments
     else:
         for k in range(count):
-            _merge(acc, _worker((cfg, k)))
+            acc += _instance_moments(cfg, k)
 
     cells = []
-    for (rule, alpha), cell in zip(keys, acc):
+    for (rule, alpha), cell in zip(keys, acc.tolist()):
+        sw, au, dev, nondev = (_stats(*moments) for moments in cell)
         cells.append(
             CellStats(
                 heuristic=rule.value,
                 alpha=alpha,
                 instances=count,
-                sw_mean=cell.sw.mean,
-                sw_se=cell.sw.se,
-                au_mean=cell.au.mean,
-                au_se=cell.au.se,
-                au_dev_mean=cell.dev.mean,
-                au_nondev_mean=cell.nondev.mean,
-                excluded=cell.excluded,
+                sw_mean=sw[0],
+                sw_se=sw[1],
+                au_mean=au[0],
+                au_se=au[1],
+                au_dev_mean=dev[0],
+                au_nondev_mean=nondev[0],
+                excluded=count - int(cell[0][2]),
                 seed=cfg.seed,
-                au_dev_se=cell.dev.se,
-                au_nondev_se=cell.nondev.se,
+                au_dev_se=dev[1],
+                au_nondev_se=nondev[1],
             )
         )
     digest = hashlib.sha256(

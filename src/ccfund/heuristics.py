@@ -39,8 +39,11 @@ class Assignment:
     heuristics: tuple[Heuristic, ...]
 
     def __post_init__(self):
+        # the type test skips the slow enum lookup for entries already coerced
         object.__setattr__(
-            self, "heuristics", tuple(Heuristic(h) for h in self.heuristics)
+            self,
+            "heuristics",
+            tuple(h if type(h) is Heuristic else Heuristic(h) for h in self.heuristics),
         )
 
     @property
@@ -174,11 +177,13 @@ def intent_matrix(
             f"assignment covers {len(assignment.heuristics)} agents, instance has "
             f"{instance.n_agents}"
         )
-    rules = np.array([h.value for h in assignment.heuristics])
+    groups: dict[Heuristic, list[int]] = {}
+    for i, heuristic in enumerate(assignment.heuristics):
+        groups.setdefault(heuristic, []).append(i)
     out = np.zeros_like(instance.valuations)
     for heuristic in Heuristic:
-        agents = np.flatnonzero(rules == heuristic.value)
-        if len(agents):
+        if heuristic in groups:
+            agents = np.array(groups[heuristic])
             out[agents] = _intent_rows(heuristic, instance, agents, pstar, thresholds)
     return out
 
@@ -190,16 +195,20 @@ def clamp_play(
 
     Each agent's realized amount on a project is the minimum of its intent and
     the amount still missing, so per-project totals stop exactly at the target.
+    Leading axes of ``intents`` stack independent play-outs of one instance
+    (agents on the second-to-last axis), each realized as it would be alone.
     """
-    ordered = intents if permutation is None else intents[permutation]
-    cum_before = np.concatenate(
-        [np.zeros((1, ordered.shape[1])), np.cumsum(ordered, axis=0)[:-1]], axis=0
-    )
-    realized = np.minimum(ordered, np.maximum(targets[None, :] - cum_before, 0.0))
+    ordered = intents if permutation is None else intents[..., permutation, :]
+    # what each project still misses when an agent's turn comes
+    missing = np.zeros(ordered.shape)
+    np.cumsum(ordered[..., :-1, :], axis=-2, out=missing[..., 1:, :])
+    np.subtract(targets, missing, out=missing)
+    np.maximum(missing, 0.0, out=missing)
+    realized = np.minimum(ordered, missing, out=missing)
     if permutation is None:
         return realized
-    out = np.empty_like(realized)
-    out[permutation] = realized
+    out = np.empty(realized.shape)
+    out[..., permutation, :] = realized
     return out
 
 

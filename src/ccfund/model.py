@@ -32,9 +32,24 @@ class BudgetStatus(Enum):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    # C order fixes the order numpy sums in, so a profile evaluates to the
+    # same bits however its array was laid out
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    # NaN fails every comparison, so the range checks alone would wave it through
+    bad = ~np.isfinite(arr)
+    if np.any(bad):
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{name} must be finite, got {arr[index]!r} at index {index}")
+
+
+def _batch_label(index: tuple) -> str:
+    """Where in a stack of profiles an entry sits; empty for a single profile."""
+    return f" in profile {tuple(int(b) for b in index)}" if index else ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +86,13 @@ class Instance:
             raise ValueError(
                 f"targets/bonuses shapes {targets.shape}/{bonuses.shape} do not match {p} projects"
             )
+        for name, arr in (
+            ("valuations", valuations),
+            ("budgets", budgets),
+            ("targets", targets),
+            ("bonuses", bonuses),
+        ):
+            _require_finite(name, arr)
         if np.any(valuations < 0):
             raise ValueError("valuations must be non-negative")
         if np.any(budgets < 0):
@@ -121,76 +143,95 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class ContributionProfile:
-    """Matrix of per-agent, per-project contributions."""
+    """Matrix of per-agent, per-project contributions.
 
-    contributions: np.ndarray  # (n_agents, n_projects)
+    Leading axes stack independent profiles of one instance: a
+    ``(..., n_agents, n_projects)`` array is validated and evaluated as one
+    profile per leading index.
+    """
+
+    contributions: np.ndarray  # (..., n_agents, n_projects)
 
     def __post_init__(self):
         contributions = _frozen_array(self.contributions)
-        if contributions.ndim != 2:
+        if contributions.ndim < 2:
             raise ValueError(f"contributions must be a matrix, got shape {contributions.shape}")
+        _require_finite("contributions", contributions)
         if np.any(contributions < 0):
-            i, j = np.unravel_index(int(np.argmin(contributions)), contributions.shape)
+            *batch, i, j = np.unravel_index(int(np.argmin(contributions)), contributions.shape)
             raise ValueError(
-                f"contribution by agent {i} to project {j} is negative "
-                f"({contributions[i, j]:.12g})"
+                f"contribution by agent {i} to project {j}{_batch_label(tuple(batch))} is negative "
+                f"({contributions[(*batch, i, j)]:.12g})"
             )
         object.__setattr__(self, "contributions", contributions)
 
     def validate_against(self, instance: Instance) -> None:
         """Raise if dimensions or budget feasibility fail for this instance."""
-        if self.contributions.shape != instance.valuations.shape:
+        if self.contributions.shape[-2:] != instance.valuations.shape:
             raise ValueError(
                 f"profile shape {self.contributions.shape} does not match instance "
                 f"shape {instance.valuations.shape}"
             )
-        rows = self.contributions.sum(axis=1)
+        rows = self.contributions.sum(axis=-1)
         over = rows > instance.budgets + TOL
         if np.any(over):
-            i = int(np.argmax(over))
+            *batch, i = np.unravel_index(int(np.argmax(over)), over.shape)
             raise ValueError(
-                f"agent {i} spends {rows[i]:.12g}, exceeding its budget "
-                f"{instance.budgets[i]:.12g}"
+                f"agent {i}{_batch_label(tuple(batch))} spends {rows[(*batch, i)]:.12g}, "
+                f"exceeding its budget {instance.budgets[i]:.12g}"
             )
 
 
 @dataclass(frozen=True, eq=False)
 class Outcome:
-    """Funding flags, utilities and social welfare for one evaluated profile."""
+    """Funding flags, utilities and social welfare for one evaluated profile.
 
-    funded: np.ndarray  # (p,) bool
-    totals: np.ndarray  # (p,)
-    agent_utilities: np.ndarray  # (n,)
-    per_pair_utilities: np.ndarray  # (n, p)
-    social_welfare: float
+    A stacked profile gives stacked fields: every array gains the profile's
+    leading axes and ``social_welfare`` becomes an array over them.
+    """
+
+    funded: np.ndarray  # (..., p) bool
+    totals: np.ndarray  # (..., p)
+    agent_utilities: np.ndarray  # (..., n)
+    per_pair_utilities: np.ndarray  # (..., n, p)
+    social_welfare: float | np.ndarray
+
+
+def _refund_shares(instance: Instance, x: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Every contributor's refund share as if no project had funded."""
+    if instance.per_project_refunds is None:
+        return instance.refund.share(x, instance.bonuses, totals[..., None, :])
+    shares = np.empty_like(x)
+    for j, scheme in enumerate(instance.per_project_refunds):
+        shares[..., j] = scheme.share(x[..., j], instance.bonuses[j], totals[..., j, None])
+    return shares
 
 
 def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
-    """Evaluate a contribution profile.
+    """Evaluate a contribution profile, or every profile of a stack at once.
 
     A project is funded when its total reaches the target (within tolerance).
     A funded project pays each agent valuation minus contribution; an unfunded
     project with any money in it pays refund shares; an untouched project pays
-    nothing.
+    nothing. Each stacked profile evaluates to the same bits it would alone.
     """
     profile.validate_against(instance)
     x = profile.contributions
-    totals = x.sum(axis=0)
+    totals = x.sum(axis=-2)
     funded = totals >= instance.targets - TOL
-    per_pair = np.zeros_like(x)
-    for j in range(instance.n_projects):
-        if funded[j]:
-            per_pair[:, j] = instance.valuations[:, j] - x[:, j]
-        elif totals[j] > 0.0:
-            per_pair[:, j] = instance.scheme_for(j).share(
-                x[:, j], instance.bonuses[j], totals[j]
-            )
-    welfare = float(((instance.vartheta - instance.targets) * funded).sum())
-    totals = totals.copy()
+    refunded = ~funded & (totals > 0.0)
+    shares = _refund_shares(instance, x, totals)
+    per_pair = np.where(refunded[..., None, :], shares, 0.0)
+    np.copyto(per_pair, instance.valuations - x, where=funded[..., None, :])
+    welfare = ((instance.vartheta - instance.targets) * funded).sum(axis=-1)
+    if welfare.ndim == 0:
+        welfare = float(welfare)
+    else:
+        welfare.setflags(write=False)
     totals.setflags(write=False)
     per_pair.setflags(write=False)
     funded.setflags(write=False)
-    utilities = per_pair.sum(axis=1)
+    utilities = per_pair.sum(axis=-1)
     utilities.setflags(write=False)
     return Outcome(funded, totals, utilities, per_pair, welfare)
 

@@ -218,6 +218,15 @@ class TestExitCodes:
         bad.write_text(json.dumps({"agents": [], "projects": [], "refund": "ppr"}))
         assert main(["solve-pstar", "--instance", str(bad)]) == 3
 
+    def test_nan_budget_is_named_not_a_solver_crash(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"agents": [{"budget": NaN, "valuations": [3.0]}],'
+            ' "projects": [{"target": 2.0, "bonus": 0.5}], "refund": "ppr"}'
+        )
+        assert main(["solve-pstar", "--instance", str(bad)]) != 0
+        assert "budgets must be finite" in capsys.readouterr().err
+
     def test_echoes_resolved_config(self, tmp_path, sampler_config, capsys):
         main(["gen", "--config", str(sampler_config), "--count", "1",
               "--out", str(tmp_path / "x")])

@@ -17,7 +17,8 @@ from ccfund import (
     sw_n,
     thresholds,
 )
-from ccfund.harness import CSV_HEADER
+from ccfund import harness
+from ccfund.harness import CSV_HEADER, worker_count
 from ccfund.model import ContributionProfile
 
 
@@ -241,3 +242,46 @@ class TestConfigValidation:
     def test_baseline_not_a_deviant(self):
         with pytest.raises(ValueError, match="baseline"):
             ExperimentConfig(deviant_heuristics=(Heuristic.OPT_WELFARE,))
+
+
+class TestRowMoments:
+    def test_matches_one_dimensional_sums_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 8, 9, 100, 129, 300):
+            values = rng.exponential(size=(12, n))
+            values[rng.random((12, n)) < 0.05] = np.nan
+            keep = ~np.isnan(values) & (rng.random((12, n)) < rng.random((12, 1)))
+            keep[0] = False
+            moments = harness._row_moments(values, keep)
+            for row, kept, (total, square, count) in zip(values, keep, moments):
+                picked = row[kept]
+                assert count == len(picked)
+                assert total == (float(picked.sum()) if len(picked) else 0.0)
+                assert square == (float((picked * picked).sum()) if len(picked) else 0.0)
+
+
+class TestWorkerCount:
+    def test_default_is_one_worker(self, monkeypatch, capsys):
+        monkeypatch.delenv("CCFUND_THREADS", raising=False)
+        assert worker_count() == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_garbage_falls_back_to_one_and_says_so(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("CCFUND_THREADS", raw)
+        assert worker_count() == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CCFUND_THREADS" in err
+
+    def test_capped_at_core_count_and_says_so(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("CCFUND_THREADS", "64")
+        assert worker_count() == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "64" in err
+
+    def test_within_core_count_is_silent(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("CCFUND_THREADS", "2")
+        assert worker_count() == 2
+        assert capsys.readouterr().err == ""

@@ -56,6 +56,36 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="negative"):
             ContributionProfile([[-0.1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_contribution_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"contributions must be finite.*index \(1, 0\)"):
+            ContributionProfile([[1.0], [bad]])
+
+    def test_stacked_errors_name_the_profile(self):
+        inst = Instance([[6.0], [6.0]], [5.0, 0.5], [5.0], [1.0], PprRefund())
+        stack = np.zeros((3, 2, 1))
+        stack[2, 1, 0] = 2.0
+        with pytest.raises(ValueError, match=r"agent 1 in profile \(2,\) spends 2"):
+            evaluate(inst, ContributionProfile(stack))
+        stack[1, 0, 0] = -1.0
+        with pytest.raises(ValueError, match=r"agent 0 to project 0 in profile \(1,\) is negative"):
+            ContributionProfile(stack)
+
+    def test_stacked_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(single(), ContributionProfile(np.zeros((2, 1, 2))))
+
+    def test_stacked_outcome_rows_match_single_profiles(self):
+        inst = Instance([[6.0, 3.0], [6.0, 4.0]], [5.0, 5.0], [5.0, 2.0], [1.0, 1.0], PprRefund())
+        stack = np.array([[[5.0, 0.0], [0.0, 1.0]], [[2.0, 2.0], [3.0, 0.0]]])
+        batched = evaluate(inst, ContributionProfile(stack))
+        assert batched.social_welfare.shape == (2,)
+        for b, x in enumerate(stack):
+            one = evaluate(inst, ContributionProfile(x))
+            assert isinstance(one.social_welfare, float)
+            assert batched.social_welfare[b] == one.social_welfare
+            assert np.array_equal(batched.per_pair_utilities[b], one.per_pair_utilities)
+
 
 class TestOutcomeInvariants:
     def test_refund_conservation_on_random_instances(self):
@@ -178,6 +208,14 @@ class TestInstanceValidation:
     def test_bonus_capped_by_headroom(self):
         with pytest.raises(ValueError, match="headroom"):
             Instance([[10.0]], [1.0], [5.0], [6.0], PprRefund())
+
+    @pytest.mark.parametrize("field", ["valuations", "budgets", "targets", "bonuses"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        args = {"valuations": [[10.0]], "budgets": [1.0], "targets": [5.0], "bonuses": [1.0]}
+        args[field] = np.array(args[field]) * bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Instance(args["valuations"], args["budgets"], args["targets"], args["bonuses"], PprRefund())
 
     def test_arrays_frozen(self):
         inst = single()
