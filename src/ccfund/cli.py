@@ -231,15 +231,16 @@ def cmd_play(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = io.load_experiment_config(args.config)
+    workers = worker_count()
     _echo(
         "experiment",
         {
             "config": io.experiment_config_to_jsonable(cfg),
             "full_scale": args.full_scale,
-            "workers": worker_count(),
+            "workers": workers,
         },
     )
-    report = run_experiment(cfg, full_scale=args.full_scale)
+    report = run_experiment(cfg, full_scale=args.full_scale, workers=workers)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_csv_text())
     if args.emit_series is not None:

@@ -189,7 +189,9 @@ class ExperimentReport:
         return written
 
 
-def sw_n(instance: Instance, outcome: Outcome, pstar_welfare: float):
+def sw_n(
+    instance: Instance, outcome: Outcome, pstar_welfare: float
+) -> float | np.ndarray | None:
     """Welfare relative to the optimum; None when the optimum carries none.
 
     A float for one profile, an array for a stacked outcome.
@@ -339,11 +341,14 @@ def worker_count() -> int:
     return wanted
 
 
-def run_experiment(cfg: ExperimentConfig, full_scale: bool = False) -> ExperimentReport:
+def run_experiment(
+    cfg: ExperimentConfig, full_scale: bool = False, workers: int | None = None
+) -> ExperimentReport:
     """Run every cell and aggregate; byte-stable for a fixed (config, seed).
 
     Partial results merge in instance order no matter how many workers run,
-    so parallel and sequential runs emit identical reports.
+    so parallel and sequential runs emit identical reports. ``workers``
+    defaults to :func:`worker_count`.
     """
     from . import __version__
     from .io import dumps_canonical, experiment_config_to_jsonable
@@ -353,7 +358,8 @@ def run_experiment(cfg: ExperimentConfig, full_scale: bool = False) -> Experimen
     # one accumulator for every cell: (cells, metric, [total, square, count])
     acc = np.zeros((len(keys), len(_METRICS), 3))
 
-    workers = worker_count()
+    if workers is None:
+        workers = worker_count()
     if workers > 1 and count > 1:
         import multiprocessing
 

@@ -44,7 +44,7 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
     bad = ~np.isfinite(arr)
     if np.any(bad):
         index = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"{name} must be finite, got {arr[index]!r} at index {index}")
+        raise ValueError(f"{name} must be finite, got {arr[index]} at index {index}")
 
 
 def _batch_label(index: tuple) -> str:

@@ -218,6 +218,17 @@ class TestExitCodes:
         bad.write_text(json.dumps({"agents": [], "projects": [], "refund": "ppr"}))
         assert main(["solve-pstar", "--instance", str(bad)]) == 3
 
+    def test_bad_worker_count_is_reported_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CCFUND_THREADS", "abc")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"sampler": {"n": 8, "p": 2}, "alphas": [1.0],
+                                   "deviant_heuristics": ["symmetric"],
+                                   "instances_per_cell": 2}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("CCFUND_THREADS") == 1
+        assert '"workers":1' in err
+
     def test_nan_budget_is_named_not_a_solver_crash(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text(
