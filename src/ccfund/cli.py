@@ -5,14 +5,14 @@ fixture with its certificate), ``solve-pstar`` (optimal subset), ``play``
 (heuristic play-out), ``best-response`` (exact discretized best response),
 ``experiment`` (Monte-Carlo runs to CSV), and ``verify`` (run a fixture's
 certificate checks). Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 numeric or solver error.
+error (bad flags, a missing file, or a file that is not a valid instance,
+profile, config or assignment), 3 numeric or solver error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -26,7 +26,7 @@ from .bestresponse import (
     knapsack_form_oracle,
     make_view,
 )
-from .errors import SolverError
+from .errors import InputError, SolverError
 from .generators import (
     build_appendix_b,
     build_example1,
@@ -198,9 +198,9 @@ def cmd_best_response(args) -> int:
 def cmd_play(args) -> int:
     instance = io.load_instance(args.instance)
     if args.assignment is not None:
-        with open(args.assignment, "r", encoding="utf-8") as fh:
-            names = json.load(fh)
-        assignment = Assignment(tuple(Heuristic(name) for name in names))
+        assignment = io.read_input(
+            args.assignment, lambda names: Assignment(tuple(Heuristic(name) for name in names))
+        )
     else:
         assignment = Assignment.uniform(Heuristic(args.heuristic), instance.n_agents)
     _echo(
@@ -475,10 +475,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, SolverError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, SolverError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

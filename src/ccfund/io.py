@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .bestresponse import BestResponse
+from .errors import InputError
 from .generators import SamplerConfig, ValuationDist
 from .harness import ExperimentConfig
 from .heuristics import Heuristic
@@ -102,14 +103,24 @@ def instance_from_jsonable(data: dict) -> Instance:
     )
 
 
+def read_input(path, parse):
+    """``parse`` applied to a JSON file's content; a malformed file raises InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise InputError(f"{path}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
 def save_instance(path, instance: Instance) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(instance_to_jsonable(instance)) + "\n")
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_jsonable(json.load(fh))
+    return read_input(path, instance_from_jsonable)
 
 
 # -- profiles ----------------------------------------------------------------
@@ -129,8 +140,7 @@ def save_profile(path, profile: ContributionProfile) -> None:
 
 
 def load_profile(path) -> ContributionProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_jsonable(json.load(fh))
+    return read_input(path, profile_from_jsonable)
 
 
 # -- solver results ----------------------------------------------------------
@@ -255,10 +265,8 @@ def experiment_config_from_jsonable(data: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return experiment_config_from_jsonable(json.load(fh))
+    return read_input(path, experiment_config_from_jsonable)
 
 
 def load_sampler_config(path) -> SamplerConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sampler_config_from_jsonable(json.load(fh))
+    return read_input(path, sampler_config_from_jsonable)

@@ -274,15 +274,12 @@ def thresholds(instance: "Instance", scheme: RefundScheme | None = None) -> np.n
     The override is what normalized-utility baselines use when an experiment
     runs a different refund rule than the baseline convention.
     """
-    n, p = instance.valuations.shape
-    out = np.empty((n, p), dtype=float)
-    for j in range(p):
-        sch = scheme if scheme is not None else instance.scheme_for(j)
-        col = threshold_matrix(
-            instance.valuations[:, j : j + 1],
-            instance.targets[j : j + 1],
-            instance.bonuses[j : j + 1],
-            sch,
+    p = instance.n_projects
+    schemes = [scheme if scheme is not None else instance.scheme_for(j) for j in range(p)]
+    out = np.empty(instance.valuations.shape, dtype=float)
+    for sch in dict.fromkeys(schemes):
+        cols = [j for j in range(p) if schemes[j] == sch]
+        out[:, cols] = threshold_matrix(
+            instance.valuations[:, cols], instance.targets[cols], instance.bonuses[cols], sch
         )
-        out[:, j] = col[:, 0]
     return out

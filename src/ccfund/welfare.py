@@ -1,9 +1,10 @@
 """Welfare-optimal project subsets under the pooled budget.
 
-Two exact solvers over the same objective: exhaustive subset enumeration and
-a 0/1-knapsack dynamic program over quantized costs. They share one
-deterministic tie-break so answers can be compared verbatim: highest value,
-then fewest projects, then lexicographically smallest index list.
+Two exact solvers over the same objective: subset enumeration (meet in the
+middle over two half-size subset tables) and a 0/1-knapsack dynamic program
+over quantized costs. They share one deterministic tie-break so answers can
+be compared verbatim: highest value, then fewest projects, then
+lexicographically smallest index list.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .model import TOL, Instance
 
 #: Exhaustive enumeration refuses more projects than this.
 ENUM_GUARD_P = 25
-#: Subset masks are enumerated in chunks of 2**_CHUNK_BITS.
-_CHUNK_BITS = 18
+#: Candidate pairs the enumeration's tie pass holds at once.
+_TIE_BLOCK = 1 << 18
 #: Two subsets whose values differ by at most this are tied (enumeration).
 TIE_TOL = 1e-9
 #: Tie window inside the DP recursion; only float noise should land here.
@@ -43,51 +44,83 @@ def _subset_stats(values: np.ndarray, costs: np.ndarray, subset: tuple[int, ...]
     return float(values[idx].sum()), float(costs[idx].sum())
 
 
+def _subset_tables(items: np.ndarray) -> np.ndarray:
+    """Row sums of every subset of the columns of ``items``.
+
+    Built by doubling, so column m of the result sums the item columns picked
+    by the bits of m (bit j is column j), each sum added in index order.
+    """
+    sums = np.zeros((len(items), 1))
+    for column in items.T:
+        sums = np.concatenate((sums, sums + column[:, None]), axis=1)
+    return sums
+
+
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
-    """Exhaustive argmax of subset value subject to subset cost <= capacity."""
+    """Exact argmax of subset value subject to subset cost <= capacity.
+
+    Meet in the middle (Horowitz & Sahni 1974): every subset is a pair of a
+    subset of the first half of the items and one of the second half. The
+    high half is sorted by cost with a running maximum of its value, so one
+    binary search per low-half subset finds its best affordable partner. A
+    second pass walks only the low-half subsets whose best partner ties the
+    optimum, in blocks of tied-candidate pairs, to apply the tie-break and
+    to tell whether the optimum is unique.
+    """
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
     p = len(values)
     if p > ENUM_GUARD_P:
         raise SolverError(f"{p} projects exceed the enumeration guard of {ENUM_GUARD_P}")
-    if p == 0:
-        return WelfareSolution((), 0.0, 0.0, True)
-    total = 1 << p
-    chunk = 1 << _CHUNK_BITS
-    js = np.arange(p)
+    if np.isnan(capacity):
+        raise ValueError("capacity must be a number, got nan")
+    half = p // 2
+    # Item j adds 2^p - 2^(p-1-j) to a subset's rank: its size times 2^p
+    # minus its bit-reversed mask. The smallest rank among tied subsets has
+    # the fewest projects, then the lexicographically smallest index tuple.
+    # Ranks stay below 2^31, so float sums of them are exact.
+    rank = float(1 << p) - np.exp2(p - 1 - np.arange(p))
+    items = np.stack((values, costs, rank))
+    v_lo, c_lo, r_lo = _subset_tables(items[:, :half])
+    hi = _subset_tables(items[:, half:])
+    order = np.argsort(hi[1], kind="stable")
+    v_hi, c_hi, r_hi = hi[:, order]
 
-    best = -np.inf
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((masks[:, None] >> js) & 1).astype(float)
-        feas = bits @ costs <= capacity + TOL
-        if feas.any():
-            top = float((bits @ values)[feas].max())
-            if top > best:
-                best = top
+    # a pair fits when the high cost is within the low subset's room; the
+    # search counts the sorted high subsets that fit each low one
+    room = (capacity + TOL) - c_lo
+    fits = np.searchsorted(c_hi, room, side="right")
+    lows = np.flatnonzero(fits)
+    if not len(lows):
+        raise SolverError(f"no subset fits within capacity {capacity!r}")
+    top = v_lo[lows] + np.maximum.accumulate(v_hi)[fits[lows] - 1]
+    floor = top.max() - TIE_TOL
+    lows = lows[top >= floor]
 
-    tie_count = 0
-    min_pop = p + 1
-    cand_masks: list[int] = []
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((masks[:, None] >> js) & 1).astype(float)
-        sel = (bits @ costs <= capacity + TOL) & (bits @ values >= best - TIE_TOL)
-        if not sel.any():
-            continue
-        tie_count += int(sel.sum())
-        pops = bits[sel].sum(axis=1).astype(int)
-        local_min = int(pops.min())
-        if local_min < min_pop:
-            min_pop = local_min
-            cand_masks = []
-        if local_min == min_pop:
-            cand_masks.extend(int(m) for m in masks[sel][pops == min_pop])
+    spans = fits[lows]
+    ends = np.cumsum(spans)
+    ties = 0
+    best_rank = np.inf
+    start = 0
+    while start < len(lows):
+        first = ends[start] - spans[start]
+        stop = int(np.searchsorted(ends, first + _TIE_BLOCK, side="right"))
+        block = spans[start:stop]
+        lo = np.repeat(lows[start:stop], block)
+        at = np.arange(first, ends[stop - 1]) - np.repeat(ends[start:stop] - block, block)
+        tied = v_lo[lo] + v_hi[at] >= floor
+        ties = min(ties + int(np.count_nonzero(tied)), 2)
+        lo, at = lo[tied], at[tied]
+        ranks = r_lo[lo] + r_hi[at]
+        k = int(np.argmin(ranks))
+        if ranks[k] < best_rank:
+            best_rank = ranks[k]
+            mask = int(lo[k]) | int(order[at[k]]) << half
+        start = stop
 
-    subsets = [tuple(int(j) for j in js[(m >> js) & 1 == 1]) for m in cand_masks]
-    subset = min(subsets)
+    subset = tuple(j for j in range(p) if mask >> j & 1)
     welfare, cost = _subset_stats(values, costs, subset)
-    return WelfareSolution(subset, welfare, cost, tie_count == 1)
+    return WelfareSolution(subset, welfare, cost, ties == 1)
 
 
 def solve_subset_dp(values, costs, capacity: float, resolution: float) -> WelfareSolution:

@@ -1,8 +1,18 @@
-"""Shared test helpers: small random instance and view factories."""
+"""Shared test helpers: small random instance and view factories.
+
+``HYPOTHESIS_PROFILE=ci`` selects a derandomized hypothesis profile, so a
+property failure seen in CI reproduces on any machine.
+"""
+
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from ccfund import Instance, LinearAdditiveRefund, PprRefund, ResidualView
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_instance(rng, n=None, p=None, scheme=None, bonus_fraction=None):

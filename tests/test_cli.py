@@ -213,10 +213,45 @@ class TestExitCodes:
     def test_missing_file_is_usage_error(self):
         assert main(["solve-pstar", "--instance", "/nonexistent/file.json"]) == 2
 
-    def test_bad_instance_content_is_solver_error(self, tmp_path):
+    def test_bad_instance_content_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"agents": [], "projects": [], "refund": "ppr"}))
-        assert main(["solve-pstar", "--instance", str(bad)]) == 3
+        assert main(["solve-pstar", "--instance", str(bad)]) == 2
+
+    def test_missing_field_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "nobudget.json"
+        bad.write_text(json.dumps({"agents": [{"valuations": [3.0]}],
+                                   "projects": [{"target": 2.0, "bonus": 0.5}],
+                                   "refund": "ppr"}))
+        assert main(["solve-pstar", "--instance", str(bad)]) == 2
+        assert "missing field 'budget'" in capsys.readouterr().err
+
+    def test_malformed_json_config_is_usage_error(self, tmp_path):
+        bad = tmp_path / "cfg.json"
+        bad.write_text("{not json")
+        assert main(["gen", "--config", str(bad), "--count", "1",
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_unknown_heuristic_in_assignment_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"agents": [{"budget": 3.0, "valuations": [3.0]}],
+                                    "projects": [{"target": 2.0, "bonus": 0.5}],
+                                    "refund": "ppr"}))
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(["symmetric"]))
+        bad.write_text(json.dumps(["symetric"]))
+        assert main(["play", "--instance", str(inst), "--assignment", str(good)]) == 0
+        assert main(["play", "--instance", str(inst), "--assignment", str(bad)]) == 2
+        assert "symetric" in capsys.readouterr().err
+
+    def test_solver_guard_keeps_solver_exit_code(self, tmp_path):
+        # a valid instance past the enumeration guard is a solver error, not usage
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "agents": [{"budget": 1.0, "valuations": [3.0] * 26}],
+            "projects": [{"target": 2.0, "bonus": 0.5}] * 26, "refund": "ppr",
+        }))
+        assert main(["solve-pstar", "--instance", str(wide), "--method", "bruteforce"]) == 3
 
     def test_bad_worker_count_is_reported_once(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CCFUND_THREADS", "abc")
@@ -235,7 +270,7 @@ class TestExitCodes:
             '{"agents": [{"budget": NaN, "valuations": [3.0]}],'
             ' "projects": [{"target": 2.0, "bonus": 0.5}], "refund": "ppr"}'
         )
-        assert main(["solve-pstar", "--instance", str(bad)]) != 0
+        assert main(["solve-pstar", "--instance", str(bad)]) == 2
         assert "budgets must be finite" in capsys.readouterr().err
 
     def test_echoes_resolved_config(self, tmp_path, sampler_config, capsys):

@@ -169,6 +169,33 @@ class TestThresholdMatrix:
         expected = inst.targets * inst.valuations / (inst.bonuses + inst.targets)
         assert np.allclose(thr, expected, atol=1e-12)
 
+    def test_one_matrix_per_distinct_scheme(self, monkeypatch):
+        from ccfund import Instance, refunds
+
+        rng = np.random.default_rng(23)
+        base = random_instance(rng, n=5, p=5)
+        linear = LinearAdditiveRefund(0.2)
+        mixed = (PprRefund(), linear, PprRefund(), linear, PprRefund())
+        inst = Instance(
+            base.valuations, base.budgets, base.targets, base.bonuses, PprRefund(), mixed
+        )
+        calls = []
+        real = refunds.threshold_matrix
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(refunds, "threshold_matrix", counting)
+        thr = thresholds(inst)
+        assert calls == [PprRefund(), LinearAdditiveRefund(0.2)]
+        for j, sch in enumerate(mixed):
+            column = real(inst.valuations[:, [j]], inst.targets[[j]], inst.bonuses[[j]], sch)
+            assert np.array_equal(thr[:, j], column[:, 0])
+        calls.clear()
+        thresholds(inst, scheme=PprRefund())
+        assert len(calls) == 1
+
 
 class TestThresholdProperties:
     @given(

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccfund import (
     Instance,
@@ -14,22 +17,35 @@ from ccfund import (
     solve_subset_dp,
     welfare_of,
 )
+from ccfund.welfare import _TIE_BLOCK, TIE_TOL
 
 
 def reference_enumeration(values, costs, capacity):
-    """Independent oracle: plain itertools enumeration with the shared tie-break."""
+    """Independent oracle: plain itertools enumeration with the shared tie-break.
+
+    Returns the subset, its welfare and cost, and how many affordable subsets
+    tie the optimum within ``TIE_TOL``.
+    """
     p = len(values)
-    best = None
+    affordable = []
     for r in range(p + 1):
         for combo in itertools.combinations(range(p), r):
             cost = sum(costs[j] for j in combo)
-            if cost > capacity + 1e-9:
-                continue
-            welfare = sum(values[j] for j in combo)
-            key = (-welfare, len(combo), combo)
-            if best is None or key < best[0]:
-                best = (key, combo, welfare, cost)
-    return best[1], best[2], best[3]
+            if cost <= capacity + 1e-9:
+                affordable.append((combo, sum(values[j] for j in combo), cost))
+    best = max(welfare for _, welfare, _ in affordable)
+    tied = [entry for entry in affordable if entry[1] >= best - TIE_TOL]
+    subset, welfare, cost = min(tied, key=lambda entry: (len(entry[0]), entry[0]))
+    return subset, welfare, cost, len(tied)
+
+
+def assert_matches_reference(values, costs, capacity):
+    sol = solve_subset_bruteforce(values, costs, capacity)
+    subset, welfare, cost, ties = reference_enumeration(values, costs, capacity)
+    assert sol.subset == subset
+    assert sol.unique == (ties == 1)
+    assert sol.welfare == pytest.approx(welfare, abs=1e-9)
+    assert sol.cost == pytest.approx(cost, abs=1e-9)
 
 
 class TestBruteforce:
@@ -74,11 +90,84 @@ class TestBruteforce:
             values = rng.uniform(0.1, 10.0, size=p)
             costs = rng.uniform(0.1, 10.0, size=p)
             capacity = float(rng.uniform(0.0, costs.sum()))
-            sol = solve_subset_bruteforce(values, costs, capacity)
-            subset, welfare, cost = reference_enumeration(values, costs, capacity)
-            assert sol.subset == subset
-            assert sol.welfare == pytest.approx(welfare, abs=1e-9)
-            assert sol.cost == pytest.approx(cost, abs=1e-9)
+            assert_matches_reference(values, costs, capacity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda p: st.tuples(
+                st.lists(st.floats(-5.0, 10.0), min_size=p, max_size=p),
+                st.lists(st.floats(0.0, 10.0), min_size=p, max_size=p),
+            )
+        ),
+        st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+    )
+    def test_property_matches_reference(self, items, capacity):
+        values, costs = items
+        assert_matches_reference(np.array(values), np.array(costs), capacity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda p: st.tuples(
+                st.lists(st.integers(-2, 3), min_size=p, max_size=p),
+                st.lists(st.integers(0, 3), min_size=p, max_size=p),
+            )
+        ),
+        st.integers(0, 12),
+    )
+    def test_property_tie_heavy_integers(self, items, capacity):
+        # small integers tie constantly, so this hammers the tie count and
+        # the fewest-projects-then-lexicographic tie-break
+        values, costs = items
+        assert_matches_reference(
+            np.array(values, dtype=float), np.array(costs, dtype=float), float(capacity)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(13, 25).flatmap(
+            lambda p: st.tuples(
+                st.lists(st.integers(-100, 1000), min_size=p, max_size=p),
+                st.lists(st.integers(1, 20), min_size=p, max_size=p),
+            )
+        ),
+        st.floats(0.0, 1.0),
+    )
+    def test_property_matches_exact_dp_on_integer_costs(self, items, fraction):
+        # at resolution 1 integer costs never round, so the DP is exact; odd
+        # and even p give equal and unequal halves. Values sit on a 0.01 grid,
+        # clear of the gap between the solvers' tie windows (1e-12, 1e-9).
+        values = np.array(items[0]) * 0.01
+        costs = np.array(items[1], dtype=float)
+        capacity = float(np.floor(fraction * costs.sum()))
+        bf = solve_subset_bruteforce(values, costs, capacity)
+        dp = solve_subset_dp(values, costs, capacity, 1.0)
+        assert bf.subset == dp.subset
+        assert bf.unique == dp.unique
+        assert bf.welfare == pytest.approx(dp.welfare, abs=1e-9)
+        assert bf.cost == dp.cost
+
+    def test_all_tied_worst_case_memory_is_bounded_by_the_block(self):
+        # every 11-project subset ties; the pairs stream through blocks, so
+        # the peak stays far below one array over all 2^22 subsets (32 MB)
+        tracemalloc.start()
+        try:
+            sol = solve_subset_bruteforce(np.ones(22), np.ones(22), 11.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.subset == tuple(range(11))
+        assert not sol.unique
+        assert peak < 64 * _TIE_BLOCK
+
+    def test_nothing_fits_a_negative_capacity(self):
+        with pytest.raises(SolverError, match="no subset fits"):
+            solve_subset_bruteforce(np.ones(3), np.ones(3), -1.0)
+
+    def test_nan_capacity_is_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            solve_subset_bruteforce(np.ones(3), np.ones(3), float("nan"))
 
 
 class TestDp:
