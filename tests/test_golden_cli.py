@@ -1,0 +1,125 @@
+"""Byte-level regression pins for CLI output.
+
+Each digest is the SHA-256 of what one command wrote when the digests were
+captured: the stdout of ``solve-pstar``, ``best-response`` and ``fixture``,
+and the ``*.solution.json`` files ``gen`` writes. The instances come from
+``gen`` with fixed sampler configs (proportional and linear refunds), and
+the other agents' profile is a fixed fraction of their budgets.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ccfund.cli import main
+from ccfund.io import load_instance
+
+SAMPLERS = {
+    "ppr": {"n": 8, "p": 4, "bonus_fraction": 0.9, "seed": 11},
+    "linear": {"n": 8, "p": 4, "bonus_fraction": 0.9, "seed": 12,
+               "refund": "linear-additive", "linear_slope": 0.2},
+}
+GEN_COUNT = 3
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Per sampler: the ``gen`` output directory and a profile file."""
+    root = tmp_path_factory.mktemp("golden-cli")
+    out = {}
+    for name, cfg in SAMPLERS.items():
+        cfg_path = root / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        directory = root / name
+        assert main(["gen", "--config", str(cfg_path), "--count", str(GEN_COUNT),
+                     "--out", str(directory)]) == 0
+        instance = load_instance(directory / "instance_00000.json")
+        n = instance.n_agents
+        short = (0.05, 0.1, 0.3, 0.6)
+        row = [float(t) * (1.0 - s) / (n - 1) for t, s in zip(instance.targets, short)]
+        profile = root / f"{name}.profile.json"
+        profile.write_text(json.dumps({"contributions": [row] * n}))
+        out[name] = (directory, profile)
+    return out
+
+
+def _solve(sampler, method):
+    return lambda g: ["solve-pstar", "--instance", str(g[sampler][0] / "instance_00000.json"),
+                      "--method", method]
+
+
+def _respond(sampler, method, agent=2, delta="0.5"):
+    return lambda g: ["best-response", "--instance", str(g[sampler][0] / "instance_00000.json"),
+                      "--agent", str(agent), "--others", str(g[sampler][1]),
+                      "--delta", delta, "--method", method]
+
+
+COMMANDS = {
+    "solve-dp-ppr": _solve("ppr", "dp"),
+    "solve-bruteforce-ppr": _solve("ppr", "bruteforce"),
+    "solve-dp-linear": _solve("linear", "dp"),
+    "solve-bruteforce-linear": _solve("linear", "bruteforce"),
+    "br-exact-ppr": _respond("ppr", "exact"),
+    "br-bruteforce-ppr": _respond("ppr", "bruteforce"),
+    "br-exact-linear": _respond("linear", "exact"),
+    "br-bruteforce-linear": _respond("linear", "bruteforce"),
+    "br-knapsack-linear": _respond("linear", "knapsack"),
+    "fixture-procedure1": lambda g: ["fixture", "--name", "procedure1"],
+    "fixture-procedure1-linear": lambda g: ["fixture", "--name", "procedure1",
+                                            "--refund", "linear-additive"],
+    "fixture-example1": lambda g: ["fixture", "--name", "example1"],
+    "fixture-example2": lambda g: ["fixture", "--name", "example2"],
+    "fixture-theorem2": lambda g: ["fixture", "--name", "theorem2"],
+    "fixture-appendixB": lambda g: ["fixture", "--name", "appendixB"],
+}
+
+GOLDEN_STDOUT = {
+    "br-bruteforce-linear": "14926163e1cc87d4017f1f419baf243a444f50fc248ee140314384bdc212608f",
+    "br-bruteforce-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
+    "br-exact-linear": "14926163e1cc87d4017f1f419baf243a444f50fc248ee140314384bdc212608f",
+    "br-exact-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
+    "br-knapsack-linear": "6c9545f8fa8059996db8ec7c2fc426d38843cd3b6d91b80c6dae7465a29537cd",
+    "fixture-appendixB": "dcf577362bff7443a3aa6720802b44bdaad620982093688e4500e960debb2688",
+    "fixture-example1": "b7d240546103998cd592fe505d501e55b59a1b78f312259fcfac96cd3a5ea03f",
+    "fixture-example2": "9988700ba6e4167746c33159a6d266750c463b44d1736f7712631de4478be301",
+    "fixture-procedure1": "fbadcac40297aec3d6711fe2a44b30560f8a3ea9f9584300cedeb327b4e9227a",
+    "fixture-procedure1-linear": "089309c0f3710fafa070be287a84e5d7ef97d3540c2590c788ff5b3707e299a9",
+    "fixture-theorem2": "6a65e5e04f11aad00e48ebf46fd327e1c2e21b13bbb8bf56807c7b2dc12c8235",
+    "solve-bruteforce-linear": "eafd4b35aa3ad1893a5af9dad9b311da0f86e4d2e1831650e45f547a0a0a80e1",
+    "solve-bruteforce-ppr": "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",
+    "solve-dp-linear": "eafd4b35aa3ad1893a5af9dad9b311da0f86e4d2e1831650e45f547a0a0a80e1",
+    "solve-dp-ppr": "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",
+}
+
+GOLDEN_SOLUTIONS = {
+    "linear": [
+        "eafd4b35aa3ad1893a5af9dad9b311da0f86e4d2e1831650e45f547a0a0a80e1",
+        "2cf9b1457689b6da5504baa19b915f572aa26cabf15102b83b7fe90218e9298f",
+        "8c04d3c01753bf89a2b0e884cba4953325499de4470ad58df86e7b4ac6a5de2c",
+    ],
+    "ppr": [
+        "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",
+        "ad42d3b1af80cb66cfe50a891db2b11baf609c97868cc8705ea84cf3ab7637b2",
+        "b91a19242b9564797803fdcb1997c5426006f4f4e27e4e568c917f6f73dae8a9",
+    ],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, generated, capsys):
+    capsys.readouterr()
+    assert main(COMMANDS[name](generated)) == 0
+    assert _sha(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[name]
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_gen_solutions_match_golden(sampler, generated):
+    directory = generated[sampler][0]
+    digests = [_sha((directory / f"instance_{k:05d}.solution.json").read_bytes())
+               for k in range(GEN_COUNT)]
+    assert digests == GOLDEN_SOLUTIONS[sampler]
