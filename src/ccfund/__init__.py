@@ -66,7 +66,6 @@ from .refunds import (
     scheme_from_tag,
     threshold_general,
     threshold_matrix,
-    threshold_ppr,
     thresholds,
 )
 from .welfare import (

@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
         with open(
             os.path.join(args.out, f"instance_{k:05d}.solution.json"), "w", encoding="utf-8"
         ) as fh:
-            fh.write(io.dumps_canonical(io.solution_to_jsonable(solution)) + "\n")
+            fh.write(io.dumps_canonical(solution) + "\n")
     print(f"wrote {args.count} instances to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -172,7 +172,7 @@ def cmd_solve_pstar(args) -> int:
         solution = solve_pstar_bruteforce(instance, objective=args.objective)
     else:
         solution = solve_pstar_dp(instance, resolution=args.resolution, objective=args.objective)
-    print(io.dumps_canonical(io.solution_to_jsonable(solution)))
+    print(io.dumps_canonical(solution))
     return EXIT_OK
 
 
@@ -191,7 +191,7 @@ def cmd_best_response(args) -> int:
         response = knapsack_form_oracle(view, args.delta)
     else:
         response = best_response_exact(view, args.delta)
-    print(io.dumps_canonical(io.response_to_jsonable(response)))
+    print(io.dumps_canonical(response))
     return EXIT_OK
 
 

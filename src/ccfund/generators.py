@@ -26,7 +26,6 @@ from .refunds import (
     certify_cm,
     threshold_general,
     threshold_matrix,
-    threshold_ppr,
 )
 from .welfare import WelfareSolution, solve_pstar_bruteforce, solve_subset_bruteforce
 
@@ -96,6 +95,22 @@ def _rng(seed, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((*entropy, attempt)))
 
 
+def _draw_game(cfg: SamplerConfig, rng: np.random.Generator):
+    """Valuations, their column totals, targets, bonuses and thresholds of one draw.
+
+    None when some project drew zero total valuation, which no target fits.
+    """
+    theta = cfg.valuation_dist.draw(rng, (cfg.n, cfg.p))
+    vartheta = theta.sum(axis=0)
+    if np.any(vartheta <= 0.0):
+        return None
+    beta = rng.uniform(cfg.target_fraction[0], cfg.target_fraction[1], size=cfg.p)
+    targets = beta * vartheta
+    bonuses = cfg.bonus_fraction * (vartheta - targets)
+    thr = threshold_matrix(theta, targets, bonuses, cfg.refund)
+    return theta, vartheta, targets, bonuses, thr
+
+
 #: Rounds of the lift/re-solve loop before a draw is abandoned.
 _LIFT_ROUNDS = 12
 
@@ -113,17 +128,13 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
     base = cfg.seed if seed is None else seed
     for attempt in range(cfg.max_rejections):
         rng = _rng(base, attempt)
-        theta = cfg.valuation_dist.draw(rng, (cfg.n, cfg.p))
-        vartheta = theta.sum(axis=0)
-        if np.any(vartheta <= 0.0):
+        drawn = _draw_game(cfg, rng)
+        if drawn is None:
             continue
-        beta = rng.uniform(cfg.target_fraction[0], cfg.target_fraction[1], size=cfg.p)
-        targets = beta * vartheta
-        bonuses = cfg.bonus_fraction * (vartheta - targets)
+        theta, vartheta, targets, bonuses, thr = drawn
         rho = rng.uniform(cfg.budget_rho[0], cfg.budget_rho[1])
         pool = rho * targets.sum()
 
-        thr = threshold_matrix(theta, targets, bonuses, cfg.refund)
         mass = thr.sum(axis=1)
         total_mass = mass.sum()
         if total_mass <= 0.0:
@@ -162,23 +173,16 @@ def sample_surplus_sf_instance(
     Budgets are each agent's total threshold mass plus random slack, which
     also guarantees a budget surplus, so the optimal subset is every project.
     """
-    base = cfg.seed if seed is None else seed
-    for attempt in range(cfg.max_rejections):
-        rng = _rng(base, attempt)
-        theta = cfg.valuation_dist.draw(rng, (cfg.n, cfg.p))
-        vartheta = theta.sum(axis=0)
-        if np.any(vartheta <= 0.0):
-            continue
-        beta = rng.uniform(cfg.target_fraction[0], cfg.target_fraction[1], size=cfg.p)
-        targets = beta * vartheta
-        bonuses = cfg.bonus_fraction * (vartheta - targets)
-        thr = threshold_matrix(theta, targets, bonuses, cfg.refund)
-        budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, max_slack, size=cfg.n))
-        instance = Instance(theta, budgets, targets, bonuses, cfg.refund)
-        everything = tuple(range(cfg.p))
-        welfare = float((vartheta - targets).sum())
-        return instance, WelfareSolution(everything, welfare, float(targets.sum()), True)
-    raise SolverError(f"sampler rejected all {cfg.max_rejections} draws")
+    rng = _rng(cfg.seed if seed is None else seed, 0)
+    drawn = _draw_game(cfg, rng)
+    if drawn is None:
+        raise SolverError("a project drew zero total valuation; no target fits it")
+    theta, vartheta, targets, bonuses, thr = drawn
+    budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, max_slack, size=cfg.n))
+    instance = Instance(theta, budgets, targets, bonuses, cfg.refund)
+    everything = tuple(range(cfg.p))
+    welfare = float((vartheta - targets).sum())
+    return instance, WelfareSolution(everything, welfare, float(targets.sum()), True)
 
 
 @dataclass(frozen=True)
@@ -475,8 +479,8 @@ def build_appendix_b() -> tuple[Instance, LiteralNumbersReport]:
     bonuses = np.array([1.0, 0.91])
     instance = Instance(valuations, budgets, targets, bonuses, PprRefund())
 
-    x11 = threshold_ppr(10.9, 10.0, 1.0)
-    x21 = threshold_ppr(1.089, 10.0, 1.0)
+    x11 = instance.refund.closed_form_threshold(10.9, 10.0, 1.0)
+    x21 = instance.refund.closed_form_threshold(1.089, 10.0, 1.0)
     remainder = 10.0 - x11
     sol = solve_pstar_bruteforce(instance)
     welfare_first = 10.9 + 1.089 - 10.0

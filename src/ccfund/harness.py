@@ -66,7 +66,6 @@ class ExperimentConfig:
     instances_per_cell: int = 1000
     seed: int = 0
     play_order: str = "ascending"
-    delta: float = 0.01
     include_control: bool = True
     matched_baseline: bool = False
 
@@ -81,8 +80,6 @@ class ExperimentConfig:
             raise ValueError("the baseline heuristic cannot be listed as a deviant")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be at least 1")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         object.__setattr__(self, "alphas", alphas)

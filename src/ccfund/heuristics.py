@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -46,22 +45,9 @@ class Assignment:
             tuple(h if type(h) is Heuristic else Heuristic(h) for h in self.heuristics),
         )
 
-    @property
-    def deviator_mask(self) -> np.ndarray:
-        return np.array([h != Heuristic.OPT_WELFARE for h in self.heuristics], dtype=bool)
-
     @classmethod
     def uniform(cls, heuristic: Heuristic, n_agents: int) -> "Assignment":
         return cls((Heuristic(heuristic),) * n_agents)
-
-    @classmethod
-    def with_deviators(
-        cls, n_agents: int, deviant: Heuristic, deviators: Sequence[int]
-    ) -> "Assignment":
-        rules = [Heuristic.OPT_WELFARE] * n_agents
-        for i in deviators:
-            rules[i] = Heuristic(deviant)
-        return cls(tuple(rules))
 
 
 @dataclass(frozen=True)

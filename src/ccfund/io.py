@@ -7,19 +7,18 @@ round-trips exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .bestresponse import BestResponse
 from .errors import InputError
 from .generators import SamplerConfig, ValuationDist
 from .harness import ExperimentConfig
 from .heuristics import Heuristic
 from .model import ContributionProfile, Instance
 from .refunds import LINEAR_ADDITIVE_TAG, LinearAdditiveRefund, scheme_from_tag
-from .welfare import WelfareSolution
 
 
 def format_float(value) -> str:
@@ -32,10 +31,8 @@ def format_float(value) -> str:
 def _render(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -53,6 +50,8 @@ def _render(obj, out: list[str]) -> None:
             out.append(":")
             _render(obj[key], out)
         out.append("}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _render({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -126,60 +125,12 @@ def load_instance(path) -> Instance:
 # -- profiles ----------------------------------------------------------------
 
 
-def profile_to_jsonable(profile: ContributionProfile) -> dict:
-    return {"contributions": [[float(v) for v in row] for row in profile.contributions]}
-
-
 def profile_from_jsonable(data: dict) -> ContributionProfile:
     return ContributionProfile(np.array(data["contributions"], dtype=float))
 
 
-def save_profile(path, profile: ContributionProfile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(profile_to_jsonable(profile)) + "\n")
-
-
 def load_profile(path) -> ContributionProfile:
     return read_input(path, profile_from_jsonable)
-
-
-# -- solver results ----------------------------------------------------------
-
-
-def solution_to_jsonable(solution: WelfareSolution) -> dict:
-    return {
-        "subset": [int(j) for j in solution.subset],
-        "welfare": solution.welfare,
-        "cost": solution.cost,
-        "unique": solution.unique,
-    }
-
-
-def solution_from_jsonable(data: dict) -> WelfareSolution:
-    return WelfareSolution(
-        subset=tuple(int(j) for j in data["subset"]),
-        welfare=float(data["welfare"]),
-        cost=float(data["cost"]),
-        unique=bool(data["unique"]),
-    )
-
-
-def response_to_jsonable(response: BestResponse) -> dict:
-    return {
-        "contributions": [float(v) for v in response.contributions],
-        "funded": [bool(z) for z in response.funded],
-        "utility": response.utility,
-        "optimal": response.optimal,
-    }
-
-
-def response_from_jsonable(data: dict) -> BestResponse:
-    return BestResponse(
-        contributions=np.array(data["contributions"], dtype=float),
-        funded=np.array(data["funded"], dtype=bool),
-        utility=float(data["utility"]),
-        optimal=bool(data["optimal"]),
-    )
 
 
 # -- configs -----------------------------------------------------------------
@@ -235,7 +186,6 @@ def experiment_config_to_jsonable(cfg: ExperimentConfig) -> dict:
         "instances_per_cell": cfg.instances_per_cell,
         "seed": cfg.seed,
         "play_order": cfg.play_order,
-        "delta": cfg.delta,
         "include_control": cfg.include_control,
         "matched_baseline": cfg.matched_baseline,
     }
@@ -255,9 +205,6 @@ def experiment_config_from_jsonable(data: dict) -> ExperimentConfig:
     for key in ("play_order",):
         if key in data:
             kwargs[key] = str(data[key])
-    for key in ("delta",):
-        if key in data:
-            kwargs[key] = float(data[key])
     for key in ("include_control", "matched_baseline"):
         if key in data:
             kwargs[key] = bool(data[key])

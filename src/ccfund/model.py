@@ -58,9 +58,8 @@ class Instance:
 
     Agents hold non-negative budgets and valuations; every project must have
     a positive target below its total valuation, and a positive bonus pool no
-    larger than the welfare headroom (total valuation minus target). A single
-    refund scheme applies to every project unless per-project overrides are
-    supplied.
+    larger than the welfare headroom (total valuation minus target). One
+    refund scheme applies to every project.
     """
 
     valuations: np.ndarray  # (n_agents, n_projects)
@@ -68,7 +67,6 @@ class Instance:
     targets: np.ndarray  # (n_projects,)
     bonuses: np.ndarray  # (n_projects,)
     refund: "RefundScheme"
-    per_project_refunds: tuple["RefundScheme", ...] | None = None
 
     def __post_init__(self):
         valuations = _frozen_array(self.valuations)
@@ -114,8 +112,6 @@ class Instance:
                 f"project {j} bonus {bonuses[j]:.12g} exceeds welfare headroom "
                 f"{vartheta[j] - targets[j]:.12g}"
             )
-        if self.per_project_refunds is not None and len(self.per_project_refunds) != p:
-            raise ValueError("per-project refund overrides must cover every project")
         object.__setattr__(self, "valuations", valuations)
         object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "targets", targets)
@@ -134,11 +130,6 @@ class Instance:
     def vartheta(self) -> np.ndarray:
         """Total valuation per project."""
         return self._vartheta  # type: ignore[attr-defined]
-
-    def scheme_for(self, j: int) -> "RefundScheme":
-        if self.per_project_refunds is not None:
-            return self.per_project_refunds[j]
-        return self.refund
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,16 +188,6 @@ class Outcome:
     social_welfare: float | np.ndarray
 
 
-def _refund_shares(instance: Instance, x: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Every contributor's refund share as if no project had funded."""
-    if instance.per_project_refunds is None:
-        return instance.refund.share(x, instance.bonuses, totals[..., None, :])
-    shares = np.empty_like(x)
-    for j, scheme in enumerate(instance.per_project_refunds):
-        shares[..., j] = scheme.share(x[..., j], instance.bonuses[j], totals[..., j, None])
-    return shares
-
-
 def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     """Evaluate a contribution profile, or every profile of a stack at once.
 
@@ -220,7 +201,7 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     totals = x.sum(axis=-2)
     funded = totals >= instance.targets - TOL
     refunded = ~funded & (totals > 0.0)
-    shares = _refund_shares(instance, x, totals)
+    shares = instance.refund.share(x, instance.bonuses, totals[..., None, :])
     per_pair = np.where(refunded[..., None, :], shares, 0.0)
     np.copyto(per_pair, instance.valuations - x, where=funded[..., None, :])
     welfare = ((instance.vartheta - instance.targets) * funded).sum(axis=-1)

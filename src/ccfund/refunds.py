@@ -184,15 +184,6 @@ def certify_cm(scheme: RefundScheme, grid: GridSpec = GridSpec()) -> CmReport:
     return CmReport(scheme.tag, first is None and min_diff > 0.0, min_diff, step, pairs, first)
 
 
-def threshold_ppr(theta: float, target: float, bonus: float) -> float:
-    """Closed-form indifference point for proportional refunds."""
-    if theta < 0 or target <= 0 or bonus <= 0:
-        raise ValueError(
-            f"need theta >= 0, target > 0, bonus > 0; got {theta!r}, {target!r}, {bonus!r}"
-        )
-    return target * theta / (bonus + target)
-
-
 def threshold_general(
     scheme: RefundScheme,
     theta: float,
@@ -274,12 +265,6 @@ def thresholds(instance: "Instance", scheme: RefundScheme | None = None) -> np.n
     The override is what normalized-utility baselines use when an experiment
     runs a different refund rule than the baseline convention.
     """
-    p = instance.n_projects
-    schemes = [scheme if scheme is not None else instance.scheme_for(j) for j in range(p)]
-    out = np.empty(instance.valuations.shape, dtype=float)
-    for sch in dict.fromkeys(schemes):
-        cols = [j for j in range(p) if schemes[j] == sch]
-        out[:, cols] = threshold_matrix(
-            instance.valuations[:, cols], instance.targets[cols], instance.bonuses[cols], sch
-        )
-    return out
+    return threshold_matrix(
+        instance.valuations, instance.targets, instance.bonuses, scheme or instance.refund
+    )

@@ -33,7 +33,6 @@ from ccfund import (
     solve_pstar_dp,
     sw_n,
     threshold_general,
-    threshold_ppr,
     thresholds,
 )
 from ccfund.cli import main
@@ -47,6 +46,7 @@ def _report(name: str, elapsed: float, detail: str = "") -> None:
 def test_criterion_1_threshold_closed_form_matches_bisection():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
+    ppr = PprRefund()
     worst = 0.0
     for _ in range(10_000):
         theta = float(rng.uniform(0.0, 10.0))
@@ -54,16 +54,16 @@ def test_criterion_1_threshold_closed_form_matches_bisection():
         target = float(rng.uniform(0.2, 0.9)) * vartheta
         bonus = float(rng.uniform(0.05, 1.0)) * (vartheta - target)
         gap = abs(
-            threshold_general(PprRefund(), theta, target, bonus)
-            - threshold_ppr(theta, target, bonus)
+            threshold_general(ppr, theta, target, bonus)
+            - ppr.closed_form_threshold(theta, target, bonus)
         )
         worst = max(worst, gap)
     assert worst <= 1e-9
 
-    first = threshold_ppr(10.9, 10.0, 1.0)
+    first = ppr.closed_form_threshold(10.9, 10.0, 1.0)
     assert round(first, 4) == 9.9091
     assert round(first, 2) == 9.91
-    assert abs(threshold_ppr(1.089, 10.0, 1.0) - 0.99) <= 1e-9
+    assert abs(ppr.closed_form_threshold(1.089, 10.0, 1.0) - 0.99) <= 1e-9
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -2,7 +2,7 @@
 
 ``clamp_play`` and ``evaluate`` take leading axes that stack independent
 profiles of one instance. Every stacked row must be bit-identical to the
-2-D call on that row, whatever the refund schemes, play order or stack
+2-D call on that row, whatever the refund scheme, play order or stack
 shape, and the game's invariants must hold row by row.
 """
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ccfund import (
     TOL,
     ContributionProfile,
-    Instance,
     LinearAdditiveRefund,
     PprRefund,
     evaluate,
@@ -31,16 +30,8 @@ def stacked_games(draw):
     n = draw(st.integers(1, 8))
     p = draw(st.integers(1, 5))
     batch = draw(st.sampled_from([(1,), (3,), (6,), (2, 3)]))
-    instance = random_instance(rng, n=n, p=p)
-    if draw(st.booleans()):
-        schemes = tuple(
-            PprRefund() if rng.random() < 0.5 else LinearAdditiveRefund(float(rng.uniform(0.05, 0.5)))
-            for _ in range(p)
-        )
-        instance = Instance(
-            instance.valuations, instance.budgets, instance.targets, instance.bonuses,
-            instance.refund, per_project_refunds=schemes,
-        )
+    scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
+    instance = random_instance(rng, n=n, p=p, scheme=scheme)
     # spread part of each budget over a random subset of projects; some
     # projects stay untouched in some rows
     weights = rng.random((*batch, n, p)) * (rng.random((*batch, 1, p)) < 0.8)

@@ -11,7 +11,6 @@ from ccfund.io import (
     instance_to_jsonable,
     load_instance,
     profile_from_jsonable,
-    profile_to_jsonable,
 )
 from conftest import random_instance
 
@@ -52,7 +51,7 @@ class TestRoundTrips:
 
     def test_profile_json(self):
         profile = ContributionProfile([[0.1, 0.25], [0.0, 1.75]])
-        data = json.loads(dumps_canonical(profile_to_jsonable(profile)))
+        data = json.loads(dumps_canonical(profile))
         back = profile_from_jsonable(data)
         assert np.array_equal(back.contributions, profile.contributions)
 
@@ -64,26 +63,26 @@ class TestRoundTrips:
 
     def test_solver_results_round_trip(self):
         from ccfund import solve_pstar_bruteforce, best_response_exact, make_view
-        from ccfund.io import (
-            response_from_jsonable,
-            response_to_jsonable,
-            solution_from_jsonable,
-            solution_to_jsonable,
-        )
 
         inst = random_instance(np.random.default_rng(3), n=3, p=3)
         solution = solve_pstar_bruteforce(inst)
-        assert solution_from_jsonable(
-            json.loads(dumps_canonical(solution_to_jsonable(solution)))
-        ) == solution
+        data = json.loads(dumps_canonical(solution))
+        assert data == {
+            "subset": list(solution.subset),
+            "welfare": solution.welfare,
+            "cost": solution.cost,
+            "unique": solution.unique,
+        }
         view = make_view(inst, np.zeros((3, 3)), 0)
         response = best_response_exact(view, 1.0)
-        back = response_from_jsonable(
-            json.loads(dumps_canonical(response_to_jsonable(response)))
-        )
-        assert np.array_equal(back.contributions, response.contributions)
-        assert np.array_equal(back.funded, response.funded)
-        assert back.utility == response.utility
+        data = json.loads(dumps_canonical(response))
+        assert set(data) == {"contributions", "funded", "utility", "optimal"}
+        assert np.array_equal(data["contributions"], response.contributions)
+        # numpy booleans render as JSON booleans, not integers
+        assert data["funded"] == [bool(z) for z in response.funded]
+        assert all(type(z) is bool for z in data["funded"])
+        assert data["utility"] == response.utility
+        assert data["optimal"] is response.optimal
 
 
 class TestSubcommands:
@@ -177,6 +176,20 @@ class TestSubcommands:
         )
         assert len(lines) == 11  # 5 heuristics x 2 alphas
         assert len(list(series.glob("*.json"))) == 20
+
+    def test_legacy_delta_key_still_loads(self, tmp_path, capsys):
+        # configs written while ExperimentConfig carried an unread delta field
+        base = {"sampler": {"n": 10, "p": 3, "seed": 5}, "alphas": [0.5, 1.0],
+                "instances_per_cell": 4, "seed": 5}
+        reports = []
+        for name, cfg in (("plain", base), ("legacy", {**base, "delta": 0.01})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"{name}.csv"
+            assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+            assert '"delta"' not in capsys.readouterr().err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_fixture_payloads(self, capsys):
         for name in ("procedure1", "example1", "example2", "theorem2"):

@@ -159,12 +159,6 @@ class TestPlay:
         )
         assert permuted.contributions.sum() == pytest.approx(5.0)
 
-    def test_deviator_mask(self):
-        assignment = Assignment.with_deviators(4, Heuristic.WEIGHTED, [1, 3])
-        assert list(assignment.deviator_mask) == [False, True, False, True]
-        control = Assignment.uniform(Heuristic.OPT_WELFARE, 4)
-        assert not control.deviator_mask.any()
-
 
 class TestClampReference:
     @staticmethod

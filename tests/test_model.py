@@ -221,29 +221,3 @@ class TestInstanceValidation:
         inst = single()
         with pytest.raises(ValueError):
             inst.valuations[0, 0] = 3.0
-
-    def test_per_project_refund_override(self):
-        from ccfund import LinearAdditiveRefund
-
-        linear = LinearAdditiveRefund(0.5)
-        inst = Instance(
-            [[10.0, 10.0]],
-            [8.0],
-            [5.0, 5.0],
-            [1.0, 1.0],
-            PprRefund(),
-            per_project_refunds=(PprRefund(), linear),
-        )
-        assert inst.scheme_for(0) == PprRefund()
-        assert inst.scheme_for(1) == linear
-        out = evaluate(inst, ContributionProfile([[2.0, 2.0]]))
-        # sole contributor: whole pool on the proportional project, slope
-        # times contribution on the linear one
-        assert out.per_pair_utilities[0] == pytest.approx([1.0, 1.0])
-
-    def test_override_length_must_match(self):
-        with pytest.raises(ValueError, match="every project"):
-            Instance(
-                [[10.0, 10.0]], [8.0], [5.0, 5.0], [1.0, 1.0], PprRefund(),
-                per_project_refunds=(PprRefund(),),
-            )

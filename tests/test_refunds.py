@@ -14,7 +14,6 @@ from ccfund import (
     refund_share,
     scheme_from_tag,
     threshold_general,
-    threshold_ppr,
     thresholds,
 )
 from conftest import random_instance
@@ -77,25 +76,21 @@ class TestCertifyCm:
 
 class TestThresholdPpr:
     def test_worked_example_first_value(self):
-        bar = threshold_ppr(10.9, 10.0, 1.0)
+        bar = PprRefund().closed_form_threshold(10.9, 10.0, 1.0)
         assert bar == pytest.approx(9.909090909090908, abs=1e-12)
         assert round(bar, 2) == 9.91
 
     def test_worked_example_second_value(self):
-        assert threshold_ppr(1.089, 10.0, 1.0) == pytest.approx(0.99, abs=1e-12)
+        assert PprRefund().closed_form_threshold(1.089, 10.0, 1.0) == pytest.approx(0.99, abs=1e-12)
 
     def test_zero_valuation(self):
-        assert threshold_ppr(0.0, 10.0, 1.0) == 0.0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            threshold_ppr(1.0, 0.0, 1.0)
+        assert PprRefund().closed_form_threshold(0.0, 10.0, 1.0) == 0.0
 
 
 class TestThresholdGeneral:
     def test_matches_closed_form_for_proportional(self):
         bar = threshold_general(PprRefund(), 10.9, 10.0, 1.0)
-        assert bar == pytest.approx(threshold_ppr(10.9, 10.0, 1.0), abs=1e-9)
+        assert bar == pytest.approx(PprRefund().closed_form_threshold(10.9, 10.0, 1.0), abs=1e-9)
 
     def test_linear_algebraic_oracle(self):
         # theta - x = a x  =>  x = theta / (1 + a)
@@ -113,7 +108,7 @@ class TestThresholdGeneral:
             target = rng.uniform(0.5, 20.0)
             bonus = rng.uniform(0.1, 10.0)
             bar = threshold_general(PprRefund(), theta, target, bonus)
-            assert abs(bar - threshold_ppr(theta, target, bonus)) <= 1e-9
+            assert abs(bar - PprRefund().closed_form_threshold(theta, target, bonus)) <= 1e-9
 
     def test_own_pool_convention_also_solvable(self):
         # with the pool tracking own contribution the indifference point shifts
@@ -139,7 +134,7 @@ class TestThresholdMatrix:
         thr = thresholds(inst)
         for i in range(4):
             for j in range(3):
-                expected = threshold_ppr(
+                expected = PprRefund().closed_form_threshold(
                     float(inst.valuations[i, j]),
                     float(inst.targets[j]),
                     float(inst.bonuses[j]),
@@ -170,15 +165,9 @@ class TestThresholdMatrix:
         assert np.allclose(thr, expected, atol=1e-12)
 
     def test_one_matrix_per_distinct_scheme(self, monkeypatch):
-        from ccfund import Instance, refunds
+        from ccfund import refunds
 
-        rng = np.random.default_rng(23)
-        base = random_instance(rng, n=5, p=5)
-        linear = LinearAdditiveRefund(0.2)
-        mixed = (PprRefund(), linear, PprRefund(), linear, PprRefund())
-        inst = Instance(
-            base.valuations, base.budgets, base.targets, base.bonuses, PprRefund(), mixed
-        )
+        inst = random_instance(np.random.default_rng(23), n=5, p=5)
         calls = []
         real = refunds.threshold_matrix
 
@@ -187,14 +176,14 @@ class TestThresholdMatrix:
             return real(*args)
 
         monkeypatch.setattr(refunds, "threshold_matrix", counting)
-        thr = thresholds(inst)
-        assert calls == [PprRefund(), LinearAdditiveRefund(0.2)]
-        for j, sch in enumerate(mixed):
-            column = real(inst.valuations[:, [j]], inst.targets[[j]], inst.bonuses[[j]], sch)
-            assert np.array_equal(thr[:, j], column[:, 0])
-        calls.clear()
-        thresholds(inst, scheme=PprRefund())
-        assert len(calls) == 1
+        linear = LinearAdditiveRefund(0.2)
+        for override, scheme in ((None, inst.refund), (linear, linear)):
+            calls.clear()
+            thr = thresholds(inst, scheme=override)
+            assert calls == [scheme]
+            assert np.array_equal(
+                thr, real(inst.valuations, inst.targets, inst.bonuses, scheme)
+            )
 
 
 class TestThresholdProperties:
