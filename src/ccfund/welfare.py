@@ -56,6 +56,26 @@ def _subset_tables(items: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _settle_fits(c_lo, c_hi, limit, fits):
+    """Move each count to the high subsets whose pair sum ``c_lo + c_hi`` fits.
+
+    A search on the rounded room ``limit - c_lo`` can land a float step off
+    the exact boundary either way. Float addition is monotone, so the pairs
+    that fit are still a prefix of the sorted ``c_hi``; each step jumps past
+    or back over a whole run of equal high costs until the boundary holds.
+    """
+    n_hi = len(c_hi)
+    while True:
+        grow = fits < n_hi
+        grow[grow] = c_lo[grow] + c_hi[fits[grow]] <= limit
+        shrink = fits > 0
+        shrink[shrink] = c_lo[shrink] + c_hi[fits[shrink] - 1] > limit
+        if not (grow.any() or shrink.any()):
+            return fits
+        fits[grow] = np.searchsorted(c_hi, c_hi[fits[grow]], side="right")
+        fits[shrink] = np.searchsorted(c_hi, c_hi[fits[shrink] - 1], side="left")
+
+
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     """Exact argmax of subset value subject to subset cost <= capacity.
 
@@ -86,10 +106,10 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     order = np.argsort(hi[1], kind="stable")
     v_hi, c_hi, r_hi = hi[:, order]
 
-    # a pair fits when the high cost is within the low subset's room; the
-    # search counts the sorted high subsets that fit each low one
-    room = (capacity + TOL) - c_lo
-    fits = np.searchsorted(c_hi, room, side="right")
+    # a pair fits when its cost sum is within capacity + TOL; the search
+    # counts the sorted high subsets that fit each low one
+    limit = capacity + TOL
+    fits = _settle_fits(c_lo, c_hi, limit, np.searchsorted(c_hi, limit - c_lo, side="right"))
     lows = np.flatnonzero(fits)
     if not len(lows):
         raise SolverError(f"no subset fits within capacity {capacity!r}")

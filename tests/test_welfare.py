@@ -92,6 +92,14 @@ class TestBruteforce:
             capacity = float(rng.uniform(0.0, costs.sum()))
             assert_matches_reference(values, costs, capacity)
 
+    def test_pair_sum_on_the_capacity_boundary_fits(self):
+        # 1e-9 + 1.55e-209 rounds to 1e-9 = capacity + TOL, so {1, 6} fits,
+        # though the high cost exceeds the rounded room (0 + TOL) - 1e-9 = 0
+        costs = [0.0, 1e-9, 0.0, 0.0, 0.0, 0.0, 1.551300264280939e-209]
+        values = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert_matches_reference(np.array(values), np.array(costs), 0.0)
+        assert solve_subset_bruteforce(values, costs, 0.0).subset == (1, 6)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 9).flatmap(
