@@ -1,8 +1,9 @@
 """Byte-level regression pins for CLI output.
 
 Each digest is the SHA-256 of what one command wrote when the digests were
-captured: the stdout of ``solve-pstar``, ``best-response`` and ``fixture``,
-and the ``*.solution.json`` files ``gen`` writes. The instances come from
+captured: the stdout of ``solve-pstar``, ``best-response``, ``fixture`` and
+``verify``, and the ``*.solution.json`` files ``gen`` writes. ``verify`` is
+also pinned by its exit code, which is 1 when a certificate check fails. The instances come from
 ``gen`` with fixed sampler configs (proportional and linear refunds), and
 the other agents' profile is a fixed fraction of their budgets.
 """
@@ -106,6 +107,30 @@ GOLDEN_SOLUTIONS = {
 }
 
 
+VERIFY_COMMANDS = {
+    **{f"verify-{name}": ["verify", name]
+       for name in ("procedure1", "example1", "example2", "theorem2", "appendixB")},
+    **{f"verify-{name}-linear": ["verify", name, "--refund", "linear-additive"]
+       for name in ("procedure1", "example2", "theorem2")},
+}
+
+# (exit code, stdout digest); example2's deviation utilities fall as the
+# shaved amount shrinks under the linear refund, so that check fails
+GOLDEN_VERIFY = {
+    "verify-appendixB": (0, "ab7cc4dd723bba51752b47d327135eca2c3e0dd4dae5ddb8b98876177caf7212"),
+    "verify-example1": (0, "1ffdd545561266fcaca25e0c526c0a5896d4f32b6cc20c3b8797fc85c0c3cc00"),
+    "verify-example2": (0, "044007d60cbfe59940f4dce5e51241f06fbc335170e3d555ffcb7a2d245d488f"),
+    "verify-example2-linear": (
+        1, "65f13d3947f4bdff4bbedf28f327b3b6e015a9cf83347020f4e9809e656733d3"),
+    "verify-procedure1": (0, "8e774856a9b8f7fc7a285053a29bf89a4feb18b37eb1a83f2e038892bb166266"),
+    "verify-procedure1-linear": (
+        0, "8e774856a9b8f7fc7a285053a29bf89a4feb18b37eb1a83f2e038892bb166266"),
+    "verify-theorem2": (0, "47f2f7da4dacdf3bd30bd16b28f7509c9604b05c52ae5642d58ab66b80988f5c"),
+    "verify-theorem2-linear": (
+        0, "f4448af0564bdaa5584f8ec0a7e1d54cf06a547a60d55f84debb497e980bf154"),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -115,6 +140,13 @@ def test_stdout_matches_golden(name, generated, capsys):
     capsys.readouterr()
     assert main(COMMANDS[name](generated)) == 0
     assert _sha(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_COMMANDS))
+def test_verify_matches_golden(name, capsys):
+    capsys.readouterr()
+    code = main(VERIFY_COMMANDS[name])
+    assert (code, _sha(capsys.readouterr().out.encode())) == GOLDEN_VERIFY[name]
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
