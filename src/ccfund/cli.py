@@ -46,15 +46,13 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
-FIXTURE_NAMES = ("procedure1", "example1", "example2", "theorem2", "appendixB")
-
 
 def _echo(kind: str, resolved: dict) -> None:
     print(f"# {kind}: {io.dumps_canonical(resolved)}", file=sys.stderr)
 
 
 def _scheme_from_args(args):
-    slope = getattr(args, "linear_slope", None)
+    slope = args.linear_slope
     if args.refund == LINEAR_ADDITIVE_TAG and slope is None:
         slope = 0.1
     return scheme_from_tag(args.refund, slope)
@@ -80,86 +78,135 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _fixture_payload(name: str, scheme) -> dict:
-    if name == "procedure1":
-        instance, cert = build_procedure1(scheme)
-        return {
-            "instance": io.instance_to_jsonable(instance),
-            "certificate": {
-                "threshold_11": cert.threshold_11,
-                "threshold_21": cert.threshold_21,
-                "theta_21": cert.theta_21,
-                "theta_22": cert.theta_22,
-                "target_2": cert.target_2,
-                "on_path_utility": cert.on_path_utility,
-                "deviation_utility": cert.deviation_utility,
-                "pstar": list(cert.pstar),
-                "all_pass": cert.all_pass,
-            },
-        }
-    if name == "example1":
-        instance = build_example1()
-        solution = solve_pstar_bruteforce(instance)
-        return {
-            "instance": io.instance_to_jsonable(instance),
-            "certificate": {
-                "constrained_optimum": list(solution.subset),
-                "welfare_first": welfare_of(instance, (0,)),
-                "welfare_second": welfare_of(instance, (1,)),
-            },
-        }
-    if name == "example2":
-        instance = build_example2(scheme)
-        report = demonstrate_nonexistence(instance, (0.1, 0.01, 0.001))
-        return {
-            "instance": io.instance_to_jsonable(instance),
-            "certificate": {
-                "epsilons": list(report.epsilons),
-                "deviation_utilities": list(report.deviation_utilities),
-                "funded_utility": report.funded_utility,
-                "limit_utility": report.limit_utility,
-                "gap": report.gap,
-                "strictly_increasing": report.strictly_increasing,
-                "sup_attained": report.sup_attained,
-            },
-        }
-    if name == "theorem2":
-        instance, cert = build_theorem2_witness(scheme)
-        return {
-            "instance": io.instance_to_jsonable(instance),
-            "certificate": {
-                "budget_surplus": cert.budget_surplus,
-                "poor_block_budget": cert.poor_block_budget,
-                "min_target": cert.min_target,
-                "subset_feasible_all": cert.subset_feasible_all,
-                "rich_block_threshold_capacity": cert.rich_block_threshold_capacity,
-                "rich_block_required": cert.rich_block_required,
-                "all_pass": cert.all_pass,
-            },
-        }
-    if name == "appendixB":
-        instance, report = build_appendix_b()
-        return {
-            "instance": io.instance_to_jsonable(instance),
-            "report": {
-                "threshold_11": report.threshold_11,
-                "threshold_21": report.threshold_21,
-                "remainder_after_11": report.remainder_after_11,
-                "split_consistent": report.split_consistent,
-                "pstar": list(report.pstar),
-                "welfare_first": report.welfare_first,
-                "welfare_second": report.welfare_second,
-                "expected_findings_hold": report.expected_findings_hold,
-            },
-        }
-    raise ValueError(f"unknown fixture {name!r}")
+# -- fixtures ------------------------------------------------------------------
+# Each entry builds one fixture under a refund scheme and returns the instance,
+# the certificate part of ``fixture``'s JSON and the (passed, text) lines that
+# ``verify`` prints.
+
+
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _procedure1(scheme):
+    instance, cert = build_procedure1(scheme)
+    shown = _fields(cert, "threshold_11", "threshold_21", "theta_21", "theta_22", "target_2",
+                    "on_path_utility", "deviation_utility", "pstar", "all_pass")
+    checks = [
+        (cert.pstar_is_first and cert.pstar_unique,
+         f"optimal subset is uniquely the first project: pstar={cert.pstar}, "
+         f"unique={cert.pstar_unique}"),
+        (cert.subset_feasible, "both agents afford their thresholds on the optimum"),
+        (cert.budget_deficit,
+         f"budget deficit holds: pool={float(instance.budgets.sum()):.6g} < "
+         f"targets={float(instance.targets.sum()):.6g}"),
+        (cert.deviation_profitable,
+         f"deviation pays: {cert.deviation_utility:.6g} > {cert.on_path_utility:.6g}"),
+    ]
+    return instance, {"certificate": shown}, checks
+
+
+def _example1(scheme):
+    instance = build_example1()
+    optimum = solve_pstar_bruteforce(instance).subset
+    w_first = welfare_of(instance, (0,))
+    w_second = welfare_of(instance, (1,))
+    shown = {"constrained_optimum": optimum, "welfare_first": w_first,
+             "welfare_second": w_second}
+    response = best_response_exact(make_view(instance, np.zeros_like(instance.valuations), 0),
+                                   0.01)
+    checks = [
+        (optimum == (1,),
+         f"only the second project is affordable: constrained optimum={optimum}"),
+        (w_first > w_second,
+         f"unconstrained welfare prefers the first project: {w_first:.6g} > {w_second:.6g}"),
+        (bool(response.funded[1]) and abs(response.utility - 1.0) <= 1e-9,
+         f"the budgeted agent funds the second project for utility {response.utility:.6g}"),
+        (float(instance.budgets[1]) == 0.0, "the high-value agent has no budget to contribute"),
+    ]
+    return instance, {"certificate": shown}, checks
+
+
+def _example2(scheme):
+    instance = build_example2(scheme)
+    report = demonstrate_nonexistence(instance, (0.1, 0.01, 0.001))
+    shown = _fields(report, "epsilons", "deviation_utilities", "funded_utility",
+                    "limit_utility", "gap", "strictly_increasing", "sup_attained")
+    utilities = ", ".join(f"{u:.6g}" for u in report.deviation_utilities)
+    checks = [
+        (report.strictly_increasing,
+         f"deviation utilities rise as the shaved amount shrinks: {utilities}"),
+        (report.all_exceed_funded,
+         f"every deviation beats completing the funding ({report.funded_utility:.6g})"),
+        (report.gap > 0 and not report.sup_attained,
+         f"supremum {report.limit_utility:.6g} is not attained (gap {report.gap:.6g})"),
+    ]
+    return instance, {"certificate": shown}, checks
+
+
+def _theorem2(scheme):
+    instance, cert = build_theorem2_witness(scheme)
+    shown = _fields(cert, "budget_surplus", "poor_block_budget", "min_target",
+                    "subset_feasible_all", "rich_block_threshold_capacity",
+                    "rich_block_required", "all_pass")
+    checks = [
+        (cert.budget_surplus, "the pooled budget covers every target"),
+        (cert.poor_block_below_min_target,
+         f"the poor block ({cert.poor_block_budget:.6g}) cannot fund even the cheapest "
+         f"project ({cert.min_target:.6g})"),
+        (not cert.subset_feasible_all, "threshold feasibility fails for the full set"),
+        (cert.forces_above_threshold,
+         f"funding everything forces the rich block past its thresholds "
+         f"({cert.rich_block_threshold_capacity:.6g} < {cert.rich_block_required:.6g})"),
+    ]
+    return instance, {"certificate": shown}, checks
+
+
+def _appendix_b(scheme):
+    instance, report = build_appendix_b()
+    shown = _fields(report, "threshold_11", "threshold_21", "remainder_after_11",
+                    "split_consistent", "pstar", "welfare_first", "welfare_second",
+                    "expected_findings_hold")
+    checks = [
+        (report.threshold_11_rounds_to_9_91,
+         f"first threshold {report.threshold_11:.6g} rounds to the expected 9.91"),
+        (report.threshold_21_is_0_99,
+         f"second threshold formula gives the expected 0.99 ({report.threshold_21:.6g})"),
+        (not report.split_consistent,
+         f"expected inconsistency confirmed: carried 0.99 vs remainder "
+         f"{report.remainder_after_11:.6g} (documented, not repaired)"),
+        (report.pstar == (0,) and report.welfare_values_match,
+         f"optimum and welfare values match: {report.welfare_first:.6g}, "
+         f"{report.welfare_second:.6g}"),
+        (report.budget_deficit, "the fixture's budgets run a deficit"),
+    ]
+    return instance, {"report": shown}, checks
+
+
+FIXTURES = {
+    "procedure1": _procedure1,
+    "example1": _example1,
+    "example2": _example2,
+    "theorem2": _theorem2,
+    "appendixB": _appendix_b,
+}
 
 
 def cmd_fixture(args) -> int:
     scheme = _scheme_from_args(args)
     _echo("fixture", {"name": args.name, "refund": scheme.tag})
-    print(io.dumps_canonical(_fixture_payload(args.name, scheme)))
+    instance, shown, _ = FIXTURES[args.name](scheme)
+    print(io.dumps_canonical({"instance": io.instance_to_jsonable(instance), **shown}))
     return EXIT_OK
+
+
+def cmd_verify(args) -> int:
+    scheme = _scheme_from_args(args)
+    _echo("verify", {"fixture": args.name, "refund": scheme.tag})
+    _, _, checks = FIXTURES[args.name](scheme)
+    for passed, text in checks:
+        print(f"[{'PASS' if passed else 'FAIL'}] {text}")
+    return EXIT_OK if all(passed for passed, _ in checks) else EXIT_VERIFY_FAILED
 
 
 def cmd_solve_pstar(args) -> int:
@@ -250,163 +297,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-# -- verification --------------------------------------------------------------
-
-
-def _check(lines: list[tuple[bool, str]], ok: bool, text: str) -> None:
-    lines.append((bool(ok), text))
-
-
-def _verify_procedure1(scheme) -> list[tuple[bool, str]]:
-    lines: list[tuple[bool, str]] = []
-    instance, cert = build_procedure1(scheme)
-    _check(
-        lines,
-        cert.pstar_is_first and cert.pstar_unique,
-        f"optimal subset is uniquely the first project: pstar={cert.pstar}, "
-        f"unique={cert.pstar_unique}",
-    )
-    _check(lines, cert.subset_feasible, "both agents afford their thresholds on the optimum")
-    _check(
-        lines,
-        cert.budget_deficit,
-        f"budget deficit holds: pool={float(instance.budgets.sum()):.6g} < "
-        f"targets={float(instance.targets.sum()):.6g}",
-    )
-    _check(
-        lines,
-        cert.deviation_profitable,
-        f"deviation pays: {cert.deviation_utility:.6g} > {cert.on_path_utility:.6g}",
-    )
-    return lines
-
-
-def _verify_example1() -> list[tuple[bool, str]]:
-    lines: list[tuple[bool, str]] = []
-    instance = build_example1()
-    solution = solve_pstar_bruteforce(instance)
-    _check(
-        lines,
-        solution.subset == (1,),
-        f"only the second project is affordable: constrained optimum={solution.subset}",
-    )
-    w_first = welfare_of(instance, (0,))
-    w_second = welfare_of(instance, (1,))
-    _check(
-        lines,
-        w_first > w_second,
-        f"unconstrained welfare prefers the first project: {w_first:.6g} > {w_second:.6g}",
-    )
-    view = make_view(instance, np.zeros_like(instance.valuations), 0)
-    response = best_response_exact(view, 0.01)
-    _check(
-        lines,
-        bool(response.funded[1]) and abs(response.utility - 1.0) <= 1e-9,
-        f"the budgeted agent funds the second project for utility "
-        f"{response.utility:.6g}",
-    )
-    _check(
-        lines,
-        float(instance.budgets[1]) == 0.0,
-        "the high-value agent has no budget to contribute",
-    )
-    return lines
-
-
-def _verify_example2(scheme) -> list[tuple[bool, str]]:
-    lines: list[tuple[bool, str]] = []
-    instance = build_example2(scheme)
-    report = demonstrate_nonexistence(instance, (0.1, 0.01, 0.001))
-    utilities = ", ".join(f"{u:.6g}" for u in report.deviation_utilities)
-    _check(
-        lines,
-        report.strictly_increasing,
-        f"deviation utilities rise as the shaved amount shrinks: {utilities}",
-    )
-    _check(
-        lines,
-        report.all_exceed_funded,
-        f"every deviation beats completing the funding ({report.funded_utility:.6g})",
-    )
-    _check(
-        lines,
-        report.gap > 0 and not report.sup_attained,
-        f"supremum {report.limit_utility:.6g} is not attained (gap {report.gap:.6g})",
-    )
-    return lines
-
-
-def _verify_theorem2(scheme) -> list[tuple[bool, str]]:
-    lines: list[tuple[bool, str]] = []
-    instance, cert = build_theorem2_witness(scheme)
-    _check(lines, cert.budget_surplus, "the pooled budget covers every target")
-    _check(
-        lines,
-        cert.poor_block_below_min_target,
-        f"the poor block ({cert.poor_block_budget:.6g}) cannot fund even the cheapest "
-        f"project ({cert.min_target:.6g})",
-    )
-    _check(lines, not cert.subset_feasible_all, "threshold feasibility fails for the full set")
-    _check(
-        lines,
-        cert.forces_above_threshold,
-        f"funding everything forces the rich block past its thresholds "
-        f"({cert.rich_block_threshold_capacity:.6g} < {cert.rich_block_required:.6g})",
-    )
-    return lines
-
-
-def _verify_appendix_b() -> list[tuple[bool, str]]:
-    lines: list[tuple[bool, str]] = []
-    _, report = build_appendix_b()
-    _check(
-        lines,
-        report.threshold_11_rounds_to_9_91,
-        f"first threshold {report.threshold_11:.6g} rounds to the expected 9.91",
-    )
-    _check(
-        lines,
-        report.threshold_21_is_0_99,
-        f"second threshold formula gives the expected 0.99 ({report.threshold_21:.6g})",
-    )
-    _check(
-        lines,
-        not report.split_consistent,
-        f"expected inconsistency confirmed: carried 0.99 vs remainder "
-        f"{report.remainder_after_11:.6g} (documented, not repaired)",
-    )
-    _check(
-        lines,
-        report.pstar == (0,) and report.welfare_values_match,
-        f"optimum and welfare values match: {report.welfare_first:.6g}, "
-        f"{report.welfare_second:.6g}",
-    )
-    _check(lines, report.budget_deficit, "the fixture's budgets run a deficit")
-    return lines
-
-
-def cmd_verify(args) -> int:
-    scheme = _scheme_from_args(args)
-    _echo("verify", {"fixture": args.name, "refund": scheme.tag})
-    if args.name == "procedure1":
-        lines = _verify_procedure1(scheme)
-    elif args.name == "example1":
-        lines = _verify_example1()
-    elif args.name == "example2":
-        lines = _verify_example2(scheme)
-    elif args.name == "theorem2":
-        lines = _verify_theorem2(scheme)
-    elif args.name == "appendixB":
-        lines = _verify_appendix_b()
-    else:
-        raise ValueError(f"unknown fixture {args.name!r}")
-    ok = True
-    for passed, text in lines:
-        print(f"[{'PASS' if passed else 'FAIL'}] {text}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
 # -- parser --------------------------------------------------------------------
 
 
@@ -424,10 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None, help="override the config seed")
     gen.set_defaults(func=cmd_gen)
 
-    fixture = sub.add_parser("fixture", help="print a constructed fixture as JSON")
-    fixture.add_argument("--name", required=True, choices=FIXTURE_NAMES)
-    fixture.add_argument("--refund", choices=(PPR_TAG, LINEAR_ADDITIVE_TAG), default=PPR_TAG)
-    fixture.add_argument("--linear-slope", type=float, default=None)
+    # the refund options shared by ``fixture`` and ``verify``
+    refund = argparse.ArgumentParser(add_help=False)
+    refund.add_argument("--refund", choices=(PPR_TAG, LINEAR_ADDITIVE_TAG), default=PPR_TAG)
+    refund.add_argument("--linear-slope", type=float, default=None)
+
+    fixture = sub.add_parser(
+        "fixture", parents=[refund], help="print a constructed fixture as JSON"
+    )
+    fixture.add_argument("--name", required=True, choices=FIXTURES)
     fixture.set_defaults(func=cmd_fixture)
 
     solve = sub.add_parser("solve-pstar", help="welfare-optimal subset")
@@ -461,10 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--emit-series", default=None, help="directory for plot-ready JSON")
     exp.set_defaults(func=cmd_experiment)
 
-    verify = sub.add_parser("verify", help="run a fixture's certificate checks")
-    verify.add_argument("name", choices=FIXTURE_NAMES)
-    verify.add_argument("--refund", choices=(PPR_TAG, LINEAR_ADDITIVE_TAG), default=PPR_TAG)
-    verify.add_argument("--linear-slope", type=float, default=None)
+    verify = sub.add_parser("verify", parents=[refund], help="run a fixture's certificate checks")
+    verify.add_argument("name", choices=FIXTURES)
     verify.set_defaults(func=cmd_verify)
 
     return parser
