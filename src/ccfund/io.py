@@ -102,11 +102,26 @@ def instance_from_jsonable(data: dict) -> Instance:
     )
 
 
+def _not_finite(text: str):
+    raise ValueError(f"{text} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _not_finite(text)
+    return value
+
+
 def read_input(path, parse):
-    """``parse`` applied to a JSON file's content; a malformed file raises InputError."""
+    """``parse`` applied to a JSON file's content; a malformed file raises InputError.
+
+    ``NaN`` and ``Infinity`` literals and float literals that overflow to
+    infinity are malformed too.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_constant=_not_finite, parse_float=_finite_float))
         except KeyError as exc:
             raise InputError(f"{path}: missing field {exc}") from exc
         except (ValueError, TypeError) as exc:

@@ -284,7 +284,25 @@ class TestExitCodes:
             ' "projects": [{"target": 2.0, "bonus": 0.5}], "refund": "ppr"}'
         )
         assert main(["solve-pstar", "--instance", str(bad)]) == 2
-        assert "budgets must be finite" in capsys.readouterr().err
+        assert f"{bad}: NaN is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("experiment", '{"instances_per_cell": Infinity}'),
+        ("gen", '{"n": 1e999}'),
+        ("gen", '{"valuations": {"kind": "uniform", "hi": Infinity}}'),
+        ("gen", '{"refund": "linear-additive", "linear_slope": 1e999}'),
+    ], ids=["infinite-instances-per-cell", "overflowing-n", "infinite-hi",
+            "overflowing-linear-slope"])
+    def test_non_finite_config_number_is_usage_error(self, command, text, tmp_path, capsys):
+        # these used to escape as an OverflowError traceback (exit 1) or as a
+        # serialization error naming no file (exit 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = ["--out", str(tmp_path / "report.csv")] if command == "experiment" else [
+            "--count", "1", "--out", str(tmp_path / "instances")]
+        assert main([command, "--config", str(cfg), *out]) == 2
+        literal = "Infinity" if "Infinity" in text else "1e999"
+        assert f"{cfg}: {literal} is not a finite number" in capsys.readouterr().err
 
     def test_echoes_resolved_config(self, tmp_path, sampler_config, capsys):
         main(["gen", "--config", str(sampler_config), "--count", "1",
