@@ -21,10 +21,8 @@ from .model import TOL, Instance
 ENUM_GUARD_P = 25
 #: Candidate pairs the enumeration's tie pass holds at once.
 _TIE_BLOCK = 1 << 18
-#: Two subsets whose values differ by at most this are tied (enumeration).
+#: Two subsets whose values differ by at most this are tied (both solvers).
 TIE_TOL = 1e-9
-#: Tie window inside the DP recursion; only float noise should land here.
-_DP_TIE = 1e-12
 #: The DP refuses tables larger than this many cells.
 _DP_CELL_GUARD = 150_000_000
 
@@ -180,8 +178,8 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
             incl = values[j] + dp_next[: width - c]
             excl = dp_next[seg]
             diff = incl - excl
-            take = diff > _DP_TIE
-            tie = np.abs(diff) <= _DP_TIE
+            take = diff > TIE_TOL
+            tie = np.abs(diff) <= TIE_TOL
             dp_cur[seg] = np.where(take, incl, excl)
             inc_cnt = cnt_next[: width - c] + 1
             exc_cnt = cnt_next[seg]
@@ -202,9 +200,9 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         incl = values[j] + dps[j + 1][k - c]
         excl = dps[j + 1][k]
         diff = incl - excl
-        if diff > _DP_TIE:
+        if diff > TIE_TOL:
             include = True
-        elif abs(diff) <= _DP_TIE:
+        elif abs(diff) <= TIE_TOL:
             include = cnts[j + 1][k - c] + 1 <= cnts[j + 1][k]
         else:
             include = False

@@ -144,8 +144,9 @@ class TestBruteforce:
     )
     def test_property_matches_exact_dp_on_integer_costs(self, items, fraction):
         # at resolution 1 integer costs never round, so the DP is exact; odd
-        # and even p give equal and unequal halves. Values sit on a 0.01 grid,
-        # clear of the gap between the solvers' tie windows (1e-12, 1e-9).
+        # and even p give equal and unequal halves. Values sit on a 0.01 grid:
+        # the DP compares ties one step at a time, not against one global
+        # window, so near-ties on a finer scale can chain apart.
         values = np.array(items[0]) * 0.01
         costs = np.array(items[1], dtype=float)
         capacity = float(np.floor(fraction * costs.sum()))
@@ -176,6 +177,20 @@ class TestBruteforce:
     def test_nan_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             solve_subset_bruteforce(np.ones(3), np.ones(3), float("nan"))
+
+
+class TestTieWindow:
+    @pytest.mark.parametrize("values, costs, capacity, subset", [
+        # the two singletons differ by less than TIE_TOL, so they tie
+        ((1.0, 1.0 + 5e-10), (1.0, 1.0), 1.0, (0,)),
+        # the 1e-12 item adds only noise, so the fewest projects win
+        ((0.0,) * 11 + (1e-12, 1.0), (1.0,) * 13, 13.0, (12,)),
+    ], ids=["near-tied-singletons", "noise-item"])
+    def test_both_solvers_share_one_tie_window(self, values, costs, capacity, subset):
+        for sol in (solve_subset_bruteforce(values, costs, capacity),
+                    solve_subset_dp(values, costs, capacity, 1.0)):
+            assert sol.subset == subset
+            assert not sol.unique
 
 
 class TestDp:
