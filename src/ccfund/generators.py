@@ -29,6 +29,9 @@ from .refunds import (
 )
 from .welfare import WelfareSolution, solve_pstar_bruteforce, solve_subset_bruteforce
 
+#: The surplus sampler scales each budget by 1 + U(0, this) over its thresholds.
+SURPLUS_MAX_SLACK = 0.2
+
 
 @dataclass(frozen=True)
 class ValuationDist:
@@ -165,9 +168,7 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
     )
 
 
-def sample_surplus_sf_instance(
-    cfg: SamplerConfig, seed=None, max_slack: float = 0.2
-) -> tuple[Instance, WelfareSolution]:
+def sample_surplus_sf_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSolution]:
     """Draw a surplus instance where every agent can afford all its thresholds.
 
     Budgets are each agent's total threshold mass plus random slack, which
@@ -178,7 +179,7 @@ def sample_surplus_sf_instance(
     if drawn is None:
         raise SolverError("a project drew zero total valuation; no target fits it")
     theta, vartheta, targets, bonuses, thr = drawn
-    budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, max_slack, size=cfg.n))
+    budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, SURPLUS_MAX_SLACK, size=cfg.n))
     instance = Instance(theta, budgets, targets, bonuses, cfg.refund)
     everything = tuple(range(cfg.p))
     welfare = float((vartheta - targets).sum())

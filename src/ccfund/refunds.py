@@ -184,20 +184,11 @@ def certify_cm(scheme: RefundScheme, grid: GridSpec = GridSpec()) -> CmReport:
     return CmReport(scheme.tag, first is None and min_diff > 0.0, min_diff, step, pairs, first)
 
 
-def threshold_general(
-    scheme: RefundScheme,
-    theta: float,
-    target: float,
-    bonus: float,
-    others_total: float | None = None,
-    tol: float = BISECTION_TOL,
-    max_iter: int = BISECTION_MAX_ITER,
-) -> float:
-    """Solve theta - x = R(x, B, C(x)) for x in [0, theta] by bisection.
+def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: float) -> float:
+    """Solve theta - x = R(x, B, target) for x in [0, theta] by bisection.
 
-    With ``others_total`` unset, the project total is pinned at the provision
-    point (C = target), the convention under which the proportional scheme's
-    closed form is exact. Otherwise C(x) = others_total + x.
+    The project total is pinned at the provision point (C = target), the
+    convention under which the proportional scheme's closed form is exact.
     """
     if theta < 0:
         raise ValueError(f"valuation must be non-negative, got {theta!r}")
@@ -206,15 +197,9 @@ def threshold_general(
         return 0.0
 
     share = scheme.share
-    if others_total is None:
 
-        def gap(x: float) -> float:
-            return theta - x - share(x, bonus, target)
-
-    else:
-
-        def gap(x: float) -> float:
-            return theta - x - share(x, bonus, others_total + x)
+    def gap(x: float) -> float:
+        return theta - x - share(x, bonus, target)
 
     hi_gap = gap(theta)
     if hi_gap > 0.0:
@@ -223,8 +208,8 @@ def threshold_general(
             f"gap({theta:.12g})={hi_gap:.12g}"
         )
     lo, hi = 0.0, theta
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo <= BISECTION_TOL:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
@@ -232,7 +217,8 @@ def threshold_general(
         else:
             hi = mid
     raise SolverError(
-        f"bisection did not converge after {max_iter} iterations (bracket [{lo}, {hi}])"
+        f"bisection did not converge after {BISECTION_MAX_ITER} iterations "
+        f"(bracket [{lo}, {hi}])"
     )
 
 

@@ -110,12 +110,6 @@ class TestThresholdGeneral:
             bar = threshold_general(PprRefund(), theta, target, bonus)
             assert abs(bar - PprRefund().closed_form_threshold(theta, target, bonus)) <= 1e-9
 
-    def test_own_pool_convention_also_solvable(self):
-        # with the pool tracking own contribution the indifference point shifts
-        bar = threshold_general(PprRefund(), 6.0, 10.0, 2.0, others_total=4.0)
-        assert 0.0 < bar < 6.0
-        assert 6.0 - bar == pytest.approx(bar / (4.0 + bar) * 2.0, abs=1e-8)
-
     def test_no_sign_change_reports_bracket(self):
         class _NegativeRefund(RefundScheme):
             tag = "negative"
