@@ -183,6 +183,7 @@ def _appendix_b(scheme):
     return instance, {"report": shown}, checks
 
 
+# example1 and appendixB are fixed proportional-refund games; they ignore the scheme
 FIXTURES = {
     "procedure1": _procedure1,
     "example1": _example1,

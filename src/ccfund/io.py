@@ -102,14 +102,11 @@ def instance_from_jsonable(data: dict) -> Instance:
     )
 
 
-def _not_finite(text: str):
-    raise ValueError(f"{text} is not a finite number")
-
-
 def _finite_float(text: str) -> float:
+    """A JSON number or ``NaN``/``Infinity`` literal, refused unless finite."""
     value = float(text)
     if not math.isfinite(value):
-        _not_finite(text)
+        raise ValueError(f"{text} is not a finite number")
     return value
 
 
@@ -121,7 +118,7 @@ def read_input(path, parse):
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse(json.load(fh, parse_constant=_not_finite, parse_float=_finite_float))
+            return parse(json.load(fh, parse_constant=_finite_float, parse_float=_finite_float))
         except KeyError as exc:
             raise InputError(f"{path}: missing field {exc}") from exc
         except (ValueError, TypeError) as exc:
