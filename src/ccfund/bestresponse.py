@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .model import TOL, ContributionProfile, Instance, evaluate
+from .model import TOL, ContributionProfile, Instance, _require_finite, evaluate
 from .refunds import RefundScheme, threshold_general
 from .welfare import solve_subset_bruteforce
 
@@ -49,23 +49,21 @@ class ResidualView:
     scheme: RefundScheme
 
     def __post_init__(self):
-        others = np.array(self.others_totals, dtype=float)
-        remaining = np.array(self.remaining, dtype=float)
-        valuations = np.array(self.valuations, dtype=float)
-        bonuses = np.array(self.bonuses, dtype=float)
-        if not (others.shape == remaining.shape == valuations.shape == bonuses.shape):
+        # the exact solver's concave refund tables need finite, non-negative inputs
+        vectors = {name: np.array(getattr(self, name), dtype=float)
+                   for name in ("others_totals", "remaining", "valuations", "bonuses")}
+        if len({arr.shape for arr in vectors.values()}) != 1:
             raise ValueError("view vectors must share one length")
-        if np.any(others < 0) or np.any(remaining < 0) or np.any(valuations < 0):
-            raise ValueError("view vectors must be non-negative")
-        if self.budget < 0:
-            raise ValueError(f"budget must be non-negative, got {self.budget!r}")
-        for arr in (others, remaining, valuations, bonuses):
+        for name, arr in vectors.items():
+            _require_finite(name, arr)
+            if np.any(arr < 0):
+                raise ValueError(f"{name} must be non-negative")
             arr.setflags(write=False)
-        object.__setattr__(self, "others_totals", others)
-        object.__setattr__(self, "remaining", remaining)
-        object.__setattr__(self, "valuations", valuations)
-        object.__setattr__(self, "bonuses", bonuses)
-        object.__setattr__(self, "budget", float(self.budget))
+            object.__setattr__(self, name, arr)
+        budget = float(self.budget)
+        if not (np.isfinite(budget) and budget >= 0):
+            raise ValueError(f"budget must be finite and non-negative, got {self.budget!r}")
+        object.__setattr__(self, "budget", budget)
 
     @property
     def n_projects(self) -> int:
@@ -164,56 +162,88 @@ def _assemble(view, delta, chosen_units, fund_units, utility, optimal) -> BestRe
     return BestResponse(contributions, funded, float(utility), optimal)
 
 
+def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
+
+    With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
+    Monge, so the leftmost maximizing column of row k never moves left as k grows
+    (Aggarwal et al., Algorithmica 1987). Divide and conquer over the rows
+    then bounds each row's columns by the argmaxes of the rows around it.
+    Each level of that recursion is one batch of numpy calls over all of
+    its row segments, whose column ranges overlap only at their ends:
+    about log2(len(u)) levels of O(len(u)) work.
+    """
+    m = len(t) - 1
+    n = len(u)
+    w = np.empty(n)
+    # one entry per open segment: rows row_lo..row_hi, columns col_lo..col_hi
+    row_lo, row_hi = np.array([0]), np.array([n - 1])
+    col_lo, col_hi = np.array([0]), np.array([n - 1])
+    while row_lo.size:
+        mid = (row_lo + row_hi) // 2
+        lo = np.maximum(col_lo, mid - m)
+        hi = np.minimum(col_hi, mid)
+        lengths = hi - lo + 1
+        starts = np.cumsum(lengths) - lengths
+        cols = np.arange(starts[-1] + lengths[-1]) + np.repeat(lo - starts, lengths)
+        vals = t[np.repeat(mid, lengths) - cols] + u[cols]
+        top = np.maximum.reduceat(vals, starts)
+        arg = np.minimum.reduceat(np.where(vals == np.repeat(top, lengths), cols, n), starts)
+        w[mid] = top
+        left, right = row_lo < mid, mid < row_hi
+        row_lo, row_hi = (np.concatenate([row_lo[left], mid[right] + 1]),
+                          np.concatenate([mid[left] - 1, row_hi[right]]))
+        col_lo, col_hi = (np.concatenate([col_lo[left], arg[right]]),
+                          np.concatenate([arg[left], col_hi[right]]))
+    return w
+
+
 def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     """Optimal grid response via a budget-indexed dynamic program.
 
-    Ties resolve to the smallest total spend, then to money placed on the
-    earliest project indices (matching the subset solver's preference for
-    lower-indexed projects).
+    ``best[j][k]`` is the best value projects j.. reach with at most k budget
+    units. Below its funding spend a project's value table is a refund share,
+    concave in the spend for every shipped scheme (``x * B / (O + x)`` with
+    B, O >= 0 for proportional refunds, ``slope * x`` for linear ones), so
+    each step is a concave (max,+) convolution done by monotone-argmax
+    search (:func:`_concave_maxplus`); the funding spend then adds one
+    shifted vector. That is O(p * U log U) for U budget units, against
+    O(p * U^2) for trying every spend.
+
+    Ties within ``TIE_TOL`` of the optimum resolve to the smallest total
+    spend, which is the least k whose ``best[0][k]`` ties it, then to money
+    placed on the earliest project indices: walking the projects in order,
+    each takes the largest spend that still leaves a tying completion
+    (matching the subset solver's preference for lower-indexed projects).
     """
     budget_units, fund_units = _grid_layout(view, delta)
     tables = _value_tables(view, delta, budget_units, fund_units)
-    p = view.n_projects
     width = budget_units + 1
 
-    util: list[np.ndarray] = [np.zeros(width)] * (p + 1)
-    spend: list[np.ndarray] = [np.zeros(width, dtype=np.int64)] * (p + 1)
-    for j in reversed(range(p)):
-        t = tables[j]
-        u_cur = t[0] + util[j + 1]
-        s_cur = spend[j + 1].copy()
-        for b in range(1, len(t)):
-            cand_u = t[b] + util[j + 1][: width - b]
-            cand_s = spend[j + 1][: width - b] + b
-            seg_u = u_cur[b:]
-            seg_s = s_cur[b:]
-            better = cand_u > seg_u + TIE_TOL
-            tie = np.abs(cand_u - seg_u) <= TIE_TOL
-            u_cur[b:] = np.where(better, cand_u, seg_u)
-            s_cur[b:] = np.where(
-                better, cand_s, np.where(tie, np.minimum(cand_s, seg_s), seg_s)
-            )
-        util[j], spend[j] = u_cur, s_cur
+    best = [np.zeros(width)]
+    for t, f in zip(reversed(tables), reversed(fund_units)):
+        after = best[-1]
+        cur = _concave_maxplus(t[:f], after) if f else np.full(width, -np.inf)
+        if f <= budget_units:
+            cur[f:] = np.maximum(cur[f:], t[f] + after[: width - f])
+        best.append(cur)
+    best.reverse()
 
+    need = best[0][-1] - TIE_TOL
+    k = int(np.argmax(best[0] >= need))
     chosen = []
-    k = budget_units
-    for j in range(p):
-        t = tables[j]
-        target_u = util[j][k]
-        target_s = spend[j][k]
-        pick = -1
-        for b in range(min(len(t) - 1, k), -1, -1):
-            if (
-                t[b] + util[j + 1][k - b] >= target_u - TIE_TOL
-                and b + spend[j + 1][k - b] == target_s
-            ):
-                pick = b
-                break
-        if pick < 0:
-            raise SolverError("internal error: best-response reconstruction failed")
+    for t, after in zip(tables, best[1:]):
+        b = np.arange(min(len(t) - 1, k) + 1)
+        cand = t[b] + after[k - b]
+        # rounding in the running need can leave it an ulp above the best
+        # continuation, which always ties
+        pick = int(np.flatnonzero(cand >= min(need, cand.max()))[-1])
         chosen.append(pick)
+        need -= t[pick]
         k -= pick
-    return _assemble(view, delta, chosen, fund_units, util[0][budget_units], True)
+    # summed in project order, as response_utility and the oracle sum
+    utility = sum(t[pick] for t, pick in zip(tables, chosen))
+    return _assemble(view, delta, chosen, fund_units, utility, True)
 
 
 def best_response_bruteforce(view: ResidualView, delta: float) -> BestResponse:

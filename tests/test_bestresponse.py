@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 from conftest import random_view
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccfund import (
+    Assignment,
     ContributionProfile,
+    Heuristic,
     Instance,
     LinearAdditiveRefund,
     PprRefund,
     ResidualView,
+    SamplerConfig,
     SolverError,
     best_response_bruteforce,
     best_response_exact,
@@ -16,8 +21,12 @@ from ccfund import (
     evaluate,
     knapsack_form_oracle,
     make_view,
+    play,
     response_utility,
+    sample_instance,
+    thresholds,
 )
+from ccfund.bestresponse import TIE_TOL, _value_tables
 
 
 def two_project_linear_view():
@@ -116,6 +125,124 @@ class TestExactSolver:
             outcome = evaluate(instance, ContributionProfile(full))
             assert outcome.agent_utilities[1] == pytest.approx(response.utility, abs=1e-9)
             assert np.array_equal(outcome.funded, response.funded)
+
+
+SCHEMES = st.one_of(
+    st.just(PprRefund()),
+    st.sampled_from([0.25, 0.5]).map(LinearAdditiveRefund),
+    st.floats(0.01, 0.5).map(LinearAdditiveRefund),
+)
+
+
+@st.composite
+def oracle_views(draw):
+    """Views small enough to enumerate on the unit grid.
+
+    Half the views draw every amount as an integer, so ties are everywhere;
+    others' totals are often zero, which turns a proportional table into a
+    step (the first unit takes the whole pool).
+    """
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        amount = lambda lo, hi: st.integers(lo, int(hi)).map(float)
+    else:
+        amount = st.floats
+    vector = lambda lo, hi: st.lists(amount(lo, hi), min_size=p, max_size=p)
+    remaining = draw(vector(0, 6))
+    return ResidualView(
+        agent=0,
+        others_totals=draw(st.lists(st.one_of(st.just(0.0), amount(0, 6)),
+                                    min_size=p, max_size=p)),
+        remaining=remaining,
+        budget=draw(amount(0, sum(remaining) + 2)),
+        valuations=draw(vector(0, 8)),
+        bonuses=draw(vector(0, 3)),
+        scheme=draw(SCHEMES),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_views())
+def test_exact_matches_enumeration(view):
+    exact = best_response_exact(view, 1.0)
+    brute = best_response_bruteforce(view, 1.0)
+    assert np.array_equal(exact.contributions, brute.contributions)
+    assert np.array_equal(exact.funded, brute.funded)
+    assert exact.utility == pytest.approx(brute.utility, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=SCHEMES, bonus=st.floats(1e-3, 10.0),
+       others=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       delta=st.sampled_from([1.0, 0.1, 0.01]), units=st.integers(2, 300))
+def test_below_fund_tables_are_concave(scheme, bonus, others, delta, units):
+    # the exact solver's monotone-argmax step is correct only for concave
+    # refund tables; a shortfall past the budget keeps the funded point out
+    view = ResidualView(0, [others], [(units + 5) * delta], units * delta, [1.0], [bonus], scheme)
+    (table,) = _value_tables(view, delta, units, [units + 5])
+    assert len(table) == units + 1
+    assert np.all(np.diff(table, 2) <= 1e-12)
+
+
+@st.composite
+def wide_views(draw):
+    """Views with thousands of grid units, past what enumeration can check."""
+    p = draw(st.integers(1, 6))
+    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=p, max_size=p)
+    remaining = draw(floats(0.0, 30.0))
+    return ResidualView(
+        agent=0,
+        others_totals=draw(floats(0.0, 30.0)),
+        remaining=remaining,
+        budget=draw(st.floats(1.0, sum(remaining) + 5.0)),
+        valuations=draw(floats(0.0, 40.0)),
+        bonuses=draw(floats(0.0, 8.0)),
+        scheme=draw(SCHEMES),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_views(), st.sampled_from([0.05, 0.02, 0.01]))
+def test_halving_delta_never_loses_utility(view, delta):
+    # every delta-grid response is on the delta/2 grid with the same float
+    # values, so the finer optimum is at least as good up to the tie window
+    coarse = best_response_exact(view, delta)
+    fine = best_response_exact(view, delta / 2)
+    assert fine.utility >= coarse.utility - TIE_TOL
+    assert fine.utility == pytest.approx(response_utility(view, fine.contributions), abs=1e-9)
+
+
+def test_fine_grid_response_earns_its_utility():
+    instance, solution = sample_instance(SamplerConfig(n=100, p=10, seed=101), seed=(101, 0))
+    profile = play(instance, Assignment.uniform(Heuristic.OPT_WELFARE, instance.n_agents),
+                   solution.subset, thresholds(instance))
+    view = make_view(instance, profile, 0)
+    response = best_response_exact(view, 0.001)
+    assert view.budget / 0.001 > 5000
+    assert response.utility == response_utility(view, response.contributions)
+
+
+class TestViewValidation:
+    def _view(self, **changes):
+        fields = dict(agent=0, others_totals=[1.0, 2.0], remaining=[3.0, 1.0], budget=2.0,
+                      valuations=[4.0, 2.0], bonuses=[1.0, 1.0], scheme=PprRefund())
+        return ResidualView(**{**fields, **changes})
+
+    def test_nan_budget_is_named(self):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            self._view(budget=float("nan"))
+
+    def test_negative_bonus_is_named(self):
+        with pytest.raises(ValueError, match="bonuses must be non-negative"):
+            self._view(bonuses=[1.0, -0.5])
+
+    def test_infinite_bonus_is_named(self):
+        with pytest.raises(ValueError, match="bonuses must be finite"):
+            self._view(bonuses=[float("inf"), 1.0])
+
+    def test_nan_vector_entry_is_named(self):
+        with pytest.raises(ValueError, match="others_totals must be finite"):
+            self._view(others_totals=[1.0, float("nan")])
 
 
 class TestBruteforceOracle:
