@@ -306,7 +306,9 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
     in; leftover budget earns its refund wherever it sits, so the objective
     needs no placement detail. The returned contributions fund the chosen
     projects exactly and spread what is left across the others on the grid,
-    keeping each strictly under its shortfall.
+    keeping each strictly under its shortfall. When shortfalls or the budget
+    are off the grid those contributions can earn less than the knapsack
+    optimum; the oracle then raises :class:`SolverError` instead of claiming it.
     """
     if not view.scheme.sum_additive:
         raise ValueError(f"scheme {view.scheme.tag!r} is not sum-additive")
@@ -342,6 +344,15 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
     utility = solution.welfare + view.scheme.share(
         view.budget, view.bonuses[0], view.budget
     )
+    reached = response_utility(view, np.asarray(chosen_units) * delta)
+    if abs(reached - utility) > 1e-9:
+        off_grid = {j: float(r[j]) for j in range(view.n_projects)
+                    if abs(fund_units[j] * delta - r[j]) > FUND_TOL}
+        raise SolverError(
+            f"the knapsack optimum {utility:.12g} is not reached on the delta={delta:g} grid "
+            f"(its contributions earn {reached:.12g}); shortfalls off the grid: {off_grid}, "
+            f"budget {view.budget:.12g}"
+        )
     return _assemble(view, delta, chosen_units, fund_units, utility, True)
 
 

@@ -65,7 +65,6 @@ COMMANDS = {
     "br-bruteforce-ppr": _respond("ppr", "bruteforce"),
     "br-exact-linear": _respond("linear", "exact"),
     "br-bruteforce-linear": _respond("linear", "bruteforce"),
-    "br-knapsack-linear": _respond("linear", "knapsack"),
     "fixture-procedure1": lambda g: ["fixture", "--name", "procedure1"],
     "fixture-procedure1-linear": lambda g: ["fixture", "--name", "procedure1",
                                             "--refund", "linear-additive"],
@@ -80,7 +79,6 @@ GOLDEN_STDOUT = {
     "br-bruteforce-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
     "br-exact-linear": "14926163e1cc87d4017f1f419baf243a444f50fc248ee140314384bdc212608f",
     "br-exact-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
-    "br-knapsack-linear": "6c9545f8fa8059996db8ec7c2fc426d38843cd3b6d91b80c6dae7465a29537cd",
     "fixture-appendixB": "dcf577362bff7443a3aa6720802b44bdaad620982093688e4500e960debb2688",
     "fixture-example1": "b7d240546103998cd592fe505d501e55b59a1b78f312259fcfac96cd3a5ea03f",
     "fixture-example2": "9988700ba6e4167746c33159a6d266750c463b44d1736f7712631de4478be301",
@@ -91,6 +89,13 @@ GOLDEN_STDOUT = {
     "solve-bruteforce-ppr": "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",
     "solve-dp-linear": "eafd4b35aa3ad1893a5af9dad9b311da0f86e4d2e1831650e45f547a0a0a80e1",
     "solve-dp-ppr": "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",
+}
+
+# commands that must fail with the solver exit code and print nothing; the
+# knapsack oracle's continuous optimum (13.4987) is more than its grid
+# contributions earn (12.8586 by response_utility), so it refuses
+REFUSED = {
+    "br-knapsack-linear": _respond("linear", "knapsack"),
 }
 
 GOLDEN_SOLUTIONS = {
@@ -140,6 +145,15 @@ def test_stdout_matches_golden(name, generated, capsys):
     capsys.readouterr()
     assert main(COMMANDS[name](generated)) == 0
     assert _sha(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[name]
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_commands_exit_3(name, generated, capsys):
+    capsys.readouterr()
+    assert main(REFUSED[name](generated)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_COMMANDS))
