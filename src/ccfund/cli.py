@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -49,6 +50,17 @@ EXIT_SOLVER = 3
 
 def _echo(kind: str, resolved: dict) -> None:
     print(f"# {kind}: {io.dumps_canonical(resolved)}", file=sys.stderr)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for grid steps: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _scheme_from_args(args):
@@ -183,28 +195,40 @@ def _appendix_b(scheme):
     return instance, {"report": shown}, checks
 
 
-# example1 and appendixB are fixed proportional-refund games; they ignore the scheme
+# name -> (builder, whether it takes a refund scheme); example1 and appendixB
+# are fixed proportional-refund games
 FIXTURES = {
-    "procedure1": _procedure1,
-    "example1": _example1,
-    "example2": _example2,
-    "theorem2": _theorem2,
-    "appendixB": _appendix_b,
+    "procedure1": (_procedure1, True),
+    "example1": (_example1, False),
+    "example2": (_example2, True),
+    "theorem2": (_theorem2, True),
+    "appendixB": (_appendix_b, False),
 }
 
 
+def _fixture(args):
+    """The named fixture's builder and the scheme to build it under."""
+    build, takes_scheme = FIXTURES[args.name]
+    if not takes_scheme and args.refund != PPR_TAG:
+        raise InputError(
+            f"fixture {args.name!r} is a fixed proportional-refund game; "
+            f"it does not take --refund {args.refund}"
+        )
+    return build, _scheme_from_args(args)
+
+
 def cmd_fixture(args) -> int:
-    scheme = _scheme_from_args(args)
+    build, scheme = _fixture(args)
     _echo("fixture", {"name": args.name, "refund": scheme.tag})
-    instance, shown, _ = FIXTURES[args.name](scheme)
+    instance, shown, _ = build(scheme)
     print(io.dumps_canonical({"instance": io.instance_to_jsonable(instance), **shown}))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    scheme = _scheme_from_args(args)
+    build, scheme = _fixture(args)
     _echo("verify", {"fixture": args.name, "refund": scheme.tag})
-    _, _, checks = FIXTURES[args.name](scheme)
+    _, _, checks = build(scheme)
     for passed, text in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {text}")
     return EXIT_OK if all(passed for passed, _ in checks) else EXIT_VERIFY_FAILED
@@ -328,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve-pstar", help="welfare-optimal subset")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--resolution", type=float, default=0.01)
+    solve.add_argument("--resolution", type=_positive_float, default=0.01)
     solve.add_argument("--objective", choices=("welfare", "valuation"), default="welfare")
     solve.add_argument("--method", choices=("dp", "bruteforce"), default="dp")
     solve.set_defaults(func=cmd_solve_pstar)
@@ -337,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--instance", required=True)
     br.add_argument("--agent", type=int, required=True)
     br.add_argument("--others", required=True, help="profile JSON; the agent's row is ignored")
-    br.add_argument("--delta", type=float, default=0.01)
+    br.add_argument("--delta", type=_positive_float, default=0.01)
     br.add_argument("--method", choices=("exact", "bruteforce", "knapsack"), default="exact")
     br.set_defaults(func=cmd_best_response)
 

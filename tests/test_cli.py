@@ -304,6 +304,32 @@ class TestExitCodes:
         literal = "Infinity" if "Infinity" in text else "1e999"
         assert f"{cfg}: {literal} is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["example1", "appendixB"])
+    def test_fixed_ppr_fixture_refuses_other_scheme(self, name, capsys):
+        # these games are proportional-refund whatever the option says, so the
+        # option is refused before the echo could name the wrong scheme
+        for argv in (["fixture", "--name", name], ["verify", name]):
+            assert main([*argv, "--refund", "linear-additive"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "# " not in captured.err
+            assert f"fixture '{name}' is a fixed proportional-refund game" in captured.err
+            assert main([*argv, "--refund", "ppr"]) == 0
+            capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-0.5", "abc"])
+    @pytest.mark.parametrize("command, option", [("best-response", "--delta"),
+                                                 ("solve-pstar", "--resolution")])
+    def test_grid_step_must_be_positive_finite(self, command, option, value, capsys):
+        # used to reach the solvers and exit 3; nan even failed serializing the echo
+        argv = [command, "--instance", "x.json", option, value]
+        if command == "best-response":
+            argv += ["--agent", "0", "--others", "y.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+
     def test_echoes_resolved_config(self, tmp_path, sampler_config, capsys):
         main(["gen", "--config", str(sampler_config), "--count", "1",
               "--out", str(tmp_path / "x")])
