@@ -344,7 +344,8 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
     utility = solution.welfare + view.scheme.share(
         view.budget, view.bonuses[0], view.budget
     )
-    reached = response_utility(view, np.asarray(chosen_units) * delta)
+    response = _assemble(view, delta, chosen_units, fund_units, utility, True)
+    reached = response_utility(view, response.contributions)
     if abs(reached - utility) > 1e-9:
         off_grid = {j: float(r[j]) for j in range(view.n_projects)
                     if abs(fund_units[j] * delta - r[j]) > FUND_TOL}
@@ -353,7 +354,7 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
             f"(its contributions earn {reached:.12g}); shortfalls off the grid: {off_grid}, "
             f"budget {view.budget:.12g}"
         )
-    return _assemble(view, delta, chosen_units, fund_units, utility, True)
+    return response
 
 
 @dataclass(frozen=True)
