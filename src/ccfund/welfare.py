@@ -21,6 +21,8 @@ from .model import TOL, Instance
 ENUM_GUARD_P = 25
 #: Candidate pairs the enumeration's tie pass holds at once.
 _TIE_BLOCK = 1 << 18
+#: Candidate rows the tie pass re-sums at once.
+_SUM_ROWS = 1 << 12
 #: Two subsets whose values differ by at most this are tied (both solvers).
 TIE_TOL = 1e-9
 #: The DP refuses tables larger than this many cells.
@@ -74,6 +76,21 @@ def _settle_fits(c_lo, c_hi, limit, fits):
         fits[shrink] = np.searchsorted(c_hi, c_hi[fits[shrink] - 1], side="left")
 
 
+def _index_order_sums(starts, masks, items):
+    """Each start plus the items picked by the bits of its mask, added in index order.
+
+    Goes through the rows in chunks, so the (rows, items) table stays small.
+    """
+    sums = np.empty(len(starts))
+    bits = np.arange(len(items))
+    for row in range(0, len(starts), _SUM_ROWS):
+        rows = slice(row, row + _SUM_ROWS)
+        picked = np.where(masks[rows, None] >> bits & 1, items, 0.0)
+        table = np.concatenate((starts[rows, None], picked), axis=1)
+        sums[rows] = np.add.accumulate(table, axis=1)[:, -1]
+    return sums
+
+
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     """Exact argmax of subset value subject to subset cost <= capacity.
 
@@ -81,9 +98,11 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     subset of the first half of the items and one of the second half. The
     high half is sorted by cost with a running maximum of its value, so one
     binary search per low-half subset finds its best affordable partner. A
-    second pass walks only the low-half subsets whose best partner ties the
-    optimum, in blocks of tied-candidate pairs, to apply the tie-break and
-    to tell whether the optimum is unique.
+    second pass walks only the low-half subsets whose best partner comes
+    near the optimum, in blocks of candidate pairs. It re-sums each
+    candidate's values in index order and applies the tie window to those
+    sums, so the tie-break and the uniqueness flag do not depend on how the
+    subset was split.
     """
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
@@ -112,29 +131,60 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     if not len(lows):
         raise SolverError(f"no subset fits within capacity {capacity!r}")
     top = v_lo[lows] + np.maximum.accumulate(v_hi)[fits[lows] - 1]
-    floor = top.max() - TIE_TOL
+    # A pair sum and the index-order sum of the same subset each round off
+    # the exact sum by at most about p·eps·sum|v| (Higham 2002, §4.2), so
+    # every subset the index-order window keeps is a candidate here.
+    slack = p * np.finfo(float).eps * np.abs(values[np.isfinite(values)]).sum()
+    floor = top.max() - TIE_TOL - 2 * slack
     lows = lows[top >= floor]
 
     spans = fits[lows]
     ends = np.cumsum(spans)
-    ties = 0
-    best_rank = np.inf
-    start = 0
-    while start < len(lows):
-        first = ends[start] - spans[start]
-        stop = int(np.searchsorted(ends, first + _TIE_BLOCK, side="right"))
-        block = spans[start:stop]
-        lo = np.repeat(lows[start:stop], block)
-        at = np.arange(first, ends[stop - 1]) - np.repeat(ends[start:stop] - block, block)
-        tied = v_lo[lo] + v_hi[at] >= floor
-        ties = min(ties + int(np.count_nonzero(tied)), 2)
-        lo, at = lo[tied], at[tied]
-        ranks = r_lo[lo] + r_hi[at]
-        k = int(np.argmin(ranks))
-        if ranks[k] < best_rank:
-            best_rank = ranks[k]
-            mask = int(lo[k]) | int(order[at[k]]) << half
-        start = stop
+
+    def blocks(index_order):
+        """The candidate pairs in blocks of at most ``_TIE_BLOCK``, with their sums.
+
+        The sums are pair sums, or with ``index_order`` the index-order sums
+        of the pairs whose pair sums reach ``floor``.
+        """
+        start = 0
+        while start < len(lows):
+            first = ends[start] - spans[start]
+            stop = int(np.searchsorted(ends, first + _TIE_BLOCK, side="right"))
+            block = spans[start:stop]
+            lo = np.repeat(lows[start:stop], block)
+            at = np.arange(first, ends[stop - 1]) - np.repeat(ends[start:stop] - block, block)
+            sums = v_lo[lo] + v_hi[at]
+            if index_order:
+                near = sums >= floor
+                lo, at = lo[near], at[near]
+                sums = _index_order_sums(v_lo[lo], order[at], values[half:])
+            yield lo, at, sums
+            start = stop
+
+    def tie_pass(index_order, window):
+        """How many sums reach ``window`` (capped at 2) and the best-ranked one's mask."""
+        ties = 0
+        best_rank = np.inf
+        for lo, at, sums in blocks(index_order):
+            tied = sums >= window
+            ties = min(ties + int(np.count_nonzero(tied)), 2)
+            lo, at = lo[tied], at[tied]
+            if not len(lo):
+                continue
+            ranks = r_lo[lo] + r_hi[at]
+            k = int(np.argmin(ranks))
+            if ranks[k] < best_rank:
+                best_rank = ranks[k]
+                mask = int(lo[k]) | int(order[at[k]]) << half
+        return ties, mask
+
+    # a lone candidate is the optimum; between several, the window applies to
+    # their index-order sums, so the largest of those comes first
+    ties, mask = tie_pass(False, floor)
+    if ties > 1:
+        best = max(sums.max() for _, _, sums in blocks(True))
+        ties, mask = tie_pass(True, best - TIE_TOL)
 
     subset = tuple(j for j in range(p) if mask >> j & 1)
     welfare, cost = _subset_stats(values, costs, subset)
@@ -148,6 +198,13 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
     subset the continuous budget constraint would reject. Matches the
     enumeration on any instance whose costs sit clear of quantization
     boundaries.
+
+    Row j maps a capacity k to the best value projects j.. reach within k
+    units, with the fewest projects among its ties and the number of tied
+    subsets. Each row is a step function of k, so it keeps only its
+    breakpoints (Nemhauser & Ullmann 1969): O(p·B) work for at most
+    B <= min(2^p, cap_q + 1) breakpoints a row, and every value equals the
+    full table's at the same capacity.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")
@@ -163,33 +220,54 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
             f"DP table needs {cells} cells for {p} projects at resolution {resolution}; "
             f"guard is {_DP_CELL_GUARD}"
         )
-    width = cap_q + 1
-    dps: list[np.ndarray] = [np.zeros(width)] * (p + 1)
-    cnts: list[np.ndarray] = [np.zeros(width, dtype=np.int64)] * (p + 1)
-    ways = np.ones(width, dtype=np.int64)
+    # a row holds sorted breakpoints ks (ks[0] = 0) and the dp, cnt and ways
+    # values on each interval [ks[i], ks[i+1])
+    ks = np.zeros(1, dtype=np.int64)
+    dp = np.zeros(1)
+    cnt = np.zeros(1, dtype=np.int64)
+    ways = np.ones(1, dtype=np.int64)
+    rows = [(ks, dp, cnt)] * (p + 1)
     for j in reversed(range(p)):
-        dp_next, cnt_next = dps[j + 1], cnts[j + 1]
-        dp_cur = dp_next.copy()
-        cnt_cur = cnt_next.copy()
-        ways_cur = ways.copy()
         c = int(costs_q[j])
         if c <= cap_q:
-            seg = slice(c, None)
-            incl = values[j] + dp_next[: width - c]
-            excl = dp_next[seg]
+            # merge the breakpoints with their shifts by c (two sorted runs,
+            # so the stable sort is a merge); at each merged key the running
+            # counts of either run locate the excluding and including steps
+            shifted = ks[: np.searchsorted(ks, cap_q - c, side="right")] + c
+            merged = np.concatenate((ks, shifted))
+            order = np.argsort(merged, kind="stable")
+            keys = merged[order]
+            from_ks = order < len(ks)
+            at_ex = np.cumsum(from_ks) - 1
+            at_in = np.cumsum(~from_ks) - 1
+            last = np.append(keys[1:] != keys[:-1], True)
+            keys, at_ex, at_in = keys[last], at_ex[last], at_in[last]
+            dp_cur, cnt_cur, ways_cur = dp[at_ex], cnt[at_ex], ways[at_ex]
+            seg = slice(int(np.searchsorted(keys, c)), None)
+            at_in = at_in[seg]
+            incl = values[j] + dp[at_in]
+            excl = dp_cur[seg]
             diff = incl - excl
             take = diff > TIE_TOL
             tie = np.abs(diff) <= TIE_TOL
             dp_cur[seg] = np.where(take, incl, excl)
-            inc_cnt = cnt_next[: width - c] + 1
-            exc_cnt = cnt_next[seg]
+            inc_cnt = cnt[at_in] + 1
+            exc_cnt = cnt_cur[seg]
             cnt_cur[seg] = np.where(
                 take, inc_cnt, np.where(tie, np.minimum(inc_cnt, exc_cnt), exc_cnt)
             )
-            inc_ways = ways[: width - c]
-            exc_ways = ways[seg]
+            inc_ways = ways[at_in]
+            exc_ways = ways_cur[seg]
             ways_cur[seg] = np.where(take, inc_ways, np.where(tie, inc_ways + exc_ways, exc_ways))
-        dps[j], cnts[j], ways = dp_cur, cnt_cur, ways_cur
+            # a breakpoint whose step equals the one before it is no step
+            step = np.ones(len(keys), dtype=bool)
+            step[1:] = (
+                (dp_cur[1:] != dp_cur[:-1])
+                | (cnt_cur[1:] != cnt_cur[:-1])
+                | (ways_cur[1:] != ways_cur[:-1])
+            )
+            ks, dp, cnt, ways = keys[step], dp_cur[step], cnt_cur[step], ways_cur[step]
+        rows[j] = (ks, dp, cnt)
 
     subset: list[int] = []
     k = cap_q
@@ -197,13 +275,15 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         c = int(costs_q[j])
         if c > k:
             continue
-        incl = values[j] + dps[j + 1][k - c]
-        excl = dps[j + 1][k]
+        ks, dp, cnt = rows[j + 1]
+        at_in, at_ex = np.searchsorted(ks, (k - c, k), side="right") - 1
+        incl = values[j] + dp[at_in]
+        excl = dp[at_ex]
         diff = incl - excl
         if diff > TIE_TOL:
             include = True
         elif abs(diff) <= TIE_TOL:
-            include = cnts[j + 1][k - c] + 1 <= cnts[j + 1][k]
+            include = cnt[at_in] + 1 <= cnt[at_ex]
         else:
             include = False
         if include:
@@ -211,7 +291,8 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
             k -= c
     chosen = tuple(subset)
     welfare, cost = _subset_stats(values, costs, chosen)
-    return WelfareSolution(chosen, welfare, cost, int(ways[cap_q]) == 1)
+    # row 0's last step is the one that holds at cap_q
+    return WelfareSolution(chosen, welfare, cost, int(ways[-1]) == 1)
 
 
 def _objective_values(instance: Instance, objective: str) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_instance
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
@@ -17,7 +17,7 @@ from ccfund import (
     solve_subset_dp,
     welfare_of,
 )
-from ccfund.welfare import _TIE_BLOCK, TIE_TOL
+from ccfund.welfare import _DP_CELL_GUARD, _TIE_BLOCK, TIE_TOL, WelfareSolution, _subset_stats
 
 
 def reference_enumeration(values, costs, capacity):
@@ -37,6 +37,79 @@ def reference_enumeration(values, costs, capacity):
     tied = [entry for entry in affordable if entry[1] >= best - TIE_TOL]
     subset, welfare, cost = min(tied, key=lambda entry: (len(entry[0]), entry[0]))
     return subset, welfare, cost, len(tied)
+
+
+def dense_dp_reference(values, costs, capacity, resolution):
+    """Oracle: the knapsack DP over a full table of every budget unit.
+
+    Costs round up and the capacity rounds down, so the DP never admits a
+    subset the continuous budget constraint would reject. Matches the
+    enumeration on any instance whose costs sit clear of quantization
+    boundaries.
+    """
+    if resolution <= 0:
+        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    values = np.asarray(values, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    p = len(values)
+    cap_q = max(int(np.floor(capacity / resolution + 1e-9)), 0)
+    costs_q = np.ceil(costs / resolution - 1e-9).astype(np.int64)
+    costs_q = np.maximum(costs_q, 1)
+    cells = (p + 1) * (cap_q + 1)
+    if cells > _DP_CELL_GUARD:
+        raise SolverError(
+            f"DP table needs {cells} cells for {p} projects at resolution {resolution}; "
+            f"guard is {_DP_CELL_GUARD}"
+        )
+    width = cap_q + 1
+    dps: list[np.ndarray] = [np.zeros(width)] * (p + 1)
+    cnts: list[np.ndarray] = [np.zeros(width, dtype=np.int64)] * (p + 1)
+    ways = np.ones(width, dtype=np.int64)
+    for j in reversed(range(p)):
+        dp_next, cnt_next = dps[j + 1], cnts[j + 1]
+        dp_cur = dp_next.copy()
+        cnt_cur = cnt_next.copy()
+        ways_cur = ways.copy()
+        c = int(costs_q[j])
+        if c <= cap_q:
+            seg = slice(c, None)
+            incl = values[j] + dp_next[: width - c]
+            excl = dp_next[seg]
+            diff = incl - excl
+            take = diff > TIE_TOL
+            tie = np.abs(diff) <= TIE_TOL
+            dp_cur[seg] = np.where(take, incl, excl)
+            inc_cnt = cnt_next[: width - c] + 1
+            exc_cnt = cnt_next[seg]
+            cnt_cur[seg] = np.where(
+                take, inc_cnt, np.where(tie, np.minimum(inc_cnt, exc_cnt), exc_cnt)
+            )
+            inc_ways = ways[: width - c]
+            exc_ways = ways[seg]
+            ways_cur[seg] = np.where(take, inc_ways, np.where(tie, inc_ways + exc_ways, exc_ways))
+        dps[j], cnts[j], ways = dp_cur, cnt_cur, ways_cur
+
+    subset: list[int] = []
+    k = cap_q
+    for j in range(p):
+        c = int(costs_q[j])
+        if c > k:
+            continue
+        incl = values[j] + dps[j + 1][k - c]
+        excl = dps[j + 1][k]
+        diff = incl - excl
+        if diff > TIE_TOL:
+            include = True
+        elif abs(diff) <= TIE_TOL:
+            include = cnts[j + 1][k - c] + 1 <= cnts[j + 1][k]
+        else:
+            include = False
+        if include:
+            subset.append(j)
+            k -= c
+    chosen = tuple(subset)
+    welfare, cost = _subset_stats(values, costs, chosen)
+    return WelfareSolution(chosen, welfare, cost, int(ways[cap_q]) == 1)
 
 
 def assert_matches_reference(values, costs, capacity):
@@ -109,6 +182,13 @@ class TestBruteforce:
             )
         ),
         st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+    )
+    # the last item's value is the tie window itself: pair sums and index-order
+    # sums disagree on whether it improves on (0, 1, 2, 3, 4) or ties it
+    @example(
+        items=([1.089, 2.972723409677476, 2.032680191796007, 10.0, 0.16892877393481334, 1e-09],
+               [0.0] * 6),
+        capacity=0.0,
     )
     def test_property_matches_reference(self, items, capacity):
         values, costs = items
@@ -193,6 +273,32 @@ class TestTieWindow:
             assert not sol.unique
 
 
+@st.composite
+def dp_cases(draw):
+    """Values, costs, capacity and resolution for the DP against its dense oracle."""
+    p = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        # small integers and halves tie constantly; at resolution 1 the
+        # half-unit costs round up
+        resolution = draw(st.sampled_from([1.0, 0.5]))
+        values = [float(v) for v in draw(st.lists(st.integers(-2, 3), min_size=p, max_size=p))]
+        costs = [k / 2 for k in draw(st.lists(st.integers(0, 8), min_size=p, max_size=p))]
+    else:
+        resolution = draw(st.sampled_from([0.01, 0.1]))
+        values = draw(st.lists(st.floats(-5.0, 10.0), min_size=p, max_size=p))
+        # costs on a grid multiple, one ulp either side of one, or anywhere
+        on_grid = st.builds(
+            lambda k, side: float(np.nextafter(k * resolution, side * np.inf)) if side
+            else k * resolution,
+            st.integers(0, 400), st.sampled_from([-1, 0, 1]),
+        )
+        costs = draw(st.lists(st.one_of(on_grid, st.floats(0.0, 10.0)), min_size=p, max_size=p))
+    below_every_cost = min(costs, default=0.0) * draw(st.floats(0.0, 0.999))
+    capacity = draw(st.one_of(st.just(0.0), st.just(below_every_cost),
+                              st.floats(0.0, sum(costs) + 1.0)))
+    return np.array(values), np.array(costs), capacity, resolution
+
+
 class TestDp:
     def test_matches_bruteforce_on_hand_example(self):
         inst = Instance(
@@ -229,6 +335,34 @@ class TestDp:
         # cost 1.001 rounds up to 1.01 at resolution 0.01, so capacity 1.005 rejects it
         sol = solve_subset_dp(np.array([5.0]), np.array([1.001]), 1.005, 0.01)
         assert sol.subset == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(dp_cases())
+    def test_property_matches_dense_reference(self, case):
+        # the breakpoint rows hold the full table's values at every capacity,
+        # so every comparison and every answer is the full table's
+        values, costs, capacity, resolution = case
+        sol = solve_subset_dp(values, costs, capacity, resolution)
+        ref = dense_dp_reference(values, costs, capacity, resolution)
+        assert sol.subset == ref.subset
+        assert sol.unique == ref.unique
+        assert np.float64(sol.welfare).tobytes() == np.float64(ref.welfare).tobytes()
+        assert np.float64(sol.cost).tobytes() == np.float64(ref.cost).tobytes()
+
+    def test_rows_hold_breakpoints_not_budget_units(self):
+        # about 1e6 budget units: full rows would take well over 100 MB, the
+        # breakpoint rows hold at most 2^10 steps each
+        rng = np.random.default_rng(41)
+        values = rng.uniform(0.1, 10.0, size=10)
+        costs = rng.integers(10_000, 300_000, size=10).astype(float)
+        tracemalloc.start()
+        try:
+            sol = solve_subset_dp(values, costs, 1e6, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sol == solve_subset_bruteforce(values, costs, 1e6)
 
     def test_memory_guard_reports_size(self):
         with pytest.raises(SolverError, match="cells"):
