@@ -53,7 +53,7 @@ def _echo(kind: str, resolved: dict) -> None:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for grid steps: a positive finite float."""
+    """argparse type for grid steps and slopes: a positive finite float."""
     try:
         value = float(text)
     except ValueError:
@@ -65,6 +65,8 @@ def _positive_float(text: str) -> float:
 
 def _scheme_from_args(args):
     slope = args.linear_slope
+    if slope is not None and args.refund != LINEAR_ADDITIVE_TAG:
+        raise InputError(f"--linear-slope applies only to --refund {LINEAR_ADDITIVE_TAG}")
     if args.refund == LINEAR_ADDITIVE_TAG and slope is None:
         slope = 0.1
     return scheme_from_tag(args.refund, slope)
@@ -250,6 +252,8 @@ def cmd_solve_pstar(args) -> int:
 
 def cmd_best_response(args) -> int:
     instance = io.load_instance(args.instance)
+    if not 0 <= args.agent < instance.n_agents:
+        raise InputError(f"--agent {args.agent} is out of range for {instance.n_agents} agents")
     profile = io.load_profile(args.others)
     _echo(
         "best-response",
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the refund options shared by ``fixture`` and ``verify``
     refund = argparse.ArgumentParser(add_help=False)
     refund.add_argument("--refund", choices=(PPR_TAG, LINEAR_ADDITIVE_TAG), default=PPR_TAG)
-    refund.add_argument("--linear-slope", type=float, default=None)
+    refund.add_argument("--linear-slope", type=_positive_float, default=None)
 
     fixture = sub.add_parser(
         "fixture", parents=[refund], help="print a constructed fixture as JSON"

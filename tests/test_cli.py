@@ -330,6 +330,38 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {option}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent", ["99", "-1"])
+    def test_agent_out_of_range_is_usage_error(self, agent, tmp_path, sampler_config, capsys):
+        # used to reach make_view and exit 3 as a solver error
+        out = tmp_path / "instances"
+        main(["gen", "--config", str(sampler_config), "--count", "1", "--out", str(out)])
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps({"contributions": [[0.0] * 4 for _ in range(15)]}))
+        capsys.readouterr()
+        assert main(["best-response", "--instance", str(out / "instance_00000.json"),
+                     "--agent", agent, "--others", str(zeros)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--agent {agent} is out of range for 15 agents" in captured.err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
+    def test_linear_slope_must_be_positive_finite(self, value, capsys):
+        # -1 used to exit 3 from the scheme's own check
+        with pytest.raises(SystemExit) as exc:
+            main(["fixture", "--name", "procedure1", "--refund", "linear-additive",
+                  "--linear-slope", value])
+        assert exc.value.code == 2
+        assert "argument --linear-slope: " in capsys.readouterr().err
+
+    def test_linear_slope_needs_the_linear_scheme(self, capsys):
+        # with the default proportional refund the slope used to be ignored silently
+        for argv in (["fixture", "--name", "procedure1"], ["verify", "procedure1"]):
+            assert main([*argv, "--linear-slope", "0.3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "# " not in captured.err
+            assert "--linear-slope applies only to --refund linear-additive" in captured.err
+
     def test_echoes_resolved_config(self, tmp_path, sampler_config, capsys):
         main(["gen", "--config", str(sampler_config), "--count", "1",
               "--out", str(tmp_path / "x")])
