@@ -9,6 +9,7 @@ lexicographically smallest index list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,9 +51,9 @@ def _subset_tables(items: np.ndarray) -> np.ndarray:
     Built by doubling, so column m of the result sums the item columns picked
     by the bits of m (bit j is column j), each sum added in index order.
     """
-    sums = np.zeros((len(items), 1))
-    for column in items.T:
-        sums = np.concatenate((sums, sums + column[:, None]), axis=1)
+    sums = np.zeros((len(items), 1 << items.shape[1]))
+    for j, column in enumerate(items.T):
+        np.add(sums[:, : 1 << j], column[:, None], out=sums[:, 1 << j : 2 << j])
     return sums
 
 
@@ -131,10 +132,12 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     if not len(lows):
         raise SolverError(f"no subset fits within capacity {capacity!r}")
     top = v_lo[lows] + np.maximum.accumulate(v_hi)[fits[lows] - 1]
-    # A pair sum and the index-order sum of the same subset each round off
-    # the exact sum by at most about p·eps·sum|v| (Higham 2002, §4.2), so
-    # every subset the index-order window keeps is a candidate here.
-    slack = p * np.finfo(float).eps * np.abs(values[np.isfinite(values)]).sum()
+    # A pair sum and the index-order sum of the same subset differ by at most
+    # p·eps·sum|v| (Higham 2002, §4.2), so every subset the index-order window
+    # keeps is a candidate here. Infinite values give no such bound; they
+    # keep the plain window.
+    magnitude = sum(map(abs, values.tolist()))
+    slack = p * math.ulp(1.0) * magnitude if magnitude < math.inf else 0.0
     floor = top.max() - TIE_TOL - 2 * slack
     lows = lows[top >= floor]
 
