@@ -22,8 +22,6 @@ from .model import TOL, Instance
 ENUM_GUARD_P = 25
 #: Candidate pairs the enumeration's tie pass holds at once.
 _TIE_BLOCK = 1 << 18
-#: Candidate rows the tie pass re-sums at once.
-_SUM_ROWS = 1 << 12
 #: Two subsets whose values differ by at most this are tied (both solvers).
 TIE_TOL = 1e-9
 #: The DP refuses tables larger than this many cells.
@@ -75,21 +73,6 @@ def _settle_fits(c_lo, c_hi, limit, fits):
             return fits
         fits[grow] = np.searchsorted(c_hi, c_hi[fits[grow]], side="right")
         fits[shrink] = np.searchsorted(c_hi, c_hi[fits[shrink] - 1], side="left")
-
-
-def _index_order_sums(starts, masks, items):
-    """Each start plus the items picked by the bits of its mask, added in index order.
-
-    Goes through the rows in chunks, so the (rows, items) table stays small.
-    """
-    sums = np.empty(len(starts))
-    bits = np.arange(len(items))
-    for row in range(0, len(starts), _SUM_ROWS):
-        rows = slice(row, row + _SUM_ROWS)
-        picked = np.where(masks[rows, None] >> bits & 1, items, 0.0)
-        table = np.concatenate((starts[rows, None], picked), axis=1)
-        sums[rows] = np.add.accumulate(table, axis=1)[:, -1]
-    return sums
 
 
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
@@ -161,7 +144,11 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
             if index_order:
                 near = sums >= floor
                 lo, at = lo[near], at[near]
-                sums = _index_order_sums(v_lo[lo], order[at], values[half:])
+                # each low sum, then the picked high items in index order
+                sums, picks = v_lo[lo], order[at]
+                for j in range(half, p):
+                    picked = (picks >> (j - half) & 1).astype(bool)
+                    sums[picked] += values[j]
             yield lo, at, sums
             start = stop
 
