@@ -83,10 +83,10 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     high half is sorted by cost with a running maximum of its value, so one
     binary search per low-half subset finds its best affordable partner. A
     second pass walks only the low-half subsets whose best partner comes
-    near the optimum, in blocks of candidate pairs. It re-sums each
-    candidate's values in index order and applies the tie window to those
-    sums, so the tie-break and the uniqueness flag do not depend on how the
-    subset was split.
+    near the optimum, in blocks of candidate pairs. When more than one pair
+    comes near, it re-sums their values in index order and applies the tie
+    window to those sums, so the tie-break and the uniqueness flag do not
+    depend on how a subset was split.
     """
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
