@@ -5,8 +5,9 @@ config of the same name when the digest was captured. Together the configs
 cover what the acceptance-scale goldens do not: exponential valuations,
 random play order, the linear refund with and without a matched utility
 baseline, runs without control cells, deviator counts that floor a
-fractional alpha*n (down to zero deviators), and instances whose optimum is
-empty, so normalized welfare is excluded.
+fractional alpha*n (down to zero deviators), instances whose optimum is
+empty, so normalized welfare is excluded, and a seed above 2^32, whose
+seed sequences mix more than four entropy words.
 """
 
 import hashlib
@@ -36,6 +37,8 @@ CONFIGS = {
     "two-projects": lambda: _config({"p": 2}),
     # floor(0.1 * 7) = 0: deviant cells without a deviator
     "tiny-crowd": lambda: _config({"n": 7, "p": 3}, alphas=(0.1, 0.5, 1.0)),
+    # a seed of two 32-bit words: every seed sequence gets five or more
+    "wide-seed": lambda: _config(seed=2**40 + 7, play_order="random"),
 }
 
 GOLDEN = {
@@ -48,6 +51,7 @@ GOLDEN = {
     "fractional-alpha": "b063d906aa2a82f180f2fb8381e228bf283307fe0dcdd9b4e1f8f845c5547d46",
     "two-projects": "c9a96a42e2eb6e6a5b4c50dfba7046e93dad698191f68d1067b6c503dbfd0bda",
     "tiny-crowd": "10962f4211ba5669a794a42fd6c7fad94bb4fa0e879c323b299341ac727a09e2",
+    "wide-seed": "c5ba75d51530c166610e61766cf0901e3951a4b8de3c00821b98c67259a3d19c",
 }
 
 
