@@ -43,7 +43,7 @@ from .harness import (
     run_experiment,
     sw_n,
 )
-from .heuristics import Assignment, Heuristic, PlayOrder, intent, intent_matrix, play
+from .heuristics import Assignment, Heuristic, PlayOrder, intent_matrix, play
 from .model import (
     TOL,
     BudgetStatus,

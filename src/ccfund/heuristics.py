@@ -50,19 +50,24 @@ class Assignment:
         return cls((Heuristic(heuristic),) * n_agents)
 
 
+PLAY_ORDERS = ("ascending", "random")
+
+
 @dataclass(frozen=True)
 class PlayOrder:
     """Agent processing order for the clamped play-out."""
 
-    mode: str = "ascending"  # or "random"
+    mode: str = "ascending"  # one of PLAY_ORDERS
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in PLAY_ORDERS:
+            raise ValueError(f"unknown play order {self.mode!r}; expected one of {PLAY_ORDERS}")
 
     def permutation(self, n_agents: int) -> np.ndarray:
         if self.mode == "ascending":
             return np.arange(n_agents)
-        if self.mode == "random":
-            return np.random.default_rng(self.seed).permutation(n_agents)
-        raise ValueError(f"unknown play order {self.mode!r}")
+        return np.random.default_rng(self.seed).permutation(n_agents)
 
 
 def _prefix_capped(caps: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -131,24 +136,6 @@ def _intent_rows(
         return rows
 
     raise ValueError(f"unknown heuristic {heuristic!r}")
-
-
-def intent(
-    heuristic: Heuristic,
-    instance: Instance,
-    agent: int,
-    pstar: tuple[int, ...] | None = None,
-    thresholds: np.ndarray | None = None,
-) -> np.ndarray:
-    """One agent's intended contributions under a heuristic.
-
-    Intent rows never exceed the agent's budget; the play-out engine applies
-    the per-project clamping afterwards.
-    """
-    if not 0 <= agent < instance.n_agents:
-        raise ValueError(f"agent index {agent} out of range for {instance.n_agents} agents")
-    rows = _intent_rows(Heuristic(heuristic), instance, np.array([agent]), pstar, thresholds)
-    return rows[0]
 
 
 def intent_matrix(

@@ -9,6 +9,7 @@ lexicographically smallest index list.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,6 +76,36 @@ def _settle_fits(c_lo, c_hi, limit, fits):
         fits[shrink] = np.searchsorted(c_hi, c_hi[fits[shrink] - 1], side="left")
 
 
+@functools.lru_cache(maxsize=1)
+def _half_tables(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """The enumeration's tables for one item set, which no capacity changes.
+
+    The low half's value, cost and rank tables; the high half's stable cost
+    order, its tables in that order and the running maximum of its values.
+    Kept for the most recent item set only, because the sampler's lift loop
+    re-solves the same items at a new capacity; the arrays are read-only,
+    since every caller shares them.
+    """
+    values = np.frombuffer(value_bytes)
+    costs = np.frombuffer(cost_bytes)
+    p = len(values)
+    half = p // 2
+    # Item j adds 2^p - 2^(p-1-j) to a subset's rank: its size times 2^p
+    # minus its bit-reversed mask. The smallest rank among tied subsets has
+    # the fewest projects, then the lexicographically smallest index tuple.
+    # Ranks stay below 2^31, so float sums of them are exact.
+    rank = float(1 << p) - np.exp2(p - 1 - np.arange(p))
+    items = np.stack((values, costs, rank))
+    v_lo, c_lo, r_lo = _subset_tables(items[:, :half])
+    hi = _subset_tables(items[:, half:])
+    order = np.argsort(hi[1], kind="stable")
+    v_hi, c_hi, r_hi = hi[:, order]
+    tables = (v_lo, c_lo, r_lo, order, v_hi, c_hi, r_hi, np.maximum.accumulate(v_hi))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     """Exact argmax of subset value subject to subset cost <= capacity.
 
@@ -96,16 +127,9 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     if np.isnan(capacity):
         raise ValueError("capacity must be a number, got nan")
     half = p // 2
-    # Item j adds 2^p - 2^(p-1-j) to a subset's rank: its size times 2^p
-    # minus its bit-reversed mask. The smallest rank among tied subsets has
-    # the fewest projects, then the lexicographically smallest index tuple.
-    # Ranks stay below 2^31, so float sums of them are exact.
-    rank = float(1 << p) - np.exp2(p - 1 - np.arange(p))
-    items = np.stack((values, costs, rank))
-    v_lo, c_lo, r_lo = _subset_tables(items[:, :half])
-    hi = _subset_tables(items[:, half:])
-    order = np.argsort(hi[1], kind="stable")
-    v_hi, c_hi, r_hi = hi[:, order]
+    v_lo, c_lo, r_lo, order, v_hi, c_hi, r_hi, best_hi = _half_tables(
+        values.tobytes(), costs.tobytes()
+    )
 
     # a pair fits when its cost sum is within capacity + TOL; the search
     # counts the sorted high subsets that fit each low one
@@ -114,7 +138,7 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     lows = np.flatnonzero(fits)
     if not len(lows):
         raise SolverError(f"no subset fits within capacity {capacity!r}")
-    top = v_lo[lows] + np.maximum.accumulate(v_hi)[fits[lows] - 1]
+    top = v_lo[lows] + best_hi[fits[lows] - 1]
     # A pair sum and the index-order sum of the same subset differ by at most
     # p·eps·sum|v| (Higham 2002, §4.2), so every subset the index-order window
     # keeps is a candidate here. Infinite values give no such bound; they

@@ -277,6 +277,16 @@ class TestExitCodes:
         assert err.count("CCFUND_THREADS") == 1
         assert '"workers":1' in err
 
+    def test_unknown_play_order_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"sampler": {"n": 8, "p": 2}, "alphas": [1.0],
+                                   "instances_per_cell": 2, "play_order": "randm"}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown play order 'randm'" in err
+        assert "# experiment:" not in err  # refused before the config echo
+        assert not (tmp_path / "r.csv").exists()
+
     def test_nan_budget_is_named_not_a_solver_crash(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text(

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccfund import (
     Assignment,
@@ -18,7 +22,15 @@ from ccfund import (
     thresholds,
 )
 from ccfund import harness
-from ccfund.harness import CSV_HEADER, worker_count
+from ccfund.harness import (
+    _DEVIATOR_SALT,
+    CSV_HEADER,
+    FULL_SCALE_INSTANCES,
+    _deviator_masks,
+    _seed_states,
+    _words,
+    worker_count,
+)
 from ccfund.model import ContributionProfile
 
 
@@ -239,9 +251,55 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sorted"):
             ExperimentConfig(alphas=(0.5, 0.2))
 
+    def test_alphas_do_not_repeat(self):
+        # a repeated alpha used to run twice and write two CSV rows per rule
+        with pytest.raises(ValueError, match=r"must not repeat, got 0.5 twice"):
+            ExperimentConfig(alphas=(0.2, 0.5, 0.5))
+
+    def test_play_order_is_known(self):
+        # an unknown order used to pass here and fail at the first instance
+        with pytest.raises(ValueError, match="unknown play order 'randm'"):
+            ExperimentConfig(play_order="randm")
+
     def test_baseline_not_a_deviant(self):
         with pytest.raises(ValueError, match="baseline"):
             ExperimentConfig(deviant_heuristics=(Heuristic.OPT_WELFARE,))
+
+
+class TestDeviatorDraws:
+    """The batched deviator draws reproduce numpy's seeded draws bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**96 - 1])
+    @pytest.mark.parametrize("k", [0, 1, 99999])
+    def test_seed_states_match_seed_sequence(self, seed, k):
+        # seeds of two and more words reach the pool's third mixing loop
+        entropy = np.array(
+            [_words(seed) + [_DEVIATOR_SALT, ci] + _words(k) for ci in range(6)], dtype=np.uint32
+        )
+        expected = [
+            np.random.SeedSequence((seed, _DEVIATOR_SALT, ci, k)).generate_state(4, np.uint64)
+            for ci in range(6)
+        ]
+        assert np.array_equal(_seed_states(entropy), np.array(expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**96 - 1),
+        k=st.integers(0, FULL_SCALE_INSTANCES - 1),
+        n=st.integers(1, 200),
+        alphas=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    # floor(0.001 * 7) = 0: a cell without deviators
+    @example(seed=3, k=0, n=7, alphas=[0.001, 0.5, 1.0])
+    def test_masks_match_seeded_choice(self, seed, k, n, alphas):
+        cfg = ExperimentConfig(seed=seed, alphas=alphas)
+        masks = _deviator_masks(cfg, n, k)
+        for ci, (_, alpha) in enumerate(cfg.cell_keys[: len(masks)]):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, _DEVIATOR_SALT, ci, k)))
+            picked = rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)
+            expected = np.zeros(n, dtype=bool)
+            expected[picked] = True
+            assert np.array_equal(masks[ci], expected)
 
 
 class TestRowMoments:

@@ -12,7 +12,6 @@ from ccfund import (
     SamplerConfig,
     check_budget_surplus,
     evaluate,
-    intent,
     intent_matrix,
     play,
     sample_instance,
@@ -21,28 +20,35 @@ from ccfund import (
 )
 
 
+def intent_row(heuristic, inst, agent, pstar=None, thresholds=None):
+    """One agent's row of the intent matrix where every agent plays ``heuristic``."""
+    assignment = Assignment.uniform(heuristic, inst.n_agents)
+    return intent_matrix(inst, assignment, pstar, thresholds)[agent]
+
+
 class TestIntent:
     def test_symmetric_even_split(self):
         inst = Instance(np.full((1, 5), 100.0), [10.0], np.full(5, 50.0), np.full(5, 50.0), PprRefund())
-        assert intent(Heuristic.SYMMETRIC, inst, 0) == pytest.approx([2.0] * 5)
+        assert intent_row(Heuristic.SYMMETRIC, inst, 0) == pytest.approx([2.0] * 5)
 
     def test_symmetric_caps_at_valuation(self):
         inst = Instance([[1.0, 100.0]], [10.0], [0.5, 50.0], [0.5, 50.0], PprRefund())
-        assert intent(Heuristic.SYMMETRIC, inst, 0) == pytest.approx([1.0, 5.0])
+        assert intent_row(Heuristic.SYMMETRIC, inst, 0) == pytest.approx([1.0, 5.0])
 
     def test_weighted_proportional(self):
         inst = Instance([[1.0, 3.0], [1.0, 3.0]], [8.0, 8.0], [1.0, 2.0], [1.0, 1.0], PprRefund())
-        assert intent(Heuristic.WEIGHTED, inst, 0) == pytest.approx([2.0, 6.0])
+        assert intent_row(Heuristic.WEIGHTED, inst, 0) == pytest.approx([2.0, 6.0])
 
     def test_weighted_zero_row_contributes_nothing(self):
         inst = Instance([[1.0, 3.0], [0.0, 0.0]], [8.0, 8.0], [0.5, 2.0], [0.4, 1.0], PprRefund())
-        assert intent(Heuristic.WEIGHTED, inst, 1) == pytest.approx([0.0, 0.0])
+        assert intent_row(Heuristic.WEIGHTED, inst, 1) == pytest.approx([0.0, 0.0])
 
     def test_greedy_theta_hand_trace(self):
         # higher-valued project first at its threshold, remainder to the next
         inst = Instance([[5.0, 9.0], [5.0, 9.0]], [4.0, 4.0], [6.0, 6.0], [4.0, 12.0], PprRefund())
         caps = np.array([[2.0, 3.0], [2.0, 3.0]])
-        assert intent(Heuristic.GREEDY_THETA, inst, 0, thresholds=caps) == pytest.approx([1.0, 3.0])
+        row = intent_row(Heuristic.GREEDY_THETA, inst, 0, thresholds=caps)
+        assert row == pytest.approx([1.0, 3.0])
 
     def test_greedy_vartheta_orders_by_value_density(self):
         # ratios 2.0 vs 4.0: the second project fills first
@@ -50,31 +56,32 @@ class TestIntent:
             [[8.0, 8.0], [8.0, 8.0]], [3.0, 3.0], [8.0, 4.0], [8.0, 4.0], PprRefund()
         )
         caps = np.array([[2.5, 2.0], [2.5, 2.0]])
-        assert intent(Heuristic.GREEDY_VARTHETA, inst, 0, thresholds=caps) == pytest.approx([1.0, 2.0])
+        row = intent_row(Heuristic.GREEDY_VARTHETA, inst, 0, thresholds=caps)
+        assert row == pytest.approx([1.0, 2.0])
 
     def test_opt_welfare_threshold_then_even_spread(self):
         inst = Instance(
             [[6.0, 6.0, 6.0]], [5.0], [3.0, 3.0, 3.0], [3.0, 3.0, 3.0], PprRefund()
         )
         caps = np.array([[1.5, 1.5, 1.5]])
-        row = intent(Heuristic.OPT_WELFARE, inst, 0, pstar=(0,), thresholds=caps)
+        row = intent_row(Heuristic.OPT_WELFARE, inst, 0, pstar=(0,), thresholds=caps)
         assert row == pytest.approx([1.5, 1.75, 1.75])
 
     def test_opt_welfare_without_complement_leaves_budget(self):
         inst = Instance([[6.0]], [5.0], [3.0], [3.0], PprRefund())
         caps = np.array([[1.5]])
-        row = intent(Heuristic.OPT_WELFARE, inst, 0, pstar=(0,), thresholds=caps)
+        row = intent_row(Heuristic.OPT_WELFARE, inst, 0, pstar=(0,), thresholds=caps)
         assert row == pytest.approx([1.5])
 
     def test_opt_welfare_requires_pstar(self):
         inst = Instance([[6.0]], [5.0], [3.0], [3.0], PprRefund())
         with pytest.raises(ValueError, match="welfare-optimal subset"):
-            intent(Heuristic.OPT_WELFARE, inst, 0, thresholds=np.array([[1.5]]))
+            intent_row(Heuristic.OPT_WELFARE, inst, 0, thresholds=np.array([[1.5]]))
 
     def test_greedy_requires_thresholds(self):
         inst = Instance([[6.0]], [5.0], [3.0], [3.0], PprRefund())
         with pytest.raises(ValueError, match="threshold"):
-            intent(Heuristic.GREEDY_THETA, inst, 0)
+            intent_row(Heuristic.GREEDY_THETA, inst, 0)
 
     def test_rows_respect_budgets(self):
         rng = np.random.default_rng(3)
@@ -83,7 +90,7 @@ class TestIntent:
             thr = thresholds(inst)
             pstar = tuple(range(0, inst.n_projects, 2))
             for h in Heuristic:
-                row = intent(h, inst, 0, pstar=pstar or (0,), thresholds=thr)
+                row = intent_row(h, inst, 0, pstar=pstar or (0,), thresholds=thr)
                 assert row.sum() <= inst.budgets[0] + 1e-9
                 assert np.all(row >= 0)
 
@@ -96,7 +103,12 @@ class TestIntent:
         assignment = Assignment(tuple(rules))
         matrix = intent_matrix(inst, assignment, (0, 2), thr)
         for i, h in enumerate(rules):
-            assert matrix[i] == pytest.approx(intent(h, inst, i, (0, 2), thr))
+            assert matrix[i] == pytest.approx(intent_row(h, inst, i, (0, 2), thr))
+
+    def test_assignment_must_cover_every_agent(self):
+        inst = Instance([[6.0], [6.0]], [5.0, 5.0], [3.0], [3.0], PprRefund())
+        with pytest.raises(ValueError, match="assignment covers 3 agents, instance has 2"):
+            intent_matrix(inst, Assignment.uniform(Heuristic.SYMMETRIC, 3))
 
 
 class TestPlay:
@@ -200,7 +212,7 @@ class TestClampReference:
                 PprRefund(),
             )
             thr = caps[None, :]
-            row = intent(Heuristic.GREEDY_VARTHETA, inst, 0, thresholds=thr)
+            row = intent_row(Heuristic.GREEDY_VARTHETA, inst, 0, thresholds=thr)
             remaining = budget
             expected = np.zeros(p)
             for j in range(p):  # uniform ratios keep the index order

@@ -17,7 +17,14 @@ from ccfund import (
     solve_subset_dp,
     welfare_of,
 )
-from ccfund.welfare import _DP_CELL_GUARD, _TIE_BLOCK, TIE_TOL, WelfareSolution, _subset_stats
+from ccfund.welfare import (
+    _DP_CELL_GUARD,
+    _TIE_BLOCK,
+    TIE_TOL,
+    WelfareSolution,
+    _half_tables,
+    _subset_stats,
+)
 
 
 def reference_enumeration(values, costs, capacity):
@@ -257,6 +264,44 @@ class TestBruteforce:
     def test_nan_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             solve_subset_bruteforce(np.ones(3), np.ones(3), float("nan"))
+
+
+def item_sets(max_p=9):
+    return st.integers(0, max_p).flatmap(
+        lambda p: st.tuples(
+            st.lists(st.floats(-5.0, 10.0), min_size=p, max_size=p),
+            st.lists(st.floats(0.0, 10.0), min_size=p, max_size=p),
+        )
+    )
+
+
+class TestTableMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(item_sets(), item_sets(), st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6))
+    def test_interleaved_solves_match_fresh_ones(self, first, second, capacities):
+        # the lift loop re-solves one item set at new capacities; alternating
+        # two sets replaces the memoised tables at every call
+        sets = [tuple(np.array(side) for side in items) for items in (first, second)]
+        fresh = []
+        for capacity in capacities:
+            for values, costs in sets:
+                _half_tables.cache_clear()
+                fresh.append(solve_subset_bruteforce(values, costs, capacity))
+        interleaved = [
+            solve_subset_bruteforce(values, costs, capacity)
+            for capacity in capacities
+            for values, costs in sets
+        ]
+        assert interleaved == fresh
+
+    def test_memoised_tables_are_read_only(self):
+        values, costs = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 4.0])
+        solve_subset_bruteforce(values, costs, 5.0)
+        tables = _half_tables(values.tobytes(), costs.tobytes())
+        assert _half_tables.cache_info().hits >= 1
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 class TestTieWindow:
