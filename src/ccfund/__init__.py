@@ -61,8 +61,6 @@ from .refunds import (
     PprRefund,
     RefundScheme,
     certify_cm,
-    default_linear_slope,
-    refund_share,
     scheme_from_tag,
     threshold_general,
     threshold_matrix,

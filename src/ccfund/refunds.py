@@ -41,8 +41,7 @@ class RefundScheme(ABC):
     def share(self, x, bonus, total):
         """Refund for contributing ``x`` out of ``total`` with pool ``bonus``.
 
-        Polymorphic over floats and numpy arrays, and deliberately unchecked;
-        :func:`refund_share` is the validated entry point.
+        Polymorphic over floats and numpy arrays, and deliberately unchecked.
         """
 
     def closed_form_threshold(self, theta, target, bonus):
@@ -82,8 +81,6 @@ class LinearAdditiveRefund(RefundScheme):
 
     Splitting a sum of money across projects refunds the same as contributing
     it in one place, which is what the single-agent knapsack reduction needs.
-    With the slope from :func:`default_linear_slope` the payout on an unfunded
-    project stays below its pool as long as the project is never overfunded.
     """
 
     slope: float
@@ -103,13 +100,6 @@ class LinearAdditiveRefund(RefundScheme):
         return theta / (1.0 + self.slope)
 
 
-def default_linear_slope(vartheta, targets) -> float:
-    """Smallest bonus pool over largest total valuation (bounded payouts)."""
-    vartheta = np.asarray(vartheta, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    return float(np.min(vartheta - targets) / np.max(vartheta))
-
-
 def scheme_from_tag(tag: str, linear_slope: float | None = None) -> RefundScheme:
     if tag == PPR_TAG:
         return PprRefund()
@@ -118,14 +108,6 @@ def scheme_from_tag(tag: str, linear_slope: float | None = None) -> RefundScheme
             raise ValueError("linear-additive refund requires a slope")
         return LinearAdditiveRefund(float(linear_slope))
     raise ValueError(f"unknown refund scheme {tag!r}")
-
-
-def refund_share(scheme: RefundScheme, x, bonus, total):
-    """Validated refund share; rejects negative contributions, pools or totals."""
-    for name, value in (("contribution", x), ("bonus", bonus), ("total", total)):
-        if np.any(np.asarray(value) < 0):
-            raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return scheme.share(x, bonus, total)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from ccfund import (
     RefundScheme,
     SolverError,
     certify_cm,
-    default_linear_slope,
-    refund_share,
     scheme_from_tag,
     threshold_general,
     thresholds,
@@ -33,22 +31,16 @@ class _ConstantRefund(RefundScheme):
 
 class TestRefundShare:
     def test_sole_contributor_takes_full_pool(self):
-        assert refund_share(PprRefund(), 4.0, 2.0, 4.0) == pytest.approx(2.0)
+        assert PprRefund().share(4.0, 2.0, 4.0) == pytest.approx(2.0)
 
     def test_proportional_share(self):
-        assert refund_share(PprRefund(), 1.0, 2.0, 4.0) == pytest.approx(0.5)
+        assert PprRefund().share(1.0, 2.0, 4.0) == pytest.approx(0.5)
 
     def test_linear(self):
-        assert refund_share(LinearAdditiveRefund(0.1), 7.0, 2.0, 9.0) == pytest.approx(0.7)
+        assert LinearAdditiveRefund(0.1).share(7.0, 2.0, 9.0) == pytest.approx(0.7)
 
     def test_zero_total_pays_nothing(self):
-        assert refund_share(PprRefund(), 0.0, 2.0, 0.0) == 0.0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            refund_share(PprRefund(), -1.0, 2.0, 4.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            refund_share(PprRefund(), 1.0, -2.0, 4.0)
+        assert PprRefund().share(0.0, 2.0, 0.0) == 0.0
 
 
 class TestCertifyCm:
@@ -228,11 +220,3 @@ class TestSchemeSelection:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown"):
             scheme_from_tag("exotic")
-
-    def test_default_slope_bounds_payout(self):
-        vartheta = np.array([10.0, 20.0])
-        targets = np.array([4.0, 8.0])
-        slope = default_linear_slope(vartheta, targets)
-        assert slope == pytest.approx(6.0 / 20.0)
-        # on an unfunded project the pool is never exceeded
-        assert slope * targets.max() <= (vartheta - targets).min()
