@@ -8,17 +8,20 @@ round-trips exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import sys
+import typing
+from enum import Enum
 
 import numpy as np
 
 from .errors import InputError
-from .generators import SamplerConfig, ValuationDist
+from .generators import SamplerConfig
 from .harness import ExperimentConfig
-from .heuristics import Heuristic
 from .model import ContributionProfile, Instance
-from .refunds import LINEAR_ADDITIVE_TAG, LinearAdditiveRefund, scheme_from_tag
+from .refunds import LINEAR_ADDITIVE_TAG, LinearAdditiveRefund, RefundScheme, scheme_from_tag
 
 
 def format_float(value) -> str:
@@ -73,7 +76,7 @@ def dumps_canonical(obj) -> str:
 
 
 def instance_to_jsonable(instance: Instance) -> dict:
-    data = {
+    return {
         "agents": [
             {"budget": float(b), "valuations": [float(v) for v in row]}
             for b, row in zip(instance.budgets, instance.valuations)
@@ -82,10 +85,15 @@ def instance_to_jsonable(instance: Instance) -> dict:
             {"target": float(t), "bonus": float(b)}
             for t, b in zip(instance.targets, instance.bonuses)
         ],
-        "refund": instance.refund.tag,
+        **_refund_jsonable(instance.refund),
     }
-    if instance.refund.tag == LINEAR_ADDITIVE_TAG:
-        data["linear_slope"] = instance.refund.slope  # type: ignore[attr-defined]
+
+
+def _refund_jsonable(scheme: RefundScheme) -> dict:
+    """The ``refund`` tag, with ``linear_slope`` for the linear scheme."""
+    data = {"refund": scheme.tag}
+    if isinstance(scheme, LinearAdditiveRefund):
+        data["linear_slope"] = scheme.slope
     return data
 
 
@@ -146,81 +154,92 @@ def load_profile(path) -> ContributionProfile:
 
 
 # -- configs -----------------------------------------------------------------
+# One loader and one dumper walk the config dataclasses' fields. A key is its
+# field's name unless _KEYS renames it, a RefundScheme field is the refund
+# pair, and a key in _ONLY_WITH goes only beside one value of another key.
+# Any other key raises InputError naming its path, such as ``sampler.bonus_fracton``.
+
+_KEYS = {"valuation_dist": "valuations"}
+_ONLY_WITH = {"lo": ("kind", "uniform"), "hi": ("kind", "uniform"),
+              "rate": ("kind", "exponential"), "linear_slope": ("refund", LINEAR_ADDITIVE_TAG)}
+#: Keys older configs carry and this version ignores.
+_RETIRED = ("delta",)
+#: JSON types each scalar annotation reads (booleans are never numbers), and its name.
+_SCALARS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
+            bool: ((bool,), "true or false"), str: ((str,), "a string")}
 
 
-def sampler_config_to_jsonable(cfg: SamplerConfig) -> dict:
-    data = {
-        "n": cfg.n,
-        "p": cfg.p,
-        "valuations": {"kind": cfg.valuation_dist.kind},
-        "target_fraction": list(cfg.target_fraction),
-        "bonus_fraction": cfg.bonus_fraction,
-        "budget_rho": list(cfg.budget_rho),
-        "refund": cfg.refund.tag,
-        "seed": cfg.seed,
-        "max_rejections": cfg.max_rejections,
-    }
-    if cfg.valuation_dist.kind == "uniform":
-        data["valuations"]["lo"] = cfg.valuation_dist.lo
-        data["valuations"]["hi"] = cfg.valuation_dist.hi
-    else:
-        data["valuations"]["rate"] = cfg.valuation_dist.rate
-    if isinstance(cfg.refund, LinearAdditiveRefund):
-        data["linear_slope"] = cfg.refund.slope
-    return data
+def _dump(value):
+    """A config, or one of its field values, as JSON data."""
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
+    if not dataclasses.is_dataclass(value):
+        return value.value if isinstance(value, Enum) else value
+    data = {}
+    for f in dataclasses.fields(value):
+        item = getattr(value, f.name)
+        if isinstance(item, RefundScheme):
+            data.update(_refund_jsonable(item))
+        else:
+            data[_KEYS.get(f.name, f.name)] = _dump(item)
+    return {key: item for key, item in data.items()
+            if key not in _ONLY_WITH or data[_ONLY_WITH[key][0]] == _ONLY_WITH[key][1]}
 
 
-def sampler_config_from_jsonable(data: dict) -> SamplerConfig:
-    dist_data = data.get("valuations", {})
-    kind = dist_data.get("kind", "uniform")
-    if kind == "uniform":
-        dist = ValuationDist("uniform", lo=dist_data.get("lo", 0.0), hi=dist_data.get("hi", 10.0))
-    else:
-        dist = ValuationDist("exponential", rate=dist_data.get("rate", 1.5))
-    return SamplerConfig(
-        n=int(data.get("n", 100)),
-        p=int(data.get("p", 10)),
-        valuation_dist=dist,
-        target_fraction=tuple(data.get("target_fraction", (0.3, 0.7))),
-        bonus_fraction=float(data.get("bonus_fraction", 1.0)),
-        budget_rho=tuple(data.get("budget_rho", (0.3, 0.8))),
-        refund=scheme_from_tag(data.get("refund", "ppr"), data.get("linear_slope")),
-        seed=int(data.get("seed", 0)),
-        max_rejections=int(data.get("max_rejections", 200)),
-    )
+def _load(cls, data, path: str = ""):
+    """``cls`` from its JSON object, with the dataclass default for each omitted key."""
+    if not isinstance(data, dict):
+        raise InputError(f"config {path.rstrip('.') or 'file'} must be a JSON object")
+    hints, kwargs = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if key in data and hints[f.name] is RefundScheme:
+            slope = data.get("linear_slope")
+            kwargs[f.name] = scheme_from_tag(
+                _read(str, data[key], path + key),
+                None if slope is None else _read(float, slope, path + "linear_slope"),
+            )
+        elif key in data:
+            kwargs[f.name] = _read(hints[f.name], data[key], path + key)
+    cfg = cls(**kwargs)
+    carried = _dump(cfg)
+    for key in data:
+        if key in _RETIRED:
+            print(f"note: config key {path}{key} is retired and ignored", file=sys.stderr)
+        elif key in _ONLY_WITH and key not in carried:
+            other, value = _ONLY_WITH[key]
+            raise InputError(f"config key {path}{key} applies only to {other} {value}")
+        elif key not in carried:
+            raise InputError(f"unknown config key {path}{key}")
+    return cfg
 
 
-def experiment_config_to_jsonable(cfg: ExperimentConfig) -> dict:
-    return {
-        "sampler": sampler_config_to_jsonable(cfg.sampler),
-        "alphas": list(cfg.alphas),
-        "deviant_heuristics": [h.value for h in cfg.deviant_heuristics],
-        "instances_per_cell": cfg.instances_per_cell,
-        "seed": cfg.seed,
-        "play_order": cfg.play_order,
-        "include_control": cfg.include_control,
-        "matched_baseline": cfg.matched_baseline,
-    }
+def _read(kind, value, path: str):
+    """A JSON value read as a field annotated ``kind``."""
+    if dataclasses.is_dataclass(kind):
+        return _load(kind, value, path + ".")
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise InputError(f"config key {path} must be a list, got {json.dumps(value)}")
+        items = typing.get_args(kind)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) != len(items):
+            raise InputError(f"config key {path} must hold {len(items)} items, got {value}")
+        return tuple(_read(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(items, value)))
+    types, name = _SCALARS.get(kind, _SCALARS[str])
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"config key {path} must be {name}, got {json.dumps(value)}")
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise InputError(f"config key {path}: {exc}") from None
 
 
-def experiment_config_from_jsonable(data: dict) -> ExperimentConfig:
-    kwargs = {}
-    if "sampler" in data:
-        kwargs["sampler"] = sampler_config_from_jsonable(data["sampler"])
-    if "alphas" in data:
-        kwargs["alphas"] = tuple(float(a) for a in data["alphas"])
-    if "deviant_heuristics" in data:
-        kwargs["deviant_heuristics"] = tuple(Heuristic(h) for h in data["deviant_heuristics"])
-    for key in ("instances_per_cell", "seed"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    for key in ("play_order",):
-        if key in data:
-            kwargs[key] = str(data[key])
-    for key in ("include_control", "matched_baseline"):
-        if key in data:
-            kwargs[key] = bool(data[key])
-    return ExperimentConfig(**kwargs)
+sampler_config_to_jsonable = experiment_config_to_jsonable = _dump
+sampler_config_from_jsonable = functools.partial(_load, SamplerConfig)
+experiment_config_from_jsonable = functools.partial(_load, ExperimentConfig)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -1,16 +1,34 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccfund import ContributionProfile, sample_instance, SamplerConfig
+from ccfund import (
+    ContributionProfile,
+    ExperimentConfig,
+    Heuristic,
+    LinearAdditiveRefund,
+    PprRefund,
+    SamplerConfig,
+    ValuationDist,
+    sample_instance,
+)
 from ccfund.cli import main
+from ccfund.heuristics import PLAY_ORDERS
 from ccfund.io import (
     dumps_canonical,
+    experiment_config_from_jsonable,
+    experiment_config_to_jsonable,
     instance_from_jsonable,
     instance_to_jsonable,
     load_instance,
     profile_from_jsonable,
+    sampler_config_from_jsonable,
+    sampler_config_to_jsonable,
 )
 from conftest import random_instance
 
@@ -378,3 +396,171 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("# gen:")
         assert '"seed":31' in err
+
+
+# small enough that a config the loader wrongly accepts still runs in moments
+GEN_BASE = {"n": 8, "p": 2}
+EXPERIMENT_BASE = {"sampler": dict(GEN_BASE), "alphas": [1.0], "instances_per_cell": 2}
+
+
+def _with(base, path, value):
+    """A copy of ``base`` with ``value`` at the dotted key ``path``."""
+    cfg = json.loads(json.dumps(base))
+    *parents, key = path.split(".")
+    node = cfg
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[key] = value
+    return cfg
+
+
+def _refusal(command, cfg, tmp_path, capsys) -> str:
+    """stderr of ``command`` on ``cfg``, which must exit 2 with no echo and no output."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    extra = ["--count", "1"] if command == "gen" else []
+    assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "# " not in captured.err  # refused before the config echo
+    assert not out.exists()
+    return captured.err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, path", [
+        ("gen", "bonus_fracton"),
+        ("gen", "valuations.hii"),
+        ("experiment", "instances_per_cel"),
+        ("experiment", "sampler.bonus_fracton"),
+        ("experiment", "sampler.valuations.kindd"),
+    ])
+    def test_unknown_key_is_named(self, command, path, tmp_path, capsys):
+        base = GEN_BASE if command == "gen" else EXPERIMENT_BASE
+        err = _refusal(command, _with(base, path, 0.5), tmp_path, capsys)
+        assert f"unknown config key {path}" in err
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("gen", "n", 8.7),
+        ("gen", "p", True),
+        ("gen", "seed", 1.5),
+        ("gen", "max_rejections", 2.5),
+        ("experiment", "seed", True),
+        ("experiment", "instances_per_cell", 2.9),
+        ("experiment", "sampler.n", False),
+    ])
+    def test_integer_key_refuses_fractions_and_booleans(self, command, path, value,
+                                                        tmp_path, capsys):
+        base = GEN_BASE if command == "gen" else EXPERIMENT_BASE
+        err = _refusal(command, _with(base, path, value), tmp_path, capsys)
+        assert f"config key {path} must be an integer, got {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize("path, value", [
+        ("include_control", "false"),
+        ("include_control", 0),
+        ("matched_baseline", 1),
+        ("matched_baseline", "true"),
+    ])
+    def test_boolean_key_takes_only_true_or_false(self, path, value, tmp_path, capsys):
+        err = _refusal("experiment", _with(EXPERIMENT_BASE, path, value), tmp_path, capsys)
+        assert f"config key {path} must be true or false" in err
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("gen", {**GEN_BASE, "refund": "ppr", "linear_slope": 0.3}, "linear_slope"),
+        ("gen", {**GEN_BASE, "linear_slope": 0.3}, "linear_slope"),
+        ("experiment", _with(EXPERIMENT_BASE, "sampler.linear_slope", 0.3), "sampler.linear_slope"),
+    ], ids=["explicit-ppr", "default-ppr", "experiment-sampler"])
+    def test_linear_slope_needs_the_linear_scheme(self, command, cfg, path, tmp_path, capsys):
+        err = _refusal(command, cfg, tmp_path, capsys)
+        assert f"config key {path} applies only to refund linear-additive" in err
+
+    @pytest.mark.parametrize("valuations, key, kind", [
+        ({"kind": "uniform", "rate": 2.0}, "rate", "exponential"),
+        ({"rate": 2.0}, "rate", "exponential"),
+        ({"kind": "exponential", "lo": 1.0}, "lo", "uniform"),
+        ({"kind": "exponential", "rate": 2.0, "hi": 5.0}, "hi", "uniform"),
+    ], ids=["rate-under-uniform", "rate-under-default", "lo-under-exponential",
+            "hi-under-exponential"])
+    def test_valuations_refuse_the_other_kinds_keys(self, valuations, key, kind,
+                                                    tmp_path, capsys):
+        err = _refusal("gen", {**GEN_BASE, "valuations": valuations}, tmp_path, capsys)
+        assert f"config key valuations.{key} applies only to kind {kind}" in err
+
+    def test_integral_number_reads_as_integer(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**GEN_BASE, "n": 8.0}))
+        assert main(["gen", "--config", str(path), "--count", "0",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert '"n":8,' in capsys.readouterr().err
+
+    def test_retired_delta_is_noted_once(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**EXPERIMENT_BASE, "delta": 0.01}))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("config key delta is retired and ignored") == 1
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        tables = [re.findall(r"^\| `(\w+)` \| (.+?) \|", block, re.M)
+                  for block in readme.split("## File formats")[1].split("| key |")[1:3]]
+        linear = SamplerConfig(refund=LinearAdditiveRefund(0.1))
+        for rows, load, keys in (
+            (tables[0], sampler_config_from_jsonable, sampler_config_to_jsonable(linear)),
+            (tables[1], experiment_config_from_jsonable,
+             experiment_config_to_jsonable(ExperimentConfig())),
+        ):
+            assert sorted(key for key, _ in rows) == sorted(keys)
+            for key, default in rows:
+                if default != "none":  # linear_slope has no default
+                    assert load({key: json.loads(default.strip("`"))}) == load({})
+
+
+def _ordered_pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(lambda v: tuple(sorted(v)))
+
+
+SAMPLERS = st.builds(
+    SamplerConfig,
+    n=st.integers(1, 500),
+    p=st.integers(1, 30),
+    valuation_dist=st.one_of(
+        st.tuples(st.floats(0.0, 50.0), st.floats(0.001, 50.0)).map(
+            lambda t: ValuationDist("uniform", lo=t[0], hi=t[0] + t[1])),
+        st.floats(0.01, 10.0).map(lambda rate: ValuationDist("exponential", rate=rate)),
+    ),
+    target_fraction=_ordered_pair(0.01, 0.99),
+    bonus_fraction=st.floats(0.01, 1.0),
+    budget_rho=_ordered_pair(0.01, 0.99),
+    refund=st.one_of(st.just(PprRefund()), st.floats(0.001, 5.0).map(LinearAdditiveRefund)),
+    seed=st.integers(0, 2**96),
+    max_rejections=st.integers(1, 10_000),
+)
+EXPERIMENTS = st.builds(
+    ExperimentConfig,
+    sampler=SAMPLERS,
+    alphas=st.sets(st.floats(0.01, 1.0), min_size=1, max_size=6).map(
+        lambda alphas: tuple(sorted(alphas))),
+    deviant_heuristics=st.lists(
+        st.sampled_from([h for h in Heuristic if h is not Heuristic.OPT_WELFARE]),
+        max_size=4, unique=True).map(tuple),
+    instances_per_cell=st.integers(1, 100_000),
+    seed=st.integers(0, 2**96),
+    play_order=st.sampled_from(PLAY_ORDERS),
+    include_control=st.booleans(),
+    matched_baseline=st.booleans(),
+)
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=st.one_of(SAMPLERS, EXPERIMENTS))
+    def test_dump_load_dump(self, cfg):
+        if isinstance(cfg, SamplerConfig):
+            dump, load = sampler_config_to_jsonable, sampler_config_from_jsonable
+        else:
+            dump, load = experiment_config_to_jsonable, experiment_config_from_jsonable
+        text = dumps_canonical(dump(cfg))
+        back = load(json.loads(text))
+        assert back == cfg
+        assert dumps_canonical(dump(back)) == text
