@@ -164,7 +164,7 @@ _ONLY_WITH = {"lo": ("kind", "uniform"), "hi": ("kind", "uniform"),
               "rate": ("kind", "exponential"), "linear_slope": ("refund", LINEAR_ADDITIVE_TAG)}
 #: Keys older configs carry and this version ignores.
 _RETIRED = ("delta",)
-#: JSON types each scalar annotation reads (booleans are never numbers), and its name.
+#: JSON types each scalar annotation reads, and its name; an enum reads a string.
 _SCALARS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
             bool: ((bool,), "true or false"), str: ((str,), "a string")}
 
@@ -233,7 +233,7 @@ def _read(kind, value, path: str):
         raise InputError(f"config key {path} must be {name}, got {json.dumps(value)}")
     try:
         return kind(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise InputError(f"config key {path}: {exc}") from None
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -405,7 +406,7 @@ EXPERIMENT_BASE = {"sampler": dict(GEN_BASE), "alphas": [1.0], "instances_per_ce
 
 def _with(base, path, value):
     """A copy of ``base`` with ``value`` at the dotted key ``path``."""
-    cfg = json.loads(json.dumps(base))
+    cfg = copy.deepcopy(base)
     *parents, key = path.split(".")
     node = cfg
     for parent in parents:
@@ -468,7 +469,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize("command, cfg, path", [
         ("gen", {**GEN_BASE, "refund": "ppr", "linear_slope": 0.3}, "linear_slope"),
         ("gen", {**GEN_BASE, "linear_slope": 0.3}, "linear_slope"),
-        ("experiment", _with(EXPERIMENT_BASE, "sampler.linear_slope", 0.3), "sampler.linear_slope"),
+        ("experiment", _with(EXPERIMENT_BASE, "sampler.linear_slope", 0.3),
+         "sampler.linear_slope"),
     ], ids=["explicit-ppr", "default-ppr", "experiment-sampler"])
     def test_linear_slope_needs_the_linear_scheme(self, command, cfg, path, tmp_path, capsys):
         err = _refusal(command, cfg, tmp_path, capsys)
@@ -485,6 +487,11 @@ class TestConfigKeys:
                                                     tmp_path, capsys):
         err = _refusal("gen", {**GEN_BASE, "valuations": valuations}, tmp_path, capsys)
         assert f"config key valuations.{key} applies only to kind {kind}" in err
+
+    def test_integer_past_float_range_is_named(self, tmp_path, capsys):
+        # a float key given a 401-digit integer used to escape as an OverflowError (exit 1)
+        err = _refusal("gen", {**GEN_BASE, "bonus_fraction": 10**400}, tmp_path, capsys)
+        assert "config key bonus_fraction: int too large to convert to float" in err
 
     def test_integral_number_reads_as_integer(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
