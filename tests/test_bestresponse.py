@@ -29,6 +29,42 @@ from ccfund import (
 from ccfund.bestresponse import TIE_TOL, _value_tables
 
 
+def bisection_maxplus_reference(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
+
+    With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
+    Monge, so the leftmost maximizing column of row k never moves left as k grows
+    (Aggarwal et al., Algorithmica 1987). Divide and conquer over the rows
+    then bounds each row's columns by the argmaxes of the rows around it.
+    Each level of that recursion is one batch of numpy calls over all of
+    its row segments, whose column ranges overlap only at their ends:
+    about log2(len(u)) levels of O(len(u)) work.
+    """
+    m = len(t) - 1
+    n = len(u)
+    w = np.empty(n)
+    # one entry per open segment: rows row_lo..row_hi, columns col_lo..col_hi
+    row_lo, row_hi = np.array([0]), np.array([n - 1])
+    col_lo, col_hi = np.array([0]), np.array([n - 1])
+    while row_lo.size:
+        mid = (row_lo + row_hi) // 2
+        lo = np.maximum(col_lo, mid - m)
+        hi = np.minimum(col_hi, mid)
+        lengths = hi - lo + 1
+        starts = np.cumsum(lengths) - lengths
+        cols = np.arange(starts[-1] + lengths[-1]) + np.repeat(lo - starts, lengths)
+        vals = t[np.repeat(mid, lengths) - cols] + u[cols]
+        top = np.maximum.reduceat(vals, starts)
+        arg = np.minimum.reduceat(np.where(vals == np.repeat(top, lengths), cols, n), starts)
+        w[mid] = top
+        left, right = row_lo < mid, mid < row_hi
+        row_lo, row_hi = (np.concatenate([row_lo[left], mid[right] + 1]),
+                          np.concatenate([mid[left] - 1, row_hi[right]]))
+        col_lo, col_hi = (np.concatenate([col_lo[left], arg[right]]),
+                          np.concatenate([arg[left], col_hi[right]]))
+    return w
+
+
 def two_project_linear_view():
     # budget 2, unit grid, shortfalls (2, 1), valuations (3, 1.5), slope 0.1:
     # funding the first project (utility 1.0) beats funding the second plus a
