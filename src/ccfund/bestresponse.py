@@ -162,39 +162,55 @@ def _assemble(view, delta, chosen_units, fund_units, utility, optimal) -> BestRe
     return BestResponse(contributions, funded, float(utility), optimal)
 
 
-def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _row_plan(width: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows :func:`_concave_maxplus` settles, level by level, at this width.
+
+    A level holds the middle row of each open segment and the nearest
+    settled rows to the segment's left and right, whose argmaxes bound its
+    columns. Rows -1 and ``width`` stand for columns 0 and ``width - 1``.
+    Segments keep the order of the recursion: left halves, then right halves.
+    """
+    plan = []
+    lo, hi = np.array([0]), np.array([width - 1])
+    while lo.size:
+        mid = (lo + hi) // 2
+        plan.append((mid, lo - 1, hi + 1))
+        lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid - 1, hi])
+        keep = lo <= hi
+        lo, hi = lo[keep], hi[keep]
+    return plan
+
+
+def _concave_maxplus(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
     """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
 
     With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
     Monge, so the leftmost maximizing column of row k never moves left as k grows
     (Aggarwal et al., Algorithmica 1987). Divide and conquer over the rows
-    then bounds each row's columns by the argmaxes of the rows around it.
-    Each level of that recursion is one batch of numpy calls over all of
-    its row segments, whose column ranges overlap only at their ends:
-    about log2(len(u)) levels of O(len(u)) work.
+    (``plan``, from :func:`_row_plan` at ``len(u)``) then bounds each row's
+    columns by the argmaxes of the settled rows around it. Each level is one
+    batch of numpy calls over all of its rows, whose column ranges overlap
+    only at their ends: about log2(len(u)) levels of O(len(u)) work. No later
+    row reads the last level's argmaxes, so that level skips them.
     """
     m = len(t) - 1
     n = len(u)
     w = np.empty(n)
-    # one entry per open segment: rows row_lo..row_hi, columns col_lo..col_hi
-    row_lo, row_hi = np.array([0]), np.array([n - 1])
-    col_lo, col_hi = np.array([0]), np.array([n - 1])
-    while row_lo.size:
-        mid = (row_lo + row_hi) // 2
-        lo = np.maximum(col_lo, mid - m)
-        hi = np.minimum(col_hi, mid)
-        lengths = hi - lo + 1
-        starts = np.cumsum(lengths) - lengths
-        cols = np.arange(starts[-1] + lengths[-1]) + np.repeat(lo - starts, lengths)
-        vals = t[np.repeat(mid, lengths) - cols] + u[cols]
+    # arg[r] is row r's leftmost argmax; the sentinel row -1 is the last slot
+    arg = np.empty(n + 2, dtype=np.int64)
+    arg[n], arg[-1] = n - 1, 0
+    last = len(plan) - 1
+    for level, (mid, left, right) in enumerate(plan):
+        lo = np.maximum(arg[left], mid - m)
+        lengths = np.minimum(arg[right], mid) - lo + 1
+        ends = lengths.cumsum()
+        starts = ends - lengths
+        cols = np.arange(ends[-1]) + (lo - starts).repeat(lengths)
+        vals = t[mid.repeat(lengths) - cols] + u[cols]
         top = np.maximum.reduceat(vals, starts)
-        arg = np.minimum.reduceat(np.where(vals == np.repeat(top, lengths), cols, n), starts)
         w[mid] = top
-        left, right = row_lo < mid, mid < row_hi
-        row_lo, row_hi = (np.concatenate([row_lo[left], mid[right] + 1]),
-                          np.concatenate([mid[left] - 1, row_hi[right]]))
-        col_lo, col_hi = (np.concatenate([col_lo[left], arg[right]]),
-                          np.concatenate([arg[left], col_hi[right]]))
+        if level < last:
+            arg[mid] = np.minimum.reduceat(np.where(vals == top.repeat(lengths), cols, n), starts)
     return w
 
 
@@ -208,7 +224,10 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     each step is a concave (max,+) convolution done by monotone-argmax
     search (:func:`_concave_maxplus`); the funding spend then adds one
     shifted vector. That is O(p * U log U) for U budget units, against
-    O(p * U^2) for trying every spend.
+    O(p * U^2) for trying every spend. Which rows that search settles at
+    each level depends only on U, so the p steps share one row plan
+    (:func:`_row_plan`), built once per call; numpy's fixed cost per call,
+    not arithmetic, dominates a level at fine-grid sizes.
 
     Ties within ``TIE_TOL`` of the optimum resolve to the smallest total
     spend, which is the least k whose ``best[0][k]`` ties it, then to money
@@ -219,11 +238,12 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     budget_units, fund_units = _grid_layout(view, delta)
     tables = _value_tables(view, delta, budget_units, fund_units)
     width = budget_units + 1
+    plan = _row_plan(width)
 
     best = [np.zeros(width)]
     for t, f in zip(reversed(tables), reversed(fund_units)):
         after = best[-1]
-        cur = _concave_maxplus(t[:f], after) if f else np.full(width, -np.inf)
+        cur = _concave_maxplus(t[:f], after, plan) if f else np.full(width, -np.inf)
         if f <= budget_units:
             cur[f:] = np.maximum(cur[f:], t[f] + after[: width - f])
         best.append(cur)

@@ -26,7 +26,7 @@ from ccfund import (
     sample_instance,
     thresholds,
 )
-from ccfund.bestresponse import TIE_TOL, _value_tables
+from ccfund.bestresponse import TIE_TOL, _concave_maxplus, _row_plan, _value_tables
 
 
 def bisection_maxplus_reference(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -218,6 +218,42 @@ def test_below_fund_tables_are_concave(scheme, bonus, others, delta, units):
     (table,) = _value_tables(view, delta, units, [units + 5])
     assert len(table) == units + 1
     assert np.all(np.diff(table, 2) <= 1e-12)
+
+
+@st.composite
+def maxplus_inputs(draw):
+    """A refund table and a non-decreasing continuation, as one solver step sees them.
+
+    Tables are proportional shares over a positive others' total (concave),
+    steps (others' total zero: the first unit takes the pool) or linear
+    shares; continuations climb in quarter steps with plateaus, so a unit
+    grid with a linear table ties exactly in float.
+    """
+    width = draw(st.integers(1, 600))
+    length = draw(st.one_of(st.integers(1, 2), st.integers(1, width)))
+    x = np.arange(length) * draw(st.sampled_from([1.0, 0.1, 0.01]))
+    bonus = draw(st.sampled_from([0.5, 1.0, 3.0]) | st.floats(0.01, 10.0))
+    shape = draw(st.sampled_from(["proportional", "step", "linear"]))
+    if shape == "proportional":
+        t = PprRefund().share(x, bonus, draw(st.floats(0.01, 50.0)) + x)
+    elif shape == "step":
+        t = PprRefund().share(x, bonus, x)
+    else:
+        t = LinearAdditiveRefund(draw(st.sampled_from([0.25, 0.5, 1.0]))).share(x, bonus, x)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    climb = np.where(rng.random(width) < draw(st.floats(0.0, 1.0)), 0.0,
+                     rng.integers(1, 5, width) * 0.25)
+    if draw(st.booleans()):
+        climb = climb * rng.random(width)
+    return t, np.cumsum(climb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maxplus_inputs())
+def test_maxplus_kernel_matches_reference(inputs):
+    t, u = inputs
+    assert np.array_equal(_concave_maxplus(t, u, _row_plan(len(u))),
+                          bisection_maxplus_reference(t, u))
 
 
 @st.composite
