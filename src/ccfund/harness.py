@@ -82,6 +82,9 @@ class ExperimentConfig:
         deviants = tuple(Heuristic(h) for h in self.deviant_heuristics)
         if Heuristic.OPT_WELFARE in deviants:
             raise ValueError("the baseline heuristic cannot be listed as a deviant")
+        if not deviants and not self.include_control:
+            raise ValueError("deviant_heuristics is empty and include_control is false: "
+                             "the experiment has no cells")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be at least 1")
         if self.seed < 0:

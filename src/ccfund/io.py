@@ -97,9 +97,28 @@ def _refund_jsonable(scheme: RefundScheme) -> dict:
     return data
 
 
+def _object(data, keys, what: str, path: str = "") -> dict:
+    """``data``, a JSON object whose keys are all in ``keys``.
+
+    Any other key raises InputError naming its path, such as
+    ``agents[3].comment``.
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{what} {path.rstrip('.') or 'file'} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise InputError(f"unknown {what} key {path}{key}")
+    return data
+
+
 def instance_from_jsonable(data: dict) -> Instance:
-    agents = data["agents"]
-    projects = data["projects"]
+    _object(data, ("agents", "projects", "refund", "linear_slope"), "instance")
+    agents = [_object(a, ("budget", "valuations"), "instance", f"agents[{i}].")
+              for i, a in enumerate(data["agents"])]
+    projects = [_object(p, ("target", "bonus"), "instance", f"projects[{i}].")
+                for i, p in enumerate(data["projects"])]
+    if "linear_slope" in data and data["refund"] != LINEAR_ADDITIVE_TAG:
+        raise InputError(f"instance key linear_slope applies only to refund {LINEAR_ADDITIVE_TAG}")
     scheme = scheme_from_tag(data["refund"], data.get("linear_slope"))
     return Instance(
         valuations=np.array([a["valuations"] for a in agents], dtype=float),
@@ -146,6 +165,7 @@ def load_instance(path) -> Instance:
 
 
 def profile_from_jsonable(data: dict) -> ContributionProfile:
+    _object(data, ("contributions",), "profile")
     return ContributionProfile(np.array(data["contributions"], dtype=float))
 
 

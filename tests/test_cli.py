@@ -488,6 +488,19 @@ class TestConfigKeys:
         err = _refusal("gen", {**GEN_BASE, "valuations": valuations}, tmp_path, capsys)
         assert f"config key valuations.{key} applies only to kind {kind}" in err
 
+    def test_experiment_without_cells_is_refused(self, tmp_path, capsys):
+        # it used to sample every instance and write a header-only CSV, exit 0
+        cfg = {**EXPERIMENT_BASE, "deviant_heuristics": [], "include_control": False}
+        err = _refusal("experiment", cfg, tmp_path, capsys)
+        assert "deviant_heuristics is empty and include_control is false" in err
+
+    def test_control_only_experiment_runs(self, tmp_path, capsys):
+        path, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        path.write_text(json.dumps({**EXPERIMENT_BASE, "deviant_heuristics": []}))
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["opt-welfare"]
+
     def test_integer_past_float_range_is_named(self, tmp_path, capsys):
         # a float key given a 401-digit integer used to escape as an OverflowError (exit 1)
         err = _refusal("gen", {**GEN_BASE, "bonus_fraction": 10**400}, tmp_path, capsys)
@@ -523,6 +536,54 @@ class TestConfigKeys:
                     assert load({key: json.loads(default.strip("`"))}) == load({})
 
 
+ONE_AGENT = {"agents": [{"budget": 3.0, "valuations": [3.0, 1.0]}],
+             "projects": [{"target": 2.0, "bonus": 0.5}, {"target": 0.5, "bonus": 0.5}],
+             "refund": "ppr"}
+
+
+class TestInputFileKeys:
+    # each of these used to load, the stray key ignored, and the command exit 0
+    @pytest.mark.parametrize("path, message", [
+        ("comment", "unknown instance key comment"),
+        ("agents[0].name", "unknown instance key agents[0].name"),
+        ("projects[1].budget", "unknown instance key projects[1].budget"),
+        ("linear_slope", "instance key linear_slope applies only to refund linear-additive"),
+    ])
+    def test_instance_key_is_refused(self, path, message, tmp_path, capsys):
+        data = copy.deepcopy(ONE_AGENT)
+        key, _, field = path.partition(".")
+        if field:
+            name, index = key.rstrip("]").split("[")
+            data[name][int(index)][field] = 0.3
+        else:
+            data[key] = 0.3
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(data))
+        assert main(["solve-pstar", "--instance", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "# " not in captured.err
+        assert message in captured.err
+
+    def test_clean_files_load(self, tmp_path):
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps(ONE_AGENT))
+        others.write_text(json.dumps({"contributions": [[0.0, 0.0]]}))
+        assert main(["solve-pstar", "--instance", str(inst)]) == 0
+        assert main(["best-response", "--instance", str(inst), "--agent", "0",
+                     "--others", str(others), "--delta", "0.5"]) == 0
+
+    def test_profile_key_is_refused(self, tmp_path, capsys):
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps(ONE_AGENT))
+        others.write_text(json.dumps({"contributions": [[0.0, 0.0]], "agent": 0}))
+        assert main(["best-response", "--instance", str(inst), "--agent", "0",
+                     "--others", str(others), "--delta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown profile key agent" in captured.err
+
+
 def _ordered_pair(lo, hi):
     return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(lambda v: tuple(sorted(v)))
 
@@ -543,18 +604,22 @@ SAMPLERS = st.builds(
     seed=st.integers(0, 2**96),
     max_rejections=st.integers(1, 10_000),
 )
+# deviant heuristics and include_control, drawn together: a config needs a cell
+CELLS = st.tuples(
+    st.lists(st.sampled_from([h for h in Heuristic if h is not Heuristic.OPT_WELFARE]),
+             max_size=4, unique=True).map(tuple),
+    st.booleans(),
+).filter(lambda cells: cells[0] or cells[1])
 EXPERIMENTS = st.builds(
-    ExperimentConfig,
+    lambda cells, **fields: ExperimentConfig(
+        deviant_heuristics=cells[0], include_control=cells[1], **fields),
+    CELLS,
     sampler=SAMPLERS,
     alphas=st.sets(st.floats(0.01, 1.0), min_size=1, max_size=6).map(
         lambda alphas: tuple(sorted(alphas))),
-    deviant_heuristics=st.lists(
-        st.sampled_from([h for h in Heuristic if h is not Heuristic.OPT_WELFARE]),
-        max_size=4, unique=True).map(tuple),
     instances_per_cell=st.integers(1, 100_000),
     seed=st.integers(0, 2**96),
     play_order=st.sampled_from(PLAY_ORDERS),
-    include_control=st.booleans(),
     matched_baseline=st.booleans(),
 )
 
