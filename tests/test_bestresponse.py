@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_view
+from conftest import random_instance, random_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +10,7 @@ from ccfund import (
     Heuristic,
     Instance,
     LinearAdditiveRefund,
+    PlayOrder,
     PprRefund,
     ResidualView,
     SamplerConfig,
@@ -24,8 +25,10 @@ from ccfund import (
     play,
     response_utility,
     sample_instance,
+    solve_pstar_bruteforce,
     thresholds,
 )
+from ccfund.heuristics import PLAY_ORDERS
 from ccfund.bestresponse import TIE_TOL, _concave_maxplus, _row_plan, _value_tables
 
 
@@ -292,6 +295,26 @@ def test_fine_grid_response_earns_its_utility():
     response = best_response_exact(view, 0.001)
     assert view.budget / 0.001 > 5000
     assert response.utility == response_utility(view, response.contributions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), p=st.integers(1, 4),
+       rules=st.lists(st.sampled_from(list(Heuristic)), min_size=6, max_size=6),
+       order=st.sampled_from(PLAY_ORDERS), linear=st.booleans())
+def test_outcome_utility_is_the_views_response_utility(seed, n, p, rules, order, linear):
+    # clamped play-outs stop projects exactly at their targets, where the
+    # outcome engine and a view judge funding by different sums
+    rng = np.random.default_rng(seed)
+    scheme = LinearAdditiveRefund(float(rng.uniform(0.05, 0.5))) if linear else PprRefund()
+    instance = random_instance(rng, n=n, p=p, scheme=scheme)
+    solution = solve_pstar_bruteforce(instance)
+    profile = play(instance, Assignment(tuple(rules[:n])), solution.subset,
+                   thresholds(instance), PlayOrder(order, seed=seed))
+    outcome = evaluate(instance, profile)
+    for agent in range(n):
+        view = make_view(instance, profile, agent)
+        assert outcome.agent_utilities[agent] == pytest.approx(
+            response_utility(view, profile.contributions[agent]), abs=1e-9)
 
 
 class TestViewValidation:
