@@ -230,7 +230,8 @@ def maxplus_inputs(draw):
     Tables are proportional shares over a positive others' total (concave),
     steps (others' total zero: the first unit takes the pool) or linear
     shares; continuations climb in quarter steps with plateaus, so a unit
-    grid with a linear table ties exactly in float.
+    grid with a linear table ties exactly in float, or in those steps scaled
+    by uniform draws.
     """
     width = draw(st.integers(1, 600))
     length = draw(st.one_of(st.integers(1, 2), st.integers(1, width)))

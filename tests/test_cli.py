@@ -543,20 +543,16 @@ ONE_AGENT = {"agents": [{"budget": 3.0, "valuations": [3.0, 1.0]}],
 
 class TestInputFileKeys:
     # each of these used to load, the stray key ignored, and the command exit 0
-    @pytest.mark.parametrize("path, message", [
-        ("comment", "unknown instance key comment"),
-        ("agents[0].name", "unknown instance key agents[0].name"),
-        ("projects[1].budget", "unknown instance key projects[1].budget"),
-        ("linear_slope", "instance key linear_slope applies only to refund linear-additive"),
-    ])
-    def test_instance_key_is_refused(self, path, message, tmp_path, capsys):
+    @pytest.mark.parametrize("where, key, message", [
+        (lambda data: data, "comment", "unknown instance key comment"),
+        (lambda data: data["agents"][0], "name", "unknown instance key agents[0].name"),
+        (lambda data: data["projects"][1], "budget", "unknown instance key projects[1].budget"),
+        (lambda data: data, "linear_slope",
+         "instance key linear_slope applies only to refund linear-additive"),
+    ], ids=["top-level", "agent", "project", "slope-under-ppr"])
+    def test_instance_key_is_refused(self, where, key, message, tmp_path, capsys):
         data = copy.deepcopy(ONE_AGENT)
-        key, _, field = path.partition(".")
-        if field:
-            name, index = key.rstrip("]").split("[")
-            data[name][int(index)][field] = 0.3
-        else:
-            data[key] = 0.3
+        where(data)[key] = 0.3
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(data))
         assert main(["solve-pstar", "--instance", str(inst)]) == 2
