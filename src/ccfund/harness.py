@@ -46,6 +46,8 @@ _DEFAULT_DEVIANTS = (
 )
 #: Entropy salt separating deviator draws from instance draws.
 _DEVIATOR_SALT = 0x5EED
+#: Entropy salt separating random play orders from the other draws.
+_PLAY_ORDER_SALT = 0x0DE5
 #: Instance count under the full-scale flag.
 FULL_SCALE_INSTANCES = 100_000
 
@@ -372,10 +374,9 @@ def _instance_moments(cfg: ExperimentConfig, k: int) -> np.ndarray:
     intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
     deviators = np.concatenate([masks, np.zeros((1, n), dtype=bool)])
 
-    order = PlayOrder(cfg.play_order, seed=cfg.seed + k)
-    permutation = order.permutation(n)
-    if (permutation == np.arange(n)).all():
-        permutation = None
+    permutation = None
+    if cfg.play_order == "random":
+        permutation = PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
     realized = clamp_play(intents, instance.targets, permutation)
     outcome = evaluate(instance, ContributionProfile(realized))
     sw = sw_n(instance, outcome, solution.welfare)

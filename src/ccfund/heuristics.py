@@ -55,10 +55,14 @@ PLAY_ORDERS = ("ascending", "random")
 
 @dataclass(frozen=True)
 class PlayOrder:
-    """Agent processing order for the clamped play-out."""
+    """Agent processing order for the clamped play-out.
+
+    A random order is a permutation drawn by ``numpy.random.default_rng``
+    from ``seed``: an int, or a tuple of ints used as seed-sequence entropy.
+    """
 
     mode: str = "ascending"  # one of PLAY_ORDERS
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if self.mode not in PLAY_ORDERS:

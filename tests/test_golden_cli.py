@@ -1,10 +1,11 @@
 """Byte-level regression pins for CLI output.
 
 Each digest is the SHA-256 of what one command wrote when the digests were
-captured: the stdout of ``solve-pstar``, ``best-response``, ``fixture`` and
-``verify``, and the ``*.solution.json`` files ``gen`` writes. ``verify`` is
-also pinned by its exit code, which is 1 when a certificate check fails. The instances come from
-``gen`` with fixed sampler configs (proportional and linear refunds), and
+captured: the stdout of ``solve-pstar``, ``best-response``, ``play`` (in
+random order), ``fixture`` and ``verify``, and the ``*.solution.json`` files
+``gen`` writes. ``verify`` is also pinned by its exit code, which is 1 when
+a certificate check fails. The instances come from ``gen`` with fixed
+sampler configs (proportional and linear refunds), and
 the other agents' profile is a fixed fraction of their budgets.
 """
 
@@ -56,6 +57,11 @@ def _respond(sampler, method, agent=2, delta="0.5"):
                       "--delta", delta, "--method", method]
 
 
+def _play(sampler, heuristic, seed):
+    return lambda g: ["play", "--instance", str(g[sampler][0] / "instance_00000.json"),
+                      "--heuristic", heuristic, "--order", "random", "--seed", str(seed)]
+
+
 COMMANDS = {
     "solve-dp-ppr": _solve("ppr", "dp"),
     "solve-bruteforce-ppr": _solve("ppr", "bruteforce"),
@@ -65,6 +71,8 @@ COMMANDS = {
     "br-bruteforce-ppr": _respond("ppr", "bruteforce"),
     "br-exact-linear": _respond("linear", "exact"),
     "br-bruteforce-linear": _respond("linear", "bruteforce"),
+    "play-random-ppr": _play("ppr", "weighted", 7),
+    "play-random-linear": _play("linear", "greedy-vartheta", 2**40 + 7),
     "fixture-procedure1": lambda g: ["fixture", "--name", "procedure1"],
     "fixture-procedure1-linear": lambda g: ["fixture", "--name", "procedure1",
                                             "--refund", "linear-additive"],
@@ -84,6 +92,8 @@ GOLDEN_STDOUT = {
     "fixture-example2": "9988700ba6e4167746c33159a6d266750c463b44d1736f7712631de4478be301",
     "fixture-procedure1": "fbadcac40297aec3d6711fe2a44b30560f8a3ea9f9584300cedeb327b4e9227a",
     "fixture-procedure1-linear": "089309c0f3710fafa070be287a84e5d7ef97d3540c2590c788ff5b3707e299a9",
+    "play-random-linear": "645f6d2413718bc1d1ee2de5a813c4ba13444b339ea483a58e511421de809b53",
+    "play-random-ppr": "9b79a85224f61ff4f819b88165d2d7effdbf9b07e22bd4ee0d7fb9549c326a0c",
     "fixture-theorem2": "6a65e5e04f11aad00e48ebf46fd327e1c2e21b13bbb8bf56807c7b2dc12c8235",
     "solve-bruteforce-linear": "eafd4b35aa3ad1893a5af9dad9b311da0f86e4d2e1831650e45f547a0a0a80e1",
     "solve-bruteforce-ppr": "26a2175827a68428a588b35ea8a6b0197c07c9f5e6c0315b1d9cfbcb6c7bc3d9",

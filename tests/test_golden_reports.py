@@ -44,14 +44,14 @@ CONFIGS = {
 GOLDEN = {
     "uniform-ppr": "ee878a17cb4a306b5deb4a5fbfed5689a654fd46ca2b2c83cd40e53190c14629",
     "exponential": "ff729b34a6ecbea2e83d2c36cd1d63f2a64f0d71c0e1fc7b72170f4b5de90b1f",
-    "random-order": "3ac7e343d146fa592aeaf45edd997301970ab233672406e9d797f3e27c26f076",
+    "random-order": "bdd0f1dafafde3f72fe79d55a7e208550c4ceb0768b9c387e44087dec91300fc",
     "linear": "b7a16b29994d537f225d48fb6a96cfcab296ca6f2669ee4c98fb729049f90dfe",
     "linear-matched": "1fd702b5ff07978c5fd02ac36c6e847364cc9ad083605fd618fd69efe2177126",
     "no-control": "ce7e75ed8e1e23170b5944fea6db6fd2f31601c9c079d3ca622989ee5f2633d5",
     "fractional-alpha": "b063d906aa2a82f180f2fb8381e228bf283307fe0dcdd9b4e1f8f845c5547d46",
     "two-projects": "c9a96a42e2eb6e6a5b4c50dfba7046e93dad698191f68d1067b6c503dbfd0bda",
     "tiny-crowd": "10962f4211ba5669a794a42fd6c7fad94bb4fa0e879c323b299341ac727a09e2",
-    "wide-seed": "c5ba75d51530c166610e61766cf0901e3951a4b8de3c00821b98c67259a3d19c",
+    "wide-seed": "1d1e59fde45365d437a4701d816f65df370a1e89e8e5e007d75cd80c29cecba5",
 }
 
 

@@ -214,6 +214,32 @@ class TestRunExperiment:
         assert run_experiment(cfg).to_csv_text() == run_experiment(cfg).to_csv_text()
         assert run_experiment(cfg).to_csv_text() != run_experiment(small_config()).to_csv_text()
 
+    def test_adjacent_seeds_play_in_different_orders(self, monkeypatch):
+        # instance k + 1 of a run at seed s and instance k at seed s + 1 once
+        # shared one permutation
+        orders = []
+        real = harness.clamp_play
+
+        def recording(intents, targets, permutation=None):
+            orders.append(permutation)
+            return real(intents, targets, permutation)
+
+        monkeypatch.setattr(harness, "clamp_play", recording)
+        for seed in (5, 6):
+            run_experiment(small_config(play_order="random", seed=seed, instances_per_cell=2),
+                           workers=1)
+        assert len(orders) == 4
+        assert not np.array_equal(orders[1], orders[2])
+
+    def test_ascending_order_draws_no_permutation(self, monkeypatch):
+        cfg = small_config(instances_per_cell=2)
+
+        def no_order(*args, **kwargs):
+            raise AssertionError("the ascending order needs no generator")
+
+        monkeypatch.setattr(harness, "PlayOrder", no_order)
+        run_experiment(cfg, workers=1)
+
     def test_full_scale_flag_raises_instance_count(self, monkeypatch):
         import ccfund.harness as harness
 
