@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from ccfund import (
 )
 from ccfund.welfare import (
     _DP_CELL_GUARD,
+    _PRUNE_SLACK,
     _TIE_BLOCK,
     TIE_TOL,
     WelfareSolution,
@@ -302,6 +304,100 @@ class TestTableMemo:
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+
+def pruning_margin(values):
+    """The half lists' margin as documented: TIE_TOL + c·p·eps·sum|v|."""
+    magnitude = sum(map(abs, values))
+    return magnitude, TIE_TOL + _PRUNE_SLACK * len(values) * math.ulp(1.0) * magnitude
+
+
+def near_pareto_reference(values, costs):
+    """Per half, each subset mask the lists keep with its value, cost and rank.
+
+    Sums fold each subset's items in index order. A subset is kept unless a
+    no-costlier subset of its half beats it by more than the margin; with
+    an infinite sum|v| every subset is kept.
+    """
+    p = len(values)
+    half = p // 2
+    magnitude, margin = pruning_margin(values)
+    lists = []
+    for items in (range(half), range(half, p)):
+        sums = {}
+        for mask in range(1 << len(items)):
+            value = cost = rank = 0.0
+            for k, j in enumerate(items):
+                if mask >> k & 1:
+                    value += values[j]
+                    cost += costs[j]
+                    rank += 2.0**p - 2.0 ** (p - 1 - j)
+            sums[mask] = (value, cost, rank)
+        lists.append({
+            mask: entry for mask, entry in sums.items()
+            if magnitude == math.inf
+            or entry[0] >= max(v for v, c, _ in sums.values() if c <= entry[1]) - margin
+        })
+    return lists
+
+
+@st.composite
+def margin_edges(draw):
+    """Item sets one of whose halves holds subsets just inside and just
+    outside the pruning margin.
+
+    In that half every item is worth nothing except one free item x, worth
+    the margin give or take a few ulps; each subset without x then trails
+    the same subset with x by exactly that worth. The other half is random.
+    """
+    p = draw(st.integers(2, 10))
+    half = p // 2
+    crafted = range(half) if draw(st.booleans()) else range(half, p)
+    values, costs = [0.0] * p, [0.0] * p
+    for j in range(p):
+        if j in crafted:
+            costs[j] = float(draw(st.integers(0, 2)))
+        else:
+            values[j] = draw(st.floats(-5.0, 10.0))
+            costs[j] = draw(st.floats(0.0, 10.0))
+    x = draw(st.sampled_from(crafted))
+    costs[x] = 0.0
+    # the worth that equals the margin it enters, then a few ulps either way
+    for _ in range(4):
+        values[x] = pruning_margin(values)[1]
+    for _ in range(abs(step := draw(st.integers(-3, 3)))):
+        values[x] = math.nextafter(values[x], math.copysign(math.inf, step))
+    return values, costs
+
+
+class TestHalfLists:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        item_sets(10),
+        st.integers(0, 10).flatmap(lambda p: st.tuples(
+            st.lists(st.integers(-2, 3).map(float), min_size=p, max_size=p),
+            st.lists(st.integers(0, 3).map(float), min_size=p, max_size=p),
+        )),
+        margin_edges(),
+    ))
+    def test_lists_hold_exactly_the_near_pareto_subsets(self, items):
+        values, costs = items
+        tables = _half_tables(np.array(values).tobytes(), np.array(costs).tobytes())
+        for (v, c, r, masks), expected in zip((tables[:4], tables[4:]),
+                                              near_pareto_reference(values, costs)):
+            kept = dict(zip(masks.tolist(), zip(v.tolist(), c.tolist(), r.tolist())))
+            assert kept == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(margin_edges(), st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
+    # {0, 1} beats {0} by 6e-16 more than TIE_TOL, yet (0, 3, 4) and
+    # (0, 1, 3, 4) tie by index-order sums: a margin of TIE_TOL alone drops
+    # {0} and with it the answer
+    @example(items=([6.38863107796819, 1.0000006258966746e-09, -0.493587815133806,
+                     9.606327068937661, 4.749445893487075], [0.0] * 5), capacity=2.0)
+    def test_margin_edges_match_reference(self, items, capacity):
+        values, costs = items
+        assert_matches_reference(np.array(values), np.array(costs), capacity)
 
 
 class TestTieWindow:
