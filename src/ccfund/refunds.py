@@ -208,7 +208,9 @@ def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.n
     """Per-(agent, project) indifference thresholds for one scheme.
 
     Uses the scheme's closed form column-wise where available, bisection
-    elsewhere; both follow the provision-point convention.
+    elsewhere; both follow the provision-point convention. No threshold
+    exceeds its valuation: with a bonus too small to move ``bonus + target``,
+    the proportional closed form can round one ulp above it.
     """
     valuations = np.asarray(valuations, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -224,7 +226,7 @@ def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.n
                 threshold_general(scheme, float(t), float(targets[j]), float(bonuses[j]))
                 for t in valuations[:, j]
             ]
-    return out
+    return np.minimum(out, valuations, out=out)
 
 
 def thresholds(instance: "Instance", scheme: RefundScheme | None = None) -> np.ndarray:

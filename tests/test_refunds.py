@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
@@ -12,8 +12,10 @@ from ccfund import (
     certify_cm,
     scheme_from_tag,
     threshold_general,
+    threshold_matrix,
     thresholds,
 )
+from ccfund.refunds import BISECTION_TOL
 from conftest import random_instance
 
 
@@ -194,6 +196,34 @@ class TestThresholdProperties:
         low = threshold_general(PprRefund(), theta, target, bonus)
         high = threshold_general(PprRefund(), theta + bump, target, bonus)
         assert high >= low - 1e-9
+
+    @pytest.mark.parametrize("scheme", [PprRefund(), LinearAdditiveRefund(0.05),
+                                        LinearAdditiveRefund(0.4), LinearAdditiveRefund(3.0)],
+                             ids=["ppr", "linear-0.05", "linear-0.4", "linear-3"])
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    @given(
+        theta=st.floats(0.0, 50.0),
+        bump=st.floats(0.0, 10.0),
+        target=st.floats(0.1, 50.0),
+        bonus=st.floats(0.0, 25.0),
+    )
+    @settings(max_examples=100)
+    # bonus + target == target: target·θ / target rounds one ulp above θ
+    @example(theta=14.0, bump=9.483341552665394, target=11.0, bonus=0.0)
+    def test_every_scheme_stays_in_range_and_grows_with_valuation(
+        self, scheme, method, theta, bump, target, bonus
+    ):
+        thetas = (theta, theta + bump)
+        if method == "closed-form":
+            # the matrix route, column-wise as the sampler and harness call it
+            low, high = threshold_matrix([[t] for t in thetas], [target], [bonus], scheme)[:, 0]
+            assert high >= low
+        else:
+            low, high = (threshold_general(scheme, t, target, bonus) for t in thetas)
+            # bisection stops within its bracket tolerance of the root
+            assert high >= low - BISECTION_TOL
+        for bar, t in zip((low, high), thetas):
+            assert 0.0 <= bar <= t
 
     def test_indifference_consistency(self):
         rng = np.random.default_rng(23)
