@@ -318,6 +318,26 @@ def test_outcome_utility_is_the_views_response_utility(seed, n, p, rules, order,
             response_utility(view, profile.contributions[agent]), abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), p=st.integers(1, 4),
+       rules=st.lists(st.sampled_from(list(Heuristic)), min_size=6, max_size=6),
+       order=st.sampled_from(PLAY_ORDERS), linear=st.booleans(),
+       delta=st.sampled_from([1.0, 0.5, 0.1]))
+def test_best_response_beats_own_play(seed, n, p, rules, order, linear, delta):
+    # rounding each contribution down to the grid keeps it within the budget,
+    # so the grid optimum is at least as good as the agent's own play
+    rng = np.random.default_rng(seed)
+    scheme = LinearAdditiveRefund(float(rng.uniform(0.05, 0.5))) if linear else PprRefund()
+    instance = random_instance(rng, n=n, p=p, scheme=scheme)
+    solution = solve_pstar_bruteforce(instance)
+    profile = play(instance, Assignment(tuple(rules[:n])), solution.subset,
+                   thresholds(instance), PlayOrder(order, seed=seed))
+    for agent in range(n):
+        view = make_view(instance, profile, agent)
+        own = np.floor(profile.contributions[agent] / delta) * delta
+        assert best_response_exact(view, delta).utility >= response_utility(view, own) - TIE_TOL
+
+
 class TestViewValidation:
     def _view(self, **changes):
         fields = dict(agent=0, others_totals=[1.0, 2.0], remaining=[3.0, 1.0], budget=2.0,
