@@ -2,9 +2,9 @@
 
 Two exact solvers over the same objective: subset enumeration (meet in the
 middle over the near-Pareto subsets of each half of the items) and a
-0/1-knapsack dynamic program over quantized costs. They share one deterministic tie-break so answers can
-be compared verbatim: highest value, then fewest projects, then
-lexicographically smallest index list.
+0/1-knapsack dynamic program over quantized costs. They share one
+deterministic tie-break so answers can be compared verbatim: highest value,
+then fewest projects, then lexicographically smallest index list.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def _half_tables(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...
         if magnitude < math.inf:
             # complex keys sort by cost, then by minus value
             order = np.argsort(table[:, 1] - 1j * table[:, 0], kind="stable")
-            best = table[order, 0]
-            kept = order[best >= np.maximum.accumulate(best) - margin]
+            value = table[order, 0]
+            kept = order[value >= np.maximum.accumulate(value) - margin]
         tables += [*table[kept].T, kept]
     for table in tables:
         table.setflags(write=False)

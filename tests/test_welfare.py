@@ -365,7 +365,8 @@ def margin_edges(draw):
     # the worth that equals the margin it enters, then a few ulps either way
     for _ in range(4):
         values[x] = pruning_margin(values)[1]
-    for _ in range(abs(step := draw(st.integers(-3, 3)))):
+    step = draw(st.integers(-3, 3))
+    for _ in range(abs(step)):
         values[x] = math.nextafter(values[x], math.copysign(math.inf, step))
     return values, costs
 
