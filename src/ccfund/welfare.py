@@ -1,10 +1,10 @@
 """Welfare-optimal project subsets under the pooled budget.
 
-Two exact solvers over the same objective: subset enumeration (meet in the
-middle over the near-Pareto subsets of each half of the items) and a
-0/1-knapsack dynamic program over quantized costs. They share one
-deterministic tie-break so answers can be compared verbatim: highest value,
-then fewest projects, then lexicographically smallest index list.
+Two exact solvers over the same objective: a Pareto list of subsets built in
+index order (``solve_subset_bruteforce``) and a 0/1-knapsack dynamic program
+over quantized costs. They share one deterministic tie-break so answers can
+be compared verbatim: highest value, then fewest projects, then
+lexicographically smallest index list.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import numpy as np
 from .errors import SolverError
 from .model import TOL, Instance
 
-#: Exhaustive enumeration refuses more projects than this.
-ENUM_GUARD_P = 25
-#: Pairs of half subsets the enumeration holds at once.
-_TIE_BLOCK = 1 << 18
-#: The half lists' pruning margin allows this many p·eps·sum|v| of rounding.
+#: The subset list is pruned whenever it reaches this many rows.
+_ROW_CAP = 1 << 7
+#: The subset list refuses to hold more rows than this.
+_ROW_GUARD = 1 << 16
+#: Items per tie-break key column; sums of distinct powers of two below 2^48 are exact.
+_MASK_BITS = 48
+#: The list's pruning margin allows this many p·eps·sum|v| of rounding.
 _PRUNE_SLACK = 8
 #: Two subsets whose values differ by at most this are tied (both solvers).
 TIE_TOL = 1e-9
@@ -46,163 +48,109 @@ def _subset_stats(values: np.ndarray, costs: np.ndarray, subset: tuple[int, ...]
     return float(values[idx].sum()), float(costs[idx].sum())
 
 
-def _subset_tables(items: np.ndarray) -> np.ndarray:
-    """Sums of every subset of ``items``, one item per leading index.
-
-    Built by doubling, so entry m of the result sums the items picked by the
-    bits of m (bit j is item j), each sum added in index order.
-    """
-    sums = np.zeros((1 << len(items), *items.shape[1:]))
-    for j, item in enumerate(items):
-        np.add(sums[: 1 << j], item, out=sums[1 << j : 2 << j])
-    return sums
+def _prune(rows: np.ndarray, margin: float) -> np.ndarray:
+    """Sort, merge and prune the subset list's rows (see ``_pareto_list``)."""
+    value = rows[:, 0]
+    # complex keys sort by cost, then by minus value
+    keys = rows[:, 1] - 1j * value
+    order = np.argsort(keys)
+    value = value.take(order)
+    order = order[value >= np.maximum.accumulate(value) - margin]
+    rows, keys = rows.take(order, axis=0), keys.take(order)
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        # each run of equal rows puts its lowest key first, which takes the run's count
+        first = np.append(True, ~same)
+        rows = rows.take(np.lexsort((*rows[:, :2:-1].T, np.cumsum(first))), axis=0)
+        starts = np.flatnonzero(first)
+        counts = np.minimum(np.add.reduceat(rows[:, 2], starts), 2)
+        rows = rows.take(starts, axis=0)
+        rows[:, 2] = counts
+    return rows
 
 
 @functools.lru_cache(maxsize=1)
-def _half_tables(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...]:
-    """The enumeration's pruned half lists for one item set, which no capacity changes.
+def _pareto_list(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """The columns of the near-Pareto subsets of one item set.
 
-    For the low and then the high half: the value, cost, rank and mask of
-    each subset that no no-costlier subset of the same half beats by more
-    than ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK`` (nothing is
-    pruned when sum|v| is infinite). The best no-costlier subset is the
-    running value maximum by cost, and by value, highest first, among equal
-    costs. Kept for the most recent item set only, because the sampler's
-    lift loop re-solves the same items at a new capacity; the arrays are
-    read-only, since every caller shares them.
+    Columns: value, cost, tie count (capped at 2), size, then ceil(p/48)
+    mask columns; item 48k + i adds -2^(47 - i) to column k, so the least
+    (size, masks) key has the fewest projects, then the lexicographically
+    smallest index tuple. Each item in index order doubles the rows. At
+    ``_ROW_CAP`` rows and after the last item, ``_prune`` sorts them by cost
+    and then by value, highest first, merges equal rows (summed count,
+    lowest key) and drops each row that a no-costlier row beats by more than
+    ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK`` (no pruning when
+    sum|v| is infinite). Cached for the last item set, which the sampler's
+    lift loop re-solves at new capacities; the arrays are read-only, since
+    every caller shares them.
 
-    No answer changes. Let t be the best subset no costlier than a pruned s;
-    t is kept. For any partner h, the pair (t, h) fits when (s, h) does,
-    since float addition is monotone, and its pair sum is at least as large.
-    So the best fitting pair is a pair of kept subsets. And (s, h) sums to
-    more than ``TIE_TOL + 2·slack`` below (t, h): the margin's spare
-    ``(c - 2)·p·eps·sum|v|`` covers the rounding of both pair sums, of the
-    floor and of M itself. So (s, h) never reaches the solver's floor, and
-    the pairs that do, its candidates, are the same with or without pruning.
+    Each row's value and cost are the index-order left folds of its subset,
+    as the itertools oracle sums them, and pruning changes no answer:
+
+    - each fold rounds by at most B = p·eps·sum|v| (Higham 2002, §4.2);
+    - a shared extension keeps the cost order, because float addition is
+      monotone. So if t, no costlier than s, beats s by more than M, t plus
+      any extension fits where s plus it does and beats it by more than
+      M - 4B = TIE_TOL + 4B, which also covers the rounding of M and of the
+      tie window: s plus it is neither optimal nor tied at any capacity;
+    - rows of equal value and cost stay equal under every extension, and
+      a shared extension keeps the key order.
     """
     values = np.frombuffer(value_bytes)
     p = len(values)
-    half = p // 2
-    # Item j adds 2^p - 2^(p-1-j) to a subset's rank: its size times 2^p
-    # minus its bit-reversed mask. The smallest rank among tied subsets has
-    # the fewest projects, then the lexicographically smallest index tuple.
-    # Ranks stay below 2^31, so float sums of them are exact.
-    rank = float(1 << p) - np.exp2(p - 1 - np.arange(p))
-    items = np.stack((values, np.frombuffer(cost_bytes), rank), axis=-1)
-    # both halves double in one pass; for odd p the low half gets a zero
-    # item, which leaves its first 2^half sums as they are
-    pairs = np.zeros((p - half, 2, 3))
-    pairs[:half, 0] = items[:half]
-    pairs[:, 1] = items[half:]
-    sums = _subset_tables(pairs)
+    items = np.zeros((p, 4 + -(-p // _MASK_BITS)))
+    items[:, 0], items[:, 1], items[:, 3] = values, np.frombuffer(cost_bytes), 1.0
+    bit = np.arange(p)
+    items[bit, 4 + bit // _MASK_BITS] = -np.exp2(_MASK_BITS - 1 - bit % _MASK_BITS)
     magnitude = sum(map(abs, values.tolist()))
     margin = TIE_TOL + _PRUNE_SLACK * p * math.ulp(1.0) * magnitude
-    tables = []
-    for table in (sums[: 1 << half, 0], sums[:, 1]):
-        kept = np.arange(len(table))
-        if magnitude < math.inf:
-            # complex keys sort by cost, then by minus value
-            order = np.argsort(table[:, 1] - 1j * table[:, 0], kind="stable")
-            value = table[order, 0]
-            kept = order[value >= np.maximum.accumulate(value) - margin]
-        tables += [*table[kept].T, kept]
-    for table in tables:
-        table.setflags(write=False)
-    return tuple(tables)
+    # rows [0, n) of the table hold the list; item j doubles them in place
+    table = np.zeros((2 * _ROW_CAP, items.shape[1]))
+    table[0, 2] = 1.0
+    n = 1
+    for j, item in enumerate(items):
+        if 2 * n > len(table):
+            table = np.concatenate((table[:n], table[:n]))
+        np.add(table[:n], item, out=table[n : 2 * n])
+        n *= 2
+        if magnitude < math.inf and (n >= _ROW_CAP or j == p - 1):
+            rows = _prune(table[:n], margin)
+            n = len(rows)
+            table[:n] = rows
+        if n > _ROW_GUARD:
+            raise SolverError(f"{n} subsets after {j + 1} of {p} projects "
+                              f"exceed the list guard of {_ROW_GUARD} rows")
+    columns = table[:n].T.copy()
+    columns.setflags(write=False)
+    return tuple(columns)
 
 
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     """Exact argmax of subset value subject to subset cost <= capacity.
 
-    Meet in the middle (Horowitz & Sahni 1974): every subset is a pair of a
-    subset of the first half of the items and one of the second half. Each
-    half keeps only its near-Pareto subsets (Nemhauser & Ullmann 1969; see
-    ``_half_tables``), built once per item set. A solve forms the pair sums
-    of the two lists in blocks of at most ``_TIE_BLOCK`` pairs; a pair fits
-    when ``c_lo + c_hi <= capacity + TOL``. The candidates are the fitting
-    pairs near the best pair sum. When more than one pair comes near, their
-    values are re-summed in index order and the tie window applies to those
-    sums, so the tie-break and the uniqueness flag do not depend on how a
-    subset was split.
+    Reads the item set's Pareto list (Nemhauser & Ullmann 1969; see
+    ``_pareto_list``): a row fits when its cost is at most ``capacity + TOL``,
+    the fitting rows within ``TIE_TOL`` of the best tie, and the least key
+    among them is the answer. The list is short for perturbed inputs such as
+    the sampler's (Beier & Vöcking 2003); one longer than ``_ROW_GUARD`` rows,
+    as superincreasing inputs give, raises ``SolverError``.
     """
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
-    p = len(values)
-    if p > ENUM_GUARD_P:
-        raise SolverError(f"{p} projects exceed the enumeration guard of {ENUM_GUARD_P}")
     if math.isnan(capacity):
         raise ValueError("capacity must be a number, got nan")
-    half = p // 2
-    v_lo, c_lo, r_lo, m_lo, v_hi, c_hi, r_hi, m_hi = _half_tables(
-        values.tobytes(), costs.tobytes()
-    )
-    rows = max(_TIE_BLOCK // len(v_hi), 1)
-    starts = range(0, len(v_lo), rows)
-
-    def block(start):
-        """From low row ``start`` on, at most ``_TIE_BLOCK`` pair sums and which pairs fit."""
-        lo = slice(start, start + rows)
-        return start, v_lo[lo, None] + v_hi, c_lo[lo, None] + c_hi <= capacity + TOL
-
-    # a lone block is formed once; more are formed anew on every pass, so a
-    # solve holds one block at a time
-    formed = [block(0)] if len(starts) == 1 else None
-
-    def blocks():
-        return formed or map(block, starts)
-
-    top = max(sums.max(where=fits, initial=-np.inf) for _, sums, fits in blocks())
-    if top == -np.inf and not any(fits.any() for _, _, fits in blocks()):
+    value, cost, count, *key = _pareto_list(values.tobytes(), costs.tobytes())
+    fits = cost <= capacity + TOL
+    if not fits.any():
         raise SolverError(f"no subset fits within capacity {capacity!r}")
-    # A pair sum and the index-order sum of the same subset differ by at most
-    # p·eps·sum|v| (Higham 2002, §4.2), so every subset the index-order window
-    # keeps is a candidate here. Infinite values give no such bound; they
-    # keep the plain window.
-    magnitude = sum(map(abs, values.tolist()))
-    slack = p * math.ulp(1.0) * magnitude if magnitude < math.inf else 0.0
-    floor = top - TIE_TOL - 2 * slack
-
-    def candidates():
-        """Per block, the fitting pairs whose pair sums reach ``floor``."""
-        for start, sums, fits in blocks():
-            lo, hi = np.nonzero(fits & (sums >= floor))
-            yield start + lo, hi
-
-    def index_sums(lo, hi):
-        """Each pair's low sum, then its picked high items in index order."""
-        sums, picks = v_lo[lo], m_hi[hi]
-        for j in range(half, p):
-            sums[(picks >> (j - half) & 1).astype(bool)] += values[j]
-        return sums
-
-    def tie_pass(window=None):
-        """How many candidates tie (capped at 2) and the best-ranked one's
-        mask: all of them, or those whose index-order sums reach ``window``."""
-        ties, best_rank = 0, np.inf
-        for lo, hi in candidates():
-            if window is not None:
-                tied = index_sums(lo, hi) >= window
-                lo, hi = lo[tied], hi[tied]
-            ties = min(ties + len(lo), 2)
-            if not len(lo):
-                continue
-            ranks = r_lo[lo] + r_hi[hi]
-            k = int(np.argmin(ranks))
-            if ranks[k] < best_rank:
-                best_rank = ranks[k]
-                mask = int(m_lo[lo[k]]) | int(m_hi[hi[k]]) << half
-        return ties, mask
-
-    # a lone candidate is the optimum; between several, the window applies to
-    # their index-order sums, so the largest of those comes first
-    ties, mask = tie_pass()
-    if ties > 1:
-        best = max(index_sums(lo, hi).max() for lo, hi in candidates() if len(lo))
-        ties, mask = tie_pass(best - TIE_TOL)
-
-    subset = tuple(j for j in range(p) if mask >> j & 1)
-    welfare, cost = _subset_stats(values, costs, subset)
-    return WelfareSolution(subset, welfare, cost, ties == 1)
+    tied = np.flatnonzero(fits & (value >= value.max(where=fits, initial=-np.inf) - TIE_TOL))
+    row = tied[np.lexsort([k[tied] for k in key[::-1]])[0]] if len(tied) > 1 else tied[0]
+    # mask bits read left to right are the items in index order
+    bits = "".join(format(int(-mask[row]), f"0{_MASK_BITS}b") for mask in key[1:])
+    subset = tuple(j for j, bit in enumerate(bits) if bit == "1")
+    unique = bool(len(tied) == 1 and count[row] == 1)
+    return WelfareSolution(subset, *_subset_stats(values, costs, subset), unique)
 
 
 def solve_subset_dp(values, costs, capacity: float, resolution: float) -> WelfareSolution:
@@ -318,7 +266,7 @@ def _objective_values(instance: Instance, objective: str) -> np.ndarray:
 
 
 def solve_pstar_bruteforce(instance: Instance, objective: str = "welfare") -> WelfareSolution:
-    """Optimal subset by exhaustive enumeration (up to 25 projects)."""
+    """Optimal subset from the exact Pareto list of subsets (see ``solve_subset_bruteforce``)."""
     values = _objective_values(instance, objective)
     return solve_subset_bruteforce(values, instance.targets, float(instance.budgets.sum()))
 

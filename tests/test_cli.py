@@ -276,14 +276,17 @@ class TestExitCodes:
         assert main(["play", "--instance", str(inst), "--assignment", str(bad)]) == 2
         assert "symetric" in capsys.readouterr().err
 
-    def test_solver_guard_keeps_solver_exit_code(self, tmp_path):
-        # a valid instance past the enumeration guard is a solver error, not usage
+    def test_solver_guard_keeps_solver_exit_code(self, tmp_path, capsys):
+        # a valid instance past the enumeration's row guard is a solver error,
+        # not usage: superincreasing values and targets put every subset on
+        # the Pareto front
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps({
-            "agents": [{"budget": 1.0, "valuations": [3.0] * 26}],
-            "projects": [{"target": 2.0, "bonus": 0.5}] * 26, "refund": "ppr",
+            "agents": [{"budget": 1.0, "valuations": [2.0 ** (j + 1) for j in range(24)]}],
+            "projects": [{"target": 2.0**j, "bonus": 0.5} for j in range(24)], "refund": "ppr",
         }))
         assert main(["solve-pstar", "--instance", str(wide), "--method", "bruteforce"]) == 3
+        assert "list guard" in capsys.readouterr().err
 
     def test_bad_worker_count_is_reported_once(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CCFUND_THREADS", "abc")

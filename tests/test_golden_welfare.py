@@ -1,4 +1,4 @@
-"""Byte-level regression pins for the subset enumeration.
+"""Byte-level regression pins for the exact subset solver.
 
 Each digest is the SHA-256 of ``(subset, unique, welfare.hex(), cost.hex())``
 of every ``solve_subset_bruteforce`` answer for one seeded family of item
@@ -6,7 +6,7 @@ sets, at a few capacities each, captured when the digests were committed.
 The families reach what the sampler and report goldens do not:
 
 - ``ties-p<k>``: small-integer values and costs, so many subsets tie, for
-  every p the enumeration guard admits;
+  p = 0 to 25, the most projects the meet-in-the-middle enumeration took;
 - ``sampler-p18`` and ``sampler-p24``: the deficit sampler's items (value
   ϑ − target, cost target) at pools across its budget range;
 - ``zero-cost``: every cost zero and one item worth exactly ``TIE_TOL``,
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ccfund import solve_subset_bruteforce
-from ccfund.welfare import ENUM_GUARD_P, TIE_TOL
+from ccfund.welfare import TIE_TOL
 
 
 def _ties(p: int):
@@ -49,7 +49,7 @@ def _zero_cost():
 
 
 CASES = {
-    **{f"ties-p{p}": (lambda p=p: _ties(p)) for p in range(ENUM_GUARD_P + 1)},
+    **{f"ties-p{p}": (lambda p=p: _ties(p)) for p in range(26)},
     "sampler-p18": lambda: _sampler(18),
     "sampler-p24": lambda: _sampler(24),
     "zero-cost": _zero_cost,

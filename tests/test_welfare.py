@@ -1,7 +1,10 @@
+import bisect
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
+import mitm_reference
 import numpy as np
 import pytest
 from conftest import random_instance
@@ -18,13 +21,14 @@ from ccfund import (
     solve_subset_dp,
     welfare_of,
 )
+from ccfund import welfare
 from ccfund.welfare import (
     _DP_CELL_GUARD,
+    _MASK_BITS,
     _PRUNE_SLACK,
-    _TIE_BLOCK,
     TIE_TOL,
     WelfareSolution,
-    _half_tables,
+    _pareto_list,
     _subset_stats,
 )
 
@@ -162,8 +166,29 @@ class TestBruteforce:
         assert sol.welfare == pytest.approx(1.989)
 
     def test_enumeration_guard(self):
-        with pytest.raises(SolverError, match="enumeration guard"):
-            solve_subset_bruteforce(np.ones(26), np.ones(26), 30.0)
+        # superincreasing items: every subset is on the Pareto front, so the
+        # list doubles with each item until the row guard refuses it
+        items = np.exp2(np.arange(24))
+        with pytest.raises(SolverError, match=r"^131072 subsets .* list guard of 65536 rows"):
+            solve_subset_bruteforce(items, items, 1e6)
+
+    def test_identical_projects_past_25_solve(self):
+        # equal rows merge, so the list holds one row per size
+        sol = solve_subset_bruteforce(np.ones(60), np.ones(60), 30.0)
+        assert sol.subset == tuple(range(30))
+        assert not sol.unique
+        assert sol.unique is False
+
+    @pytest.mark.parametrize("capacity, subset", [(1.0, (0, 53)), (2.0, (0, 53, 54))])
+    def test_tie_decided_on_items_past_52(self, capacity, subset):
+        # the free item 0 and four tied items from 53 on: one float rank over
+        # 60 items cannot tell 2^59 + 2^6 from 2^59 + 2^5, two mask columns can
+        values, costs = np.zeros(60), np.ones(60)
+        values[[0, 53, 54, 55, 56]] = 1.0
+        costs[0] = 0.0
+        sol = solve_subset_bruteforce(values, costs, capacity)
+        assert sol.subset == subset
+        assert not sol.unique
 
     def test_matches_reference_enumeration(self):
         rng = np.random.default_rng(5)
@@ -176,7 +201,7 @@ class TestBruteforce:
 
     def test_pair_sum_on_the_capacity_boundary_fits(self):
         # 1e-9 + 1.55e-209 rounds to 1e-9 = capacity + TOL, so {1, 6} fits,
-        # though the high cost exceeds the rounded room (0 + TOL) - 1e-9 = 0
+        # though its last cost exceeds the rounded room (0 + TOL) - 1e-9 = 0
         costs = [0.0, 1e-9, 0.0, 0.0, 0.0, 0.0, 1.551300264280939e-209]
         values = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
         assert_matches_reference(np.array(values), np.array(costs), 0.0)
@@ -192,7 +217,7 @@ class TestBruteforce:
         ),
         st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
     )
-    # the last item's value is the tie window itself: pair sums and index-order
+    # the last item's value is the tie window itself: differently ordered
     # sums disagree on whether it improves on (0, 1, 2, 3, 4) or ties it
     @example(
         items=([1.089, 2.972723409677476, 2.032680191796007, 10.0, 0.16892877393481334, 1e-09],
@@ -232,8 +257,8 @@ class TestBruteforce:
         st.floats(0.0, 1.0),
     )
     def test_property_matches_exact_dp_on_integer_costs(self, items, fraction):
-        # at resolution 1 integer costs never round, so the DP is exact; odd
-        # and even p give equal and unequal halves. Values sit on a 0.01 grid:
+        # at resolution 1 integer costs never round, so the DP is exact.
+        # Values sit on a 0.01 grid:
         # the DP compares ties one step at a time, not against one global
         # window, so near-ties on a finer scale can chain apart.
         values = np.array(items[0]) * 0.01
@@ -246,18 +271,20 @@ class TestBruteforce:
         assert bf.welfare == pytest.approx(dp.welfare, abs=1e-9)
         assert bf.cost == dp.cost
 
-    def test_all_tied_worst_case_memory_is_bounded_by_the_block(self):
-        # every 11-project subset ties; the pairs stream through blocks, so
-        # the peak stays far below one array over all 2^22 subsets (32 MB)
-        tracemalloc.start()
-        try:
-            sol = solve_subset_bruteforce(np.ones(22), np.ones(22), 11.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sol.subset == tuple(range(11))
-        assert not sol.unique
-        assert peak < 64 * _TIE_BLOCK
+    def test_all_tied_worst_case_memory_is_bounded(self):
+        # every subset of the capacity's size ties; equal rows merge, so the
+        # peak stays far below one array over all 2^p subsets (32 MB at p=22)
+        for p, capacity in ((22, 11), (25, 12)):
+            _pareto_list.cache_clear()
+            tracemalloc.start()
+            try:
+                sol = solve_subset_bruteforce(np.ones(p), np.ones(p), float(capacity))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sol.subset == tuple(range(capacity))
+            assert not sol.unique
+            assert peak < 16 << 20
 
     def test_nothing_fits_a_negative_capacity(self):
         with pytest.raises(SolverError, match="no subset fits"):
@@ -287,7 +314,7 @@ class TestTableMemo:
         fresh = []
         for capacity in capacities:
             for values, costs in sets:
-                _half_tables.cache_clear()
+                _pareto_list.cache_clear()
                 fresh.append(solve_subset_bruteforce(values, costs, capacity))
         interleaved = [
             solve_subset_bruteforce(values, costs, capacity)
@@ -299,56 +326,56 @@ class TestTableMemo:
     def test_memoised_tables_are_read_only(self):
         values, costs = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 4.0])
         solve_subset_bruteforce(values, costs, 5.0)
-        tables = _half_tables(values.tobytes(), costs.tobytes())
-        assert _half_tables.cache_info().hits >= 1
+        tables = _pareto_list(values.tobytes(), costs.tobytes())
+        assert _pareto_list.cache_info().hits >= 1
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
 
 def pruning_margin(values):
-    """The half lists' margin as documented: TIE_TOL + c·p·eps·sum|v|."""
+    """The list's margin as documented: TIE_TOL + c·p·eps·sum|v|."""
     magnitude = sum(map(abs, values))
     return magnitude, TIE_TOL + _PRUNE_SLACK * len(values) * math.ulp(1.0) * magnitude
 
 
 def near_pareto_reference(values, costs):
-    """Per half, each subset mask the lists keep with its value, cost and rank.
+    """Every subset's index-order folds, and the rows a Pareto list must hold.
 
-    Sums fold each subset's items in index order. A subset is kept unless a
-    no-costlier subset of its half beats it by more than the margin; with
-    an infinite sum|v| every subset is kept.
+    Returns the (value, cost) folds of each subset and, per (value, cost)
+    of a subset that the tie window holds at a capacity equal to its cost,
+    how many subsets share it (capped at 2) and the least (size, indices)
+    among them.
     """
     p = len(values)
-    half = p // 2
-    magnitude, margin = pruning_margin(values)
-    lists = []
-    for items in (range(half), range(half, p)):
-        sums = {}
-        for mask in range(1 << len(items)):
-            value = cost = rank = 0.0
-            for k, j in enumerate(items):
-                if mask >> k & 1:
-                    value += values[j]
-                    cost += costs[j]
-                    rank += 2.0**p - 2.0 ** (p - 1 - j)
-            sums[mask] = (value, cost, rank)
-        lists.append({
-            mask: entry for mask, entry in sums.items()
-            if magnitude == math.inf
-            or entry[0] >= max(v for v, c, _ in sums.values() if c <= entry[1]) - margin
-        })
-    return lists
+    sums = {}
+    for r in range(p + 1):
+        for combo in itertools.combinations(range(p), r):
+            value = cost = 0.0
+            for j in combo:
+                value += values[j]
+                cost += costs[j]
+            sums[combo] = (value, cost)
+    # the best value among the subsets that cost no more than each cost
+    by_cost = sorted(cost for _, cost in sums.values())
+    best = list(itertools.accumulate(
+        (value for value, _ in sorted(sums.values(), key=lambda vc: vc[1])), max))
+    classes = {}
+    for combo, (value, cost) in sums.items():
+        if value >= best[bisect.bisect_right(by_cost, cost) - 1] - TIE_TOL:
+            count, key = classes.get((value, cost), (0, (len(combo), combo)))
+            classes[value, cost] = min(count + 1, 2), min(key, (len(combo), combo))
+    return sums, best, by_cost, classes
 
 
 @st.composite
 def margin_edges(draw):
-    """Item sets one of whose halves holds subsets just inside and just
-    outside the pruning margin.
+    """Item sets holding subsets just inside and just outside the pruning margin.
 
-    In that half every item is worth nothing except one free item x, worth
-    the margin give or take a few ulps; each subset without x then trails
-    the same subset with x by exactly that worth. The other half is random.
+    Each item of one block of the items is worth nothing except one free
+    item x, worth the margin give or take a few ulps; each subset without x
+    then trails the same subset with x by exactly that worth. The other
+    items are random.
     """
     p = draw(st.integers(2, 10))
     half = p // 2
@@ -371,7 +398,19 @@ def margin_edges(draw):
     return values, costs
 
 
-class TestHalfLists:
+def sampler_items(p, seed):
+    """The deficit sampler's items: value ϑ − target, cost target."""
+    rng = np.random.default_rng(seed)
+    vartheta = rng.uniform(0.0, 10.0, size=(100, p)).sum(axis=0)
+    targets = rng.uniform(0.3, 0.7, size=p) * vartheta
+    return vartheta - targets, targets
+
+
+#: Row caps under test: a prune after every item, and the solver's own.
+CAPS = (2, welfare._ROW_CAP)
+
+
+class TestParetoList:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
         item_sets(10),
@@ -381,24 +420,61 @@ class TestHalfLists:
         )),
         margin_edges(),
     ))
-    def test_lists_hold_exactly_the_near_pareto_subsets(self, items):
+    def test_rows_are_folds_and_hold_every_tie_window(self, items):
         values, costs = items
-        tables = _half_tables(np.array(values).tobytes(), np.array(costs).tobytes())
-        for (v, c, r, masks), expected in zip((tables[:4], tables[4:]),
-                                              near_pareto_reference(values, costs)):
-            kept = dict(zip(masks.tolist(), zip(v.tolist(), c.tolist(), r.tolist())))
-            assert kept == expected
+        sums, best, by_cost, classes = near_pareto_reference(values, costs)
+        margin = pruning_margin(values)[1]
+        for cap in CAPS:
+            _pareto_list.cache_clear()
+            with mock.patch.object(welfare, "_ROW_CAP", cap):
+                columns = _pareto_list(np.array(values).tobytes(), np.array(costs).tobytes())
+            value, cost, count, size, *masks = (column.tolist() for column in columns)
+            rows = {}
+            for r in range(len(value)):
+                bits = "".join(format(int(-mask[r]), f"0{_MASK_BITS}b") for mask in masks)
+                combo = tuple(j for j, bit in enumerate(bits) if bit == "1")
+                # each row is its subset's index-order folds, bit for bit
+                assert size[r] == len(combo)
+                assert (value[r].hex(), cost[r].hex()) == tuple(x.hex() for x in sums[combo])
+                # no subset that costs no more beats it by more than the margin
+                assert value[r] >= best[bisect.bisect_right(by_cost, cost[r]) - 1] - margin
+                assert (value[r], cost[r]) not in rows
+                rows[value[r], cost[r]] = count[r], (size[r], combo)
+            # every (value, cost) a tie window can hold is one row, with its
+            # subsets' count and least key
+            for vc, entry in classes.items():
+                assert rows[vc] == entry
 
     @settings(max_examples=200, deadline=None)
     @given(margin_edges(), st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
     # {0, 1} beats {0} by 6e-16 more than TIE_TOL, yet (0, 3, 4) and
-    # (0, 1, 3, 4) tie by index-order sums: a margin of TIE_TOL alone drops
-    # {0} and with it the answer
+    # (0, 1, 3, 4) tie by index-order sums: pruned after every item, a margin
+    # of TIE_TOL alone drops {0} and with it the answer
     @example(items=([6.38863107796819, 1.0000006258966746e-09, -0.493587815133806,
                      9.606327068937661, 4.749445893487075], [0.0] * 5), capacity=2.0)
     def test_margin_edges_match_reference(self, items, capacity):
         values, costs = items
-        assert_matches_reference(np.array(values), np.array(costs), capacity)
+        for cap in CAPS:
+            _pareto_list.cache_clear()
+            with mock.patch.object(welfare, "_ROW_CAP", cap):
+                assert_matches_reference(np.array(values), np.array(costs), capacity)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(13, 25).flatmap(lambda p: st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda seed: sampler_items(p, seed)),
+            st.tuples(
+                st.lists(st.integers(-2, 3).map(float), min_size=p, max_size=p),
+                st.lists(st.integers(0, 3).map(float), min_size=p, max_size=p),
+            ),
+        )),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_meet_in_the_middle(self, items, fraction):
+        values, costs = (np.array(side) for side in items)
+        capacity = float(fraction * costs.sum())
+        assert solve_subset_bruteforce(values, costs, capacity) == (
+            mitm_reference.solve_subset_bruteforce(values, costs, capacity))
 
 
 class TestTieWindow:
