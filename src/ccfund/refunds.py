@@ -207,26 +207,23 @@ def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: 
 def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.ndarray:
     """Per-(agent, project) indifference thresholds for one scheme.
 
-    Uses the scheme's closed form column-wise where available, bisection
-    elsewhere; both follow the provision-point convention. No threshold
-    exceeds its valuation: with a bonus too small to move ``bonus + target``,
-    the proportional closed form can round one ulp above it.
+    Uses the scheme's closed form over the whole matrix where available,
+    bisection per entry elsewhere; both follow the provision-point
+    convention. No threshold exceeds its valuation: with a bonus too small to
+    move ``bonus + target``, the proportional closed form can round one ulp
+    above it.
     """
     valuations = np.asarray(valuations, dtype=float)
     targets = np.asarray(targets, dtype=float)
     bonuses = np.asarray(bonuses, dtype=float)
-    n, p = valuations.shape
-    out = np.empty((n, p), dtype=float)
-    for j in range(p):
-        cf = scheme.closed_form_threshold(valuations[:, j], float(targets[j]), float(bonuses[j]))
-        if cf is not None:
-            out[:, j] = cf
-        else:
-            out[:, j] = [
-                threshold_general(scheme, float(t), float(targets[j]), float(bonuses[j]))
-                for t in valuations[:, j]
-            ]
-    return np.minimum(out, valuations, out=out)
+    out = scheme.closed_form_threshold(valuations, targets, bonuses)
+    if out is None:
+        out = np.array([
+            [threshold_general(scheme, float(t), float(target), float(bonus))
+             for t, target, bonus in zip(row, targets, bonuses)]
+            for row in valuations
+        ])
+    return np.minimum(out, valuations)
 
 
 def thresholds(instance: "Instance", scheme: RefundScheme | None = None) -> np.ndarray:

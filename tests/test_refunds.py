@@ -116,18 +116,34 @@ class TestThresholdGeneral:
 
 
 class TestThresholdMatrix:
+    def test_scheme_without_closed_form_bisects_every_entry(self):
+        class _BisectedLinear(LinearAdditiveRefund):
+            def closed_form_threshold(self, theta, target, bonus):
+                return None
+
+        scheme = _BisectedLinear(0.2)
+        rng = np.random.default_rng(31)
+        valuations = rng.uniform(0.0, 10.0, size=(4, 3))
+        targets, bonuses = rng.uniform(1.0, 5.0, size=3), rng.uniform(0.1, 2.0, size=3)
+        thr = threshold_matrix(valuations, targets, bonuses, scheme)
+        assert thr.shape == (4, 3)
+        for (i, j), bar in np.ndenumerate(thr):
+            assert bar == threshold_general(scheme, valuations[i, j], targets[j], bonuses[j])
+        # theta - x = 0.2 x has the root theta / 1.2
+        assert np.allclose(thr, valuations / 1.2, rtol=0.0, atol=BISECTION_TOL)
+
     def test_closed_form_elementwise(self):
+        # the whole-matrix closed form gives the scalar one's bits, capped at θ
         rng = np.random.default_rng(11)
-        inst = random_instance(rng, n=4, p=3)
-        thr = thresholds(inst)
-        for i in range(4):
-            for j in range(3):
-                expected = PprRefund().closed_form_threshold(
-                    float(inst.valuations[i, j]),
-                    float(inst.targets[j]),
-                    float(inst.bonuses[j]),
-                )
-                assert thr[i, j] == pytest.approx(expected, abs=1e-12)
+        for scheme in (PprRefund(), LinearAdditiveRefund(0.3)):
+            inst = random_instance(rng, n=4, p=3, scheme=scheme)
+            thr = thresholds(inst)
+            for i in range(4):
+                for j in range(3):
+                    theta = float(inst.valuations[i, j])
+                    expected = scheme.closed_form_threshold(
+                        theta, float(inst.targets[j]), float(inst.bonuses[j]))
+                    assert thr[i, j] == min(expected, theta)
 
     def test_full_bonus_thresholds_sum_to_target(self):
         rng = np.random.default_rng(13)
