@@ -176,7 +176,6 @@ class TestBruteforce:
         # equal rows merge, so the list holds one row per size
         sol = solve_subset_bruteforce(np.ones(60), np.ones(60), 30.0)
         assert sol.subset == tuple(range(30))
-        assert not sol.unique
         assert sol.unique is False
 
     @pytest.mark.parametrize("capacity, subset", [(1.0, (0, 53)), (2.0, (0, 53, 54))])
@@ -258,9 +257,9 @@ class TestBruteforce:
     )
     def test_property_matches_exact_dp_on_integer_costs(self, items, fraction):
         # at resolution 1 integer costs never round, so the DP is exact.
-        # Values sit on a 0.01 grid:
-        # the DP compares ties one step at a time, not against one global
-        # window, so near-ties on a finer scale can chain apart.
+        # Values sit on a 0.01 grid: the DP compares ties one step at a time,
+        # not against one global window, so near-ties on a finer scale can
+        # chain apart.
         values = np.array(items[0]) * 0.01
         costs = np.array(items[1], dtype=float)
         capacity = float(np.floor(fraction * costs.sum()))
@@ -342,10 +341,10 @@ def pruning_margin(values):
 def near_pareto_reference(values, costs):
     """Every subset's index-order folds, and the rows a Pareto list must hold.
 
-    Returns the (value, cost) folds of each subset and, per (value, cost)
-    of a subset that the tie window holds at a capacity equal to its cost,
-    how many subsets share it (capped at 2) and the least (size, indices)
-    among them.
+    Returns the (value, cost) folds of each subset, the best value within a
+    cost, and, per (value, cost) of a subset that the tie window holds at a
+    capacity equal to its cost, how many subsets share it (capped at 2) and
+    the least (size, indices) among them.
     """
     p = len(values)
     sums = {}
@@ -356,16 +355,19 @@ def near_pareto_reference(values, costs):
                 value += values[j]
                 cost += costs[j]
             sums[combo] = (value, cost)
-    # the best value among the subsets that cost no more than each cost
     by_cost = sorted(cost for _, cost in sums.values())
-    best = list(itertools.accumulate(
+    running_max = list(itertools.accumulate(
         (value for value, _ in sorted(sums.values(), key=lambda vc: vc[1])), max))
+
+    def best_within(cost):
+        return running_max[bisect.bisect_right(by_cost, cost) - 1]
+
     classes = {}
     for combo, (value, cost) in sums.items():
-        if value >= best[bisect.bisect_right(by_cost, cost) - 1] - TIE_TOL:
+        if value >= best_within(cost) - TIE_TOL:
             count, key = classes.get((value, cost), (0, (len(combo), combo)))
             classes[value, cost] = min(count + 1, 2), min(key, (len(combo), combo))
-    return sums, best, by_cost, classes
+    return sums, best_within, classes
 
 
 @st.composite
@@ -422,7 +424,7 @@ class TestParetoList:
     ))
     def test_rows_are_folds_and_hold_every_tie_window(self, items):
         values, costs = items
-        sums, best, by_cost, classes = near_pareto_reference(values, costs)
+        sums, best_within, classes = near_pareto_reference(values, costs)
         margin = pruning_margin(values)[1]
         for cap in CAPS:
             _pareto_list.cache_clear()
@@ -437,7 +439,7 @@ class TestParetoList:
                 assert size[r] == len(combo)
                 assert (value[r].hex(), cost[r].hex()) == tuple(x.hex() for x in sums[combo])
                 # no subset that costs no more beats it by more than the margin
-                assert value[r] >= best[bisect.bisect_right(by_cost, cost[r]) - 1] - margin
+                assert value[r] >= best_within(cost[r]) - margin
                 assert (value[r], cost[r]) not in rows
                 rows[value[r], cost[r]] = count[r], (size[r], combo)
             # every (value, cost) a tie window can hold is one row, with its
