@@ -48,6 +48,13 @@ _DEFAULT_DEVIANTS = (
 _DEVIATOR_SALT = 0x5EED
 #: Entropy salt separating random play orders from the other draws.
 _PLAY_ORDER_SALT = 0x0DE5
+#: Instances per block: one batched deviator draw, one moment pass and one
+#: process-pool task each. Blocks start at multiples of it, so they never
+#: straddle k = 2^32 and all of a block's indices take one entropy width.
+_BLOCK = 32
+#: Agent utilities one moment pass takes at most: a block's at the
+#: acceptance configuration, fewer instances' for larger crowds.
+_PASS_VALUES = 1 << 18
 #: Instance count under the full-scale flag.
 FULL_SCALE_INSTANCES = 100_000
 
@@ -240,20 +247,24 @@ _METRICS = ("sw", "au", "dev", "nondev")
 
 
 def _row_moments(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """(rows, 3): total, square total and count of each row's kept values.
+    """Total, square total and count of each row's kept values.
 
-    Rows keeping equally many values are gathered into one (rows, count)
-    block, so each total is the same pairwise sum numpy takes over that
-    row's kept values as a 1-D array, and reports keep their bytes.
+    A row is one index into ``keep``'s leading axes, its values lie along
+    the last axis, and ``values`` broadcasts against ``keep``; the result
+    has ``keep``'s leading shape plus an axis of 3. Rows keeping equally
+    many values are gathered into one (rows, count) block, so each total is
+    the same pairwise sum numpy takes over that row's kept values as a 1-D
+    array, and reports keep their bytes.
     """
-    counts = keep.sum(axis=1)
-    out = np.zeros((len(values), 3))
-    out[:, 2] = counts
+    counts = keep.sum(axis=-1)
+    out = np.zeros(counts.shape + (3,))
+    out[..., 2] = counts
+    values = np.broadcast_to(values, keep.shape)
     for count in np.unique(counts[counts > 0]):
         group = counts == count
-        picked = values[keep & group[:, None]].reshape(-1, count)
+        picked = values[keep & group[..., None]].reshape(-1, count)
         out[group, 0] = picked.sum(axis=1)
-        out[group, 1] = (picked * picked).sum(axis=1)
+        out[group, 1] = np.square(picked, out=picked).sum(axis=1)
     return out
 
 
@@ -266,6 +277,9 @@ _MASK32 = 0xFFFFFFFF
 #: PCG64's 128-bit LCG multiplier (pcg_random.h, PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+#: numpy's ``Generator.choice`` shuffles a tail in place of Floyd's algorithm
+#: past this many items when it picks over a ``_TAIL_CUTOFF``-th of them.
+_FLOYD_MAX_N, _TAIL_CUTOFF = 10_000, 50
 
 
 def _words(value: int) -> list[int]:
@@ -318,79 +332,169 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _deviator_masks(cfg: ExperimentConfig, n: int, k: int) -> np.ndarray:
-    """Instance ``k``'s deviators, one row per deviant cell in ``cell_keys`` order.
+def _choice_masks(states: list[tuple[int, int]], n: int, sizes: np.ndarray) -> np.ndarray:
+    """The items ``Generator(PCG64).choice(n, size, replace=False)`` picks, as masks.
 
-    Cell ``ci`` draws as ``default_rng(SeedSequence((seed, _DEVIATOR_SALT,
-    ci, k))).choice(...)`` would. The seed states of all cells are hashed in
-    one pass, and each is set on one generator the way PCG64 seeds itself
-    (``pcg_setseq_128_srandom_r``), so no cell builds a SeedSequence or a
-    PCG64 of its own.
+    Row ``r``'s generator starts at the PCG64 ``(state, inc)`` ``states[r]``
+    and picks ``sizes[r]`` items. ``choice`` takes every draw from numpy's
+    ``random_bounded_uint64`` (Lemire, ACM TOMACS 2019): the next 32-bit
+    half of a raw word, low half first, times the number of values
+    ``span``, redrawn while the product's low word is below ``2^32 mod
+    span``; a span of one draws nothing. It keeps its picks by Floyd's
+    algorithm (Bentley, CACM 1987), or, past 10,000 items when it picks over
+    a 50th of them, as the tail of a partial Fisher-Yates shuffle. Each
+    row's raw words are read once, and each draw position is one numpy step
+    over the rows still drawing, with a per-row cursor into the words. The
+    order ``choice`` then shuffles its picks into does not matter to a mask.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    tail = (n > _FLOYD_MAX_N) & (sizes > n // _TAIL_CUTOFF)
+    draws = np.where(tail, np.minimum(sizes, n - 1), sizes)
+    # rows drawing longest first: the rows still drawing at position d are a
+    # prefix, and the tail-shuffle rows, which draw more, come before the others
+    order = np.argsort(-draws, kind="stable")
+    sizes, draws = sizes[order], draws[order]
+    steps = int(draws[0]) if len(draws) else 0
+    drawing = np.searchsorted(-draws, -np.arange(steps), side="left").tolist()
+    shuffled = int(tail.sum())
+    rows = np.arange(len(order))
+    gen = np.random.PCG64(0)
+
+    def halves(width: int) -> np.ndarray:
+        words = np.empty((len(order), width), dtype=np.uint64)
+        for row, r in enumerate(order.tolist()):
+            state, inc = states[r]
+            gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            words[row] = gen.random_raw(width)
+        return words.astype("<u8", copy=False).view("<u4")
+
+    # every row gets a spare half; redraws that run past it read wider words
+    u32 = halves(steps // 2 + 1)
+    cursor = np.zeros(len(order), dtype=np.intp)
+    masks = np.zeros((len(order), n), dtype=bool)
+    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (shuffled, 1))
+    for d, m in enumerate(drawing):
+        top = np.full(m, n - 1 - d, dtype=np.uint64)
+        top[shuffled:] = n - sizes[shuffled:m] + d
+        span = top + 1
+        floor = (1 << 32) % span
+        live = rows[:m]
+        product = u32[live, cursor[:m]] * span
+        cursor[:m] += top > 0
+        redraw = np.flatnonzero((product & _MASK32) < floor)
+        while len(redraw):
+            need = int((cursor[redraw] + draws[redraw] - d).max())
+            if need > u32.shape[1]:
+                u32 = halves(need // 2 + 1)
+            product[redraw] = u32[redraw, cursor[redraw]] * span[redraw]
+            cursor[redraw] += 1
+            redraw = redraw[(product[redraw] & _MASK32) < floor[redraw]]
+        picked = (product >> 32).astype(np.intp)
+        swapping = live[:shuffled]
+        if len(swapping):
+            held = perm[swapping, picked[:shuffled]]
+            perm[swapping, picked[:shuffled]] = perm[swapping, n - 1 - d]
+            perm[swapping, n - 1 - d] = held
+        floyd, picked = live[shuffled:], picked[shuffled:]
+        taken = masks[floyd, picked]
+        masks[floyd, np.where(taken, top[shuffled:].astype(np.intp), picked)] = True
+    # a tail-shuffle row keeps the items its last sizes[r] positions hold
+    np.put_along_axis(masks[:shuffled], perm, np.arange(n) >= n - sizes[:shuffled, None], axis=1)
+    out = np.empty_like(masks)
+    out[order] = masks
+    return out
+
+
+def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
+    """Deviators of instances ``ks``: (instance, deviant cell in ``cell_keys`` order, agent).
+
+    Cell ``ci`` of instance ``k`` picks as ``default_rng(SeedSequence((seed,
+    _DEVIATOR_SALT, ci, k))).choice(n, floor(alpha n), replace=False)``
+    would. The seed states of every row are hashed in one pass and turned
+    into PCG64's ``(state, inc)`` the way it seeds itself
+    (``pcg_setseq_128_srandom_r``), so no row builds a SeedSequence or a
+    generator of its own. Every ``k`` must take as many entropy words as the
+    others, as the indices of one block do.
     """
     cells = cfg.cell_keys[: len(cfg.deviant_heuristics) * len(cfg.alphas)]
     head = _words(cfg.seed) + [_DEVIATOR_SALT]
-    entropy = np.tile(np.array(head + [0] + _words(k), dtype=np.uint32), (len(cells), 1))
-    entropy[:, len(head)] = np.arange(len(cells))
-    rng = np.random.Generator(np.random.PCG64(0))
-    masks = np.zeros((len(cells), n), dtype=bool)
-    for ci, ((_, alpha), words) in enumerate(zip(cells, _seed_states(entropy).tolist())):
-        seed = words[0] << 64 | words[1]
-        inc = (words[2] << 64 | words[3]) << 1 & _MASK128 | 1
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((seed + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        masks[ci, rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)] = True
-    return masks
+    tails = np.array([_words(k) for k in ks], dtype=np.uint32)
+    entropy = np.empty((len(tails), len(cells), len(head) + 1 + tails.shape[1]), dtype=np.uint32)
+    entropy[:, :, : len(head)] = head
+    entropy[:, :, len(head)] = np.arange(len(cells))
+    entropy[:, :, len(head) + 1 :] = tails[:, None]
+    states = []
+    for w0, w1, w2, w3 in _seed_states(entropy.reshape(-1, entropy.shape[2])).tolist():
+        inc = (w2 << 64 | w3) << 1 & _MASK128 | 1
+        states.append((((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    sizes = [int(math.floor(alpha * n + 1e-9)) for _, alpha in cells] * len(tails)
+    return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
-def _instance_moments(cfg: ExperimentConfig, k: int) -> np.ndarray:
-    """Moment sums instance ``k`` adds to each cell: (cells, metric, moment).
+def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
+    """Moment sums each instance of a block adds to each cell.
 
-    Every deviant cell's play is one row of a stacked (rows, n, p) intent
+    (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
+    ``start``, a multiple of it, or those up to ``count``. Every deviant
+    cell's play of an instance is one row of a stacked (rows, n, p) intent
     tensor; the control cells all play the baseline, so they share one last
-    row. The stack is played out, evaluated and scored in one pass each.
+    row. Each instance's stack is played out, evaluated and scored in one
+    pass each; the block's deviator draws are one batch, and so are its
+    moment sums.
     """
-    instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
-    n, p = instance.valuations.shape
-    thr = thresholds(instance)
-    if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
-        thr_base = thr
-    else:
-        thr_base = thresholds(instance, scheme=PprRefund())
-
-    def uniform_intents(rule: Heuristic) -> np.ndarray:
-        return _intent_rows(rule, instance, np.arange(n), solution.subset, thr)
-
-    baseline = uniform_intents(Heuristic.OPT_WELFARE)
+    ks = range(start, min(start + _BLOCK, count))
+    n = cfg.sampler.n
     rules, alphas = len(cfg.deviant_heuristics), len(cfg.alphas)
-    deviant = np.array([uniform_intents(rule) for rule in cfg.deviant_heuristics])
-    masks = _deviator_masks(cfg, n, k)
-    played = np.where(
-        masks.reshape(rules, alphas, n, 1), deviant.reshape(rules, 1, n, p), baseline
-    )
-    intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
-    deviators = np.concatenate([masks, np.zeros((1, n), dtype=bool)])
+    rows = rules * alphas + 1
+    masks = _deviator_masks(cfg, n, ks)
+    deviators = np.zeros((len(ks), rows, n), dtype=bool)
+    deviators[:, :-1] = masks
+    moments = np.zeros((len(ks), rows, len(_METRICS), 3))
+    # utilities wait for the moment pass in groups of at most _PASS_VALUES
+    per_pass = max(1, _PASS_VALUES // (rows * n))
+    au = np.empty((min(per_pass, len(ks)), rows, n))
+    for b, k in enumerate(ks):
+        instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
+        p = instance.valuations.shape[1]
+        thr = thresholds(instance)
+        if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
+            thr_base = thr
+        else:
+            thr_base = thresholds(instance, scheme=PprRefund())
 
-    permutation = None
-    if cfg.play_order == "random":
-        permutation = PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
-    realized = clamp_play(intents, instance.targets, permutation)
-    outcome = evaluate(instance, ContributionProfile(realized))
-    sw = sw_n(instance, outcome, solution.welfare)
-    au = au_n(instance, outcome, thr_base)
+        def uniform_intents(rule: Heuristic) -> np.ndarray:
+            return _intent_rows(rule, instance, np.arange(n), solution.subset, thr)
 
-    moments = np.zeros((len(intents), len(_METRICS), 3))
-    if sw is not None:
-        moments[:, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
-    defined = ~np.isnan(au)
-    keep = np.concatenate([defined, defined & deviators, defined & ~deviators])
-    au_moments = _row_moments(np.tile(au, (3, 1)), keep)
-    moments[:, 1:] = au_moments.reshape(3, len(intents), 3).swapaxes(0, 1)
-    control = [len(intents) - 1] * (alphas if cfg.include_control else 0)
-    return moments[list(range(rules * alphas)) + control]
+        baseline = uniform_intents(Heuristic.OPT_WELFARE)
+        deviant = np.array([uniform_intents(rule) for rule in cfg.deviant_heuristics])
+        played = np.where(
+            masks[b].reshape(rules, alphas, n, 1), deviant.reshape(rules, 1, n, p), baseline
+        )
+        intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
+
+        permutation = None
+        if cfg.play_order == "random":
+            permutation = PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
+        realized = clamp_play(intents, instance.targets, permutation)
+        outcome = evaluate(instance, ContributionProfile(realized))
+        sw = sw_n(instance, outcome, solution.welfare)
+        au[b % per_pass] = au_n(instance, outcome, thr_base)
+        if sw is not None:
+            moments[b, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
+        if (b + 1) % per_pass == 0 or b + 1 == len(ks):
+            done = slice(b - b % per_pass, b + 1)
+            values = au[: done.stop - done.start]
+            defined = ~np.isnan(values)
+            keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
+            moments[done, :, 1:] = _row_moments(values, keep).transpose(1, 2, 0, 3)
+
+    control = [rows - 1] * (alphas if cfg.include_control else 0)
+    return moments[:, list(range(rules * alphas)) + control]
 
 
 def _stats(total: float, square: float, count: float) -> tuple[float | None, float | None]:
@@ -445,17 +549,18 @@ def run_experiment(
 
     if workers is None:
         workers = worker_count()
+    blocks = functools.partial(_block_moments, cfg, count)
     if workers > 1 and count > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            for moments in pool.imap(
-                functools.partial(_instance_moments, cfg), range(count), chunksize=32
-            ):
-                acc += moments
+            for block in pool.imap(blocks, range(0, count, _BLOCK)):
+                for moments in block:
+                    acc += moments
     else:
-        for k in range(count):
-            acc += _instance_moments(cfg, k)
+        for start in range(0, count, _BLOCK):
+            for moments in blocks(start):
+                acc += moments
 
     cells = []
     for (rule, alpha), cell in zip(keys, acc.tolist()):

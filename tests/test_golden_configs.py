@@ -73,7 +73,7 @@ GOLDEN_CONFIG_DIGEST = {
 def no_instances(monkeypatch):
     """One worker, and every instance adds nothing to the accumulators."""
     monkeypatch.setenv("CCFUND_THREADS", "1")
-    monkeypatch.setattr(harness, "_instance_moments", lambda cfg, k: 0.0)
+    monkeypatch.setattr(harness, "_block_moments", lambda cfg, count, start: ())
 
 
 def _echo_line(err: str, kind: str) -> bytes:

@@ -23,9 +23,11 @@ from ccfund import (
 )
 from ccfund import harness
 from ccfund.harness import (
+    _BLOCK,
     _DEVIATOR_SALT,
     CSV_HEADER,
     FULL_SCALE_INSTANCES,
+    _choice_masks,
     _deviator_masks,
     _seed_states,
     _words,
@@ -209,6 +211,35 @@ class TestRunExperiment:
         parallel = run_experiment(cfg).to_csv_text()
         assert parallel == sequential
 
+    # each example starts one pool of two workers
+    @settings(max_examples=4, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        p=st.integers(1, 4),
+        blocks=st.integers(1, 2),
+        rest=st.integers(1, _BLOCK - 1),
+        alphas=st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0]), min_size=1, max_size=3,
+                        unique=True).map(sorted),
+        deviants=st.lists(st.sampled_from(list(ExperimentConfig().deviant_heuristics)),
+                          max_size=2, unique=True),
+        play_order=st.sampled_from(["ascending", "random"]),
+        seed=st.integers(0, 2**40),
+    )
+    def test_reports_are_the_same_bytes_for_one_and_two_workers(
+        self, n, p, blocks, rest, alphas, deviants, play_order, seed
+    ):
+        # the last block is partial, so the pool merges full and partial blocks
+        cfg = ExperimentConfig(
+            sampler=SamplerConfig(n=n, p=p, bonus_fraction=0.9),
+            alphas=alphas,
+            deviant_heuristics=deviants,
+            instances_per_cell=blocks * _BLOCK + rest,
+            seed=seed,
+            play_order=play_order,
+        )
+        one = run_experiment(cfg, workers=1).to_csv_text()
+        assert run_experiment(cfg, workers=2).to_csv_text() == one
+
     def test_random_play_order_is_deterministic(self):
         cfg = small_config(play_order="random")
         assert run_experiment(cfg).to_csv_text() == run_experiment(cfg).to_csv_text()
@@ -311,21 +342,95 @@ class TestDeviatorDraws:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**96 - 1),
-        k=st.integers(0, FULL_SCALE_INSTANCES - 1),
+        block=st.integers(0, FULL_SCALE_INSTANCES // _BLOCK),
+        length=st.integers(1, _BLOCK),
         n=st.integers(1, 200),
         alphas=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=4, unique=True).map(sorted),
     )
-    # floor(0.001 * 7) = 0: a cell without deviators
-    @example(seed=3, k=0, n=7, alphas=[0.001, 0.5, 1.0])
-    def test_masks_match_seeded_choice(self, seed, k, n, alphas):
+    # floor(0.001 * 7) = 0: a cell without deviators, and one of all agents
+    @example(seed=3, block=0, length=_BLOCK, n=7, alphas=[0.001, 0.5, 1.0])
+    # the last block whose indices take one entropy word, and the first of two
+    @example(seed=2**64 + 3, block=2**32 // _BLOCK - 1, length=_BLOCK, n=30, alphas=[0.5, 1.0])
+    @example(seed=2**64 + 3, block=2**32 // _BLOCK, length=5, n=30, alphas=[0.5, 1.0])
+    def test_masks_match_seeded_choice(self, seed, block, length, n, alphas):
         cfg = ExperimentConfig(seed=seed, alphas=alphas)
-        masks = _deviator_masks(cfg, n, k)
-        for ci, (_, alpha) in enumerate(cfg.cell_keys[: len(masks)]):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, _DEVIATOR_SALT, ci, k)))
-            picked = rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)
-            expected = np.zeros(n, dtype=bool)
-            expected[picked] = True
-            assert np.array_equal(masks[ci], expected)
+        ks = range(block * _BLOCK, block * _BLOCK + length)
+        masks = _deviator_masks(cfg, n, ks)
+        assert masks.shape == (length, len(cfg.deviant_heuristics) * len(alphas), n)
+        for row, k in zip(masks, ks):
+            for ci, (_, alpha) in enumerate(cfg.cell_keys[: len(row)]):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, _DEVIATOR_SALT, ci, k)))
+                picked = rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)
+                expected = np.zeros(n, dtype=bool)
+                expected[picked] = True
+                assert np.array_equal(row[ci], expected)
+
+    @staticmethod
+    def _generator(state, inc):
+        bits = np.random.PCG64(0)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(bits)
+
+    def _choice_mask(self, state, inc, n, size):
+        mask = np.zeros(n, dtype=bool)
+        mask[self._generator(state, inc).choice(n, size=size, replace=False)] = True
+        return mask
+
+    @staticmethod
+    def _state_yielding(word, index, rng):
+        """A PCG64 (state, inc) whose raw word ``index`` is ``word``.
+
+        PCG64 steps its 128-bit state, then outputs ``rotr(hi ^ lo, hi >> 58)``:
+        with the high state word fixed the output gives the low one, and the
+        step runs backwards through the inverse of the odd multiplier.
+        """
+        inc = int(rng.integers(0, 2**63)) << 1 | 1
+        hi = int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
+        rot = hi >> 58
+        lo = hi ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1) if rot else word)
+        state = hi << 64 | lo
+        inverse = pow(harness._PCG_MULT, -1, 2**128)
+        for _ in range(index + 1):
+            state = (state - inc) * inverse % 2**128
+        return state, inc
+
+    @pytest.mark.parametrize(
+        "n, size, word, index",
+        [
+            # a low half of 0 is refused for every range not a power of two
+            (100, 50, 0xDEADBEEF << 32, 0),  # the first draw
+            (100, 50, 0xDEADBEEF << 32, 2),  # the fifth draw
+            (100, 9, 0xDEADBEEF << 32, 4),  # the last draw
+            # both halves refused: the longest row's redraws run past the
+            # words first read
+            (7, 3, 0, 0),
+            (7, 3, 0, 1),
+        ],
+    )
+    def test_rejected_draws_are_redrawn_as_numpy_does(self, n, size, word, index):
+        rng = np.random.default_rng(index)
+        crafted = self._state_yielding(word, index, rng)
+        assert int(self._generator(*crafted).bit_generator.random_raw(index + 1)[-1]) == word
+        # the crafted row among ordinary rows, none drawing longer
+        states = [self._state_yielding(int(rng.integers(0, 2**63)), 0, rng) for _ in range(5)]
+        states.insert(2, crafted)
+        sizes = np.array([size, 0, size, size - 1, 1, size // 2])
+        masks = _choice_masks(states, n, sizes)
+        for (state, inc), got, s in zip(states, masks, sizes):
+            assert np.array_equal(got, self._choice_mask(state, inc, n, int(s)))
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    def test_tail_shuffle_matches_choice(self, n):
+        # past 10,000 agents numpy shuffles a tail when it picks over a 50th
+        rng = np.random.default_rng(n)
+        sizes = np.array([0, 1, n // 50, n // 50 + 1, n // 2, n - 1, n])
+        states = [self._state_yielding(int(rng.integers(0, 2**63)), 0, rng) for _ in sizes]
+        states.append(self._state_yielding(0xDEADBEEF << 32, 3, rng))
+        sizes = np.append(sizes, n // 2)
+        masks = _choice_masks(states, n, sizes)
+        for (state, inc), got, s in zip(states, masks, sizes):
+            assert np.array_equal(got, self._choice_mask(state, inc, n, int(s)))
 
 
 class TestRowMoments:
