@@ -451,9 +451,8 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     n = cfg.sampler.n
     rules, alphas = len(cfg.deviant_heuristics), len(cfg.alphas)
     rows = rules * alphas + 1
-    masks = _deviator_masks(cfg, n, ks)
     deviators = np.zeros((len(ks), rows, n), dtype=bool)
-    deviators[:, :-1] = masks
+    deviators[:, :-1] = _deviator_masks(cfg, n, ks)
     moments = np.zeros((len(ks), rows, len(_METRICS), 3))
     # utilities wait for the moment pass in groups of at most _PASS_VALUES
     per_pass = max(1, _PASS_VALUES // (rows * n))
@@ -473,7 +472,9 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
         baseline = uniform_intents(Heuristic.OPT_WELFARE)
         deviant = np.array([uniform_intents(rule) for rule in cfg.deviant_heuristics])
         played = np.where(
-            masks[b].reshape(rules, alphas, n, 1), deviant.reshape(rules, 1, n, p), baseline
+            deviators[b, :-1].reshape(rules, alphas, n, 1),
+            deviant.reshape(rules, 1, n, p),
+            baseline,
         )
         intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
 
@@ -549,17 +550,18 @@ def run_experiment(
 
     if workers is None:
         workers = worker_count()
-    blocks = functools.partial(_block_moments, cfg, count)
+    block_moments = functools.partial(_block_moments, cfg, count)
+    starts = range(0, count, _BLOCK)
     if workers > 1 and count > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            for block in pool.imap(blocks, range(0, count, _BLOCK)):
+            for block in pool.imap(block_moments, starts):
                 for moments in block:
                     acc += moments
     else:
-        for start in range(0, count, _BLOCK):
-            for moments in blocks(start):
+        for start in starts:
+            for moments in block_moments(start):
                 acc += moments
 
     cells = []
