@@ -7,7 +7,10 @@ random play order, the linear refund with and without a matched utility
 baseline, runs without control cells, deviator counts that floor a
 fractional alpha*n (down to zero deviators), instances whose optimum is
 empty, so normalized welfare is excluded, and a seed above 2^32, whose
-seed sequences mix more than four entropy words.
+seed sequences mix more than four entropy words. Two configs sum over at
+least eight projects, where numpy's pairwise sum is no longer a plain left
+fold, so a reordered project sum moves their bytes: the acceptance config
+at p=10, and p=17 (one full block of eight accumulators and a remainder).
 """
 
 import hashlib
@@ -39,6 +42,10 @@ CONFIGS = {
     "tiny-crowd": lambda: _config({"n": 7, "p": 3}, alphas=(0.1, 0.5, 1.0)),
     # a seed of two 32-bit words: every seed sequence gets five or more
     "wide-seed": lambda: _config(seed=2**40 + 7, play_order="random"),
+    # n=100, p=10, ten alphas, four deviants and control: one full
+    # 32-instance block and a partial one
+    "acceptance-p10": lambda: ExperimentConfig(instances_per_cell=40, seed=3),
+    "seventeen-projects": lambda: _config({"p": 17}),
 }
 
 GOLDEN = {
@@ -52,6 +59,8 @@ GOLDEN = {
     "two-projects": "c9a96a42e2eb6e6a5b4c50dfba7046e93dad698191f68d1067b6c503dbfd0bda",
     "tiny-crowd": "10962f4211ba5669a794a42fd6c7fad94bb4fa0e879c323b299341ac727a09e2",
     "wide-seed": "1d1e59fde45365d437a4701d816f65df370a1e89e8e5e007d75cd80c29cecba5",
+    "acceptance-p10": "b7850183fbab8a680376a9a26d7aec80c9d5ecca1aec1dff59b495fd677ea0c8",
+    "seventeen-projects": "94e03ec2751f8830f81d8699f7627527813646d54aa28a8cc06f342ace3ab9b2",
 }
 
 
