@@ -47,6 +47,47 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, got {arr[index]} at index {index}")
 
 
+def _project_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, in the order numpy's ``add.reduce`` sums a row.
+
+    numpy adds the float64 values of a contiguous row by ``pairwise_sum``
+    (``loops_utils.h.src``): one by one below 8 values, in 8 interleaved
+    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    followed by the remainder up to 128, in halves split at a multiple of 8
+    above that; the result is added to the identity 0.0. Taking the same
+    order over whole slices gives every row's sum the bits of
+    ``x.sum(axis=-1)`` in a few long passes, where numpy runs one short
+    inner loop per row (the order matters: Higham 2002, §4.2). A zero
+    partial sum of the other sign changes later sums at most in the sign of
+    a zero, so one added 0.0 anywhere on the leftmost chain of additions
+    stands in for the identity.
+    """
+    count = len(terms)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _project_sum(terms[:half])
+        total += _project_sum(terms[half:])
+        return total
+    if count < 8:
+        total = terms[0] + 0.0
+        rest = terms[1:]
+    else:
+        end = count - count % 8
+        acc = list(terms[:8])
+        for start in range(8, end, 8):
+            acc = [a + b for a, b in zip(acc, terms[start : start + 8])]
+        total = acc[0] + acc[1]
+        total += acc[2] + acc[3]
+        upper = acc[4] + acc[5]
+        upper += acc[6] + acc[7]
+        total += upper
+        total += 0.0
+        rest = terms[end:]
+    for term in rest:
+        total += term
+    return total
+
+
 def _batch_label(index: tuple) -> str:
     """Where in a stack of profiles an entry sits; empty for a single profile."""
     return f" in profile {tuple(int(b) for b in index)}" if index else ""
@@ -163,7 +204,7 @@ class ContributionProfile:
                 f"profile shape {self.contributions.shape} does not match instance "
                 f"shape {instance.valuations.shape}"
             )
-        rows = self.contributions.sum(axis=-1)
+        rows = _project_sum(np.moveaxis(self.contributions, -1, 0))
         over = rows > instance.budgets + TOL
         if np.any(over):
             *batch, i = np.unravel_index(int(np.argmax(over)), over.shape)
@@ -195,15 +236,28 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     A funded project pays each agent valuation minus contribution; an unfunded
     project with any money in it pays refund shares; an untouched project pays
     nothing. Each stacked profile evaluates to the same bits it would alone.
+
+    The work runs on a (..., p, n) copy of the contributions, so that every
+    pass runs along agents rather than along the short project rows; the
+    sums keep numpy's order over the (..., n, p) array, so the fields have
+    the bits ``x.sum`` would give them. ``per_pair_utilities`` is a
+    transposed view of that layout.
     """
     profile.validate_against(instance)
     x = profile.contributions
-    totals = x.sum(axis=-2)
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    if instance.n_projects == 1:
+        # numpy drops the length-1 project axis and sums the column pairwise
+        totals = x.sum(axis=-2)
+    else:
+        # with agents outermost, each pass adds one agent to every total: the
+        # left fold over agents that x.sum(axis=-2) takes along its rows
+        totals = np.ascontiguousarray(np.moveaxis(xt, -1, 0)).sum(axis=0)
     funded = totals >= instance.targets - TOL
     refunded = ~funded & (totals > 0.0)
-    shares = instance.refund.share(x, instance.bonuses, totals[..., None, :])
-    per_pair = np.where(refunded[..., None, :], shares, 0.0)
-    np.copyto(per_pair, instance.valuations - x, where=funded[..., None, :])
+    shares = instance.refund.share(xt, instance.bonuses[:, None], totals[..., None])
+    per_pair = np.where(refunded[..., None], shares, 0.0)
+    np.subtract(instance.valuations.T, xt, out=per_pair, where=funded[..., None])
     welfare = ((instance.vartheta - instance.targets) * funded).sum(axis=-1)
     if welfare.ndim == 0:
         welfare = float(welfare)
@@ -212,9 +266,9 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     totals.setflags(write=False)
     per_pair.setflags(write=False)
     funded.setflags(write=False)
-    utilities = per_pair.sum(axis=-1)
+    utilities = _project_sum(np.moveaxis(per_pair, -2, 0))
     utilities.setflags(write=False)
-    return Outcome(funded, totals, utilities, per_pair, welfare)
+    return Outcome(funded, totals, utilities, np.swapaxes(per_pair, -1, -2), welfare)
 
 
 def check_budget_surplus(instance: Instance) -> BudgetStatus:

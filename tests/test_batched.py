@@ -28,7 +28,8 @@ def stacked_games(draw):
     """An instance, a stack of budget-feasible intents and a play order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
-    p = draw(st.integers(1, 5))
+    # from 8 projects on numpy sums a row pairwise, not as a left fold
+    p = draw(st.one_of(st.integers(1, 5), st.sampled_from([8, 9, 16, 17])))
     batch = draw(st.sampled_from([(1,), (3,), (6,), (2, 3)]))
     scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
     instance = random_instance(rng, n=n, p=p, scheme=scheme)

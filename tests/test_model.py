@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 from conftest import random_instance
+from evaluate_reference import evaluate_reference, validate_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccfund import (
     BudgetStatus,
     ContributionProfile,
     Instance,
+    LinearAdditiveRefund,
     PprRefund,
     check_budget_surplus,
     check_subset_feasibility,
     evaluate,
     thresholds,
 )
+from ccfund.heuristics import clamp_play
+from ccfund.model import TOL, _project_sum
 
 
 def single(theta=10.0, target=5.0, bonus=1.0):
@@ -85,6 +91,86 @@ class TestEvaluate:
             assert isinstance(one.social_welfare, float)
             assert batched.social_welfare[b] == one.social_welfare
             assert np.array_equal(batched.per_pair_utilities[b], one.per_pair_utilities)
+
+
+def _binades(rng, shape):
+    """Values of both signs over 80 binades, a third of them zeros of either sign."""
+    values = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, size=shape)
+    values[rng.random(shape) < 0.15] = 0.0
+    values[rng.random(shape) < 0.15] = -0.0
+    return values
+
+
+class TestProjectSum:
+    def test_matches_numpy_row_sums(self):
+        rng = np.random.default_rng(3)
+        for p in [*range(1, 141), 255, 256, 257]:
+            x = _binades(rng, (2, 5, p))
+            x[0, 0] = -0.0  # numpy sums a row of negative zeros to +0.0
+            x[0, 1, ::2] = -0.0
+            kept = x.copy()
+            want = x.sum(axis=-1).tobytes()
+            assert _project_sum(np.moveaxis(x, -1, 0)).tobytes() == want, p
+            # the layout evaluate hands it: projects before agents
+            xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+            assert _project_sum(np.moveaxis(xt, -2, 0)).tobytes() == want, p
+            assert x.tobytes() == kept.tobytes()
+
+
+@st.composite
+def stacked_profiles(draw):
+    """An instance and a stack of played-out profiles with signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    p = draw(st.one_of(st.integers(1, 20), st.sampled_from([31, 64, 127, 128, 129, 140])))
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
+    instance = random_instance(rng, n=n, p=p, scheme=scheme)
+    # part of each budget over a random subset of projects: some projects
+    # fund, some refund and some stay untouched
+    weights = rng.random((*batch, n, p)) * (rng.random((*batch, 1, p)) < 0.7)
+    spend = rng.uniform(0.0, 0.999, size=(*batch, n, 1)) * instance.budgets[:, None]
+    row_sums = weights.sum(axis=-1, keepdims=True)
+    intents = np.where(row_sums > 0.0, weights / np.where(row_sums > 0.0, row_sums, 1.0), 0.0) * spend
+    realized = clamp_play(intents, instance.targets)
+    realized[(realized == 0.0) & (rng.random(realized.shape) < 0.5)] = -0.0
+    return instance, ContributionProfile(realized)
+
+
+class TestEvaluateMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_profiles())
+    def test_every_field_has_the_reference_bytes(self, game):
+        instance, profile = game
+        got, want = evaluate(instance, profile), evaluate_reference(instance, profile)
+        for field in ("funded", "totals", "agent_utilities", "per_pair_utilities"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.dtype == b.dtype, field
+            assert a.tobytes() == b.tobytes(), field
+        assert type(got.social_welfare) is type(want.social_welfare)
+        assert np.asarray(got.social_welfare).tobytes() == np.asarray(want.social_welfare).tobytes()
+
+    @pytest.mark.parametrize("p", [3, 10, 17, 140])
+    def test_budget_check_matches_reference_at_the_edge(self, p):
+        # a budget within an ulp of spend - TOL: a row summed in another
+        # order passes where the reference refuses, or the other way round
+        rng = np.random.default_rng(p)
+        base = random_instance(rng, n=1, p=p)
+        for _ in range(200):
+            x = (rng.random((1, p)) + 0.01) * 2.0 ** rng.integers(-20, 4, size=(1, p))
+            edge = x.sum(axis=-1) - TOL
+            for step in (-1, 0, 1):
+                budgets = edge + step * np.spacing(edge)
+                instance = Instance(base.valuations, budgets, base.targets, base.bonuses, base.refund)
+                profile = ContributionProfile(x)
+                try:
+                    validate_reference(profile, instance)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as caught:
+                        profile.validate_against(instance)
+                    assert str(caught.value) == str(exc)
+                else:
+                    profile.validate_against(instance)
 
 
 class TestOutcomeInvariants:
