@@ -442,9 +442,9 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
     ``start``, a multiple of it, or those up to ``count``. Every deviant
     cell's play of an instance is one row of a stacked (rows, n, p) intent
-    tensor; the control cells all play the baseline, so they share one last
-    row. Each instance's stack is played out, evaluated and scored in one
-    pass each; the block's deviator draws are one batch, and so are its
+    tensor, gathered in one pass from the rules' intents; the control cells
+    all play the baseline, so they share one last row. Each instance's stack
+    is played out, evaluated and scored in one pass each; the block's deviator draws are one batch, and so are its
     moment sums.
     """
     ks = range(start, min(start + _BLOCK, count))
@@ -453,13 +453,16 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     rows = rules * alphas + 1
     deviators = np.zeros((len(ks), rows, n), dtype=bool)
     deviators[:, :-1] = _deviator_masks(cfg, n, ks)
+    # with the baseline's and each deviant rule's intents laid end to end,
+    # agent i of stack row r plays the one at row picks[., r, i]
+    rule_of_row = np.append(np.repeat(np.arange(1, rules + 1), alphas), 0)
+    picks = deviators * rule_of_row[:, None] * n + np.arange(n)
     moments = np.zeros((len(ks), rows, len(_METRICS), 3))
     # utilities wait for the moment pass in groups of at most _PASS_VALUES
     per_pass = max(1, _PASS_VALUES // (rows * n))
     au = np.empty((min(per_pass, len(ks)), rows, n))
     for b, k in enumerate(ks):
         instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
-        p = instance.valuations.shape[1]
         thr = thresholds(instance)
         if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
             thr_base = thr
@@ -469,14 +472,8 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
         def uniform_intents(rule: Heuristic) -> np.ndarray:
             return _intent_rows(rule, instance, np.arange(n), solution.subset, thr)
 
-        baseline = uniform_intents(Heuristic.OPT_WELFARE)
-        deviant = np.array([uniform_intents(rule) for rule in cfg.deviant_heuristics])
-        played = np.where(
-            deviators[b, :-1].reshape(rules, alphas, n, 1),
-            deviant.reshape(rules, 1, n, p),
-            baseline,
-        )
-        intents = np.concatenate([played.reshape(rules * alphas, n, p), baseline[None]])
+        plays = [uniform_intents(rule) for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)]
+        intents = np.take(np.concatenate(plays), picks[b], axis=0)
 
         permutation = None
         if cfg.play_order == "random":
