@@ -12,6 +12,7 @@ whole bonus pools, so the supremum is approached but never attained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,8 @@ def _grid_layout(view: ResidualView, delta: float) -> tuple[int, list[int]]:
     Shortfalls round up to the grid, so a funding spend never leaves the
     project short; contributions below that stay strictly under the shortfall.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     budget_units = int(np.floor(view.budget / delta + 1e-9))
     if budget_units > UNIT_GUARD:
         raise SolverError(

@@ -168,8 +168,12 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
     B <= min(2^p, cap_q + 1) breakpoints a row, and every value equals the
     full table's at the same capacity.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    # NaN fails every comparison, and an infinite step quantizes every cost
+    # past every capacity: both would come back as a silent empty subset
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    if not math.isfinite(capacity):
+        raise ValueError(f"capacity must be finite, got {capacity!r}")
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
     p = len(values)

@@ -105,6 +105,12 @@ class TestExactSolver:
         assert list(response.funded) == [True, False]
         assert response.utility == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("solver", [best_response_exact, best_response_bruteforce])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_delta_is_named(self, solver, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            solver(two_project_linear_view(), delta)
+
     def test_zero_budget(self):
         view = two_project_linear_view()
         broke = ResidualView(0, view.others_totals, view.remaining, 0.0,

@@ -520,6 +520,16 @@ def dp_cases(draw):
 
 
 class TestDp:
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, math.inf, math.nan])
+    def test_bad_resolution_is_named(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            solve_subset_dp(np.ones(3), np.ones(3), 2.0, resolution)
+
+    @pytest.mark.parametrize("capacity", [math.inf, -math.inf, math.nan])
+    def test_non_finite_capacity_is_named(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            solve_subset_dp(np.ones(3), np.ones(3), capacity, 0.01)
+
     def test_matches_bruteforce_on_hand_example(self):
         inst = Instance(
             [[10.0, 8.0, 6.0]], [8.0], [5.0, 6.0, 2.0], [5.0, 2.0, 4.0], PprRefund()
