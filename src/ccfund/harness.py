@@ -444,8 +444,8 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     cell's play of an instance is one row of a stacked (rows, n, p) intent
     tensor, gathered in one pass from the rules' intents; the control cells
     all play the baseline, so they share one last row. Each instance's stack
-    is played out, evaluated and scored in one pass each; the block's deviator draws are one batch, and so are its
-    moment sums.
+    is played out, evaluated and scored in one pass each; the block's
+    deviator draws are one batch, and so are its moment sums.
     """
     ks = range(start, min(start + _BLOCK, count))
     n = cfg.sampler.n

@@ -251,7 +251,7 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
         totals = x.sum(axis=-2)
     else:
         # with agents outermost, each pass adds one agent to every total: the
-        # left fold over agents that x.sum(axis=-2) takes along its rows
+        # left fold over agents that x.sum(axis=-2) runs one short row at a time
         totals = np.ascontiguousarray(np.moveaxis(xt, -1, 0)).sum(axis=0)
     funded = totals >= instance.targets - TOL
     refunded = ~funded & (totals > 0.0)

@@ -168,8 +168,8 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
     B <= min(2^p, cap_q + 1) breakpoints a row, and every value equals the
     full table's at the same capacity.
     """
-    # NaN fails every comparison, and an infinite step quantizes every cost
-    # past every capacity: both would come back as a silent empty subset
+    # an infinite step would quantize every cost past every capacity and
+    # return the empty subset as if it were the answer
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     if not math.isfinite(capacity):

@@ -31,6 +31,20 @@ def random_instance(rng, n=None, p=None, scheme=None, bonus_fraction=None):
     return Instance(theta, budgets, targets, bonuses, scheme)
 
 
+def random_intents(rng, instance, batch=()):
+    """A stack of budget-feasible intents over one instance.
+
+    Each row spreads part of its agent's budget over a random subset of
+    projects, so some projects stay untouched in some rows.
+    """
+    n, p = instance.valuations.shape
+    weights = rng.random((*batch, n, p)) * (rng.random((*batch, 1, p)) < 0.8)
+    spend = rng.uniform(0.0, 0.999, size=(*batch, n, 1)) * instance.budgets[:, None]
+    row_sums = weights.sum(axis=-1, keepdims=True)
+    safe = np.where(row_sums > 0.0, row_sums, 1.0)
+    return np.where(row_sums > 0.0, weights / safe, 0.0) * spend
+
+
 def random_view(rng, scheme=None, p=None, max_units=30, delta=1.0, grid_aligned=False):
     """A residual view sized for exhaustive enumeration.
 

@@ -7,7 +7,7 @@ shape, and the game's invariants must hold row by row.
 """
 
 import numpy as np
-from conftest import random_instance
+from conftest import random_instance, random_intents
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +33,7 @@ def stacked_games(draw):
     batch = draw(st.sampled_from([(1,), (3,), (6,), (2, 3)]))
     scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
     instance = random_instance(rng, n=n, p=p, scheme=scheme)
-    # spread part of each budget over a random subset of projects; some
-    # projects stay untouched in some rows
-    weights = rng.random((*batch, n, p)) * (rng.random((*batch, 1, p)) < 0.8)
-    spend = rng.uniform(0.0, 0.999, size=(*batch, n, 1)) * instance.budgets[:, None]
-    row_sums = weights.sum(axis=-1, keepdims=True)
-    intents = np.where(row_sums > 0.0, weights / np.where(row_sums > 0.0, row_sums, 1.0), 0.0) * spend
+    intents = random_intents(rng, instance, batch)
     permutation = rng.permutation(n) if draw(st.booleans()) else None
     return instance, intents, permutation
 

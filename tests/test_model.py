@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import random_instance, random_intents
 from evaluate_reference import evaluate_reference, validate_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,13 +126,7 @@ def stacked_profiles(draw):
     batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
     scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
     instance = random_instance(rng, n=n, p=p, scheme=scheme)
-    # part of each budget over a random subset of projects: some projects
-    # fund, some refund and some stay untouched
-    weights = rng.random((*batch, n, p)) * (rng.random((*batch, 1, p)) < 0.7)
-    spend = rng.uniform(0.0, 0.999, size=(*batch, n, 1)) * instance.budgets[:, None]
-    row_sums = weights.sum(axis=-1, keepdims=True)
-    intents = np.where(row_sums > 0.0, weights / np.where(row_sums > 0.0, row_sums, 1.0), 0.0) * spend
-    realized = clamp_play(intents, instance.targets)
+    realized = clamp_play(random_intents(rng, instance, batch), instance.targets)
     realized[(realized == 0.0) & (rng.random(realized.shape) < 0.5)] = -0.0
     return instance, ContributionProfile(realized)
 
@@ -161,7 +155,9 @@ class TestEvaluateMatchesReference:
             edge = x.sum(axis=-1) - TOL
             for step in (-1, 0, 1):
                 budgets = edge + step * np.spacing(edge)
-                instance = Instance(base.valuations, budgets, base.targets, base.bonuses, base.refund)
+                instance = Instance(
+                    base.valuations, budgets, base.targets, base.bonuses, base.refund
+                )
                 profile = ContributionProfile(x)
                 try:
                     validate_reference(profile, instance)
