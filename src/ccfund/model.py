@@ -41,9 +41,8 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
     # NaN fails every comparison, so the range checks alone would wave it through
-    bad = ~np.isfinite(arr)
-    if np.any(bad):
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
+    if not np.isfinite(arr).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         raise ValueError(f"{name} must be finite, got {arr[index]} at index {index}")
 
 
@@ -278,16 +277,22 @@ def check_budget_surplus(instance: Instance) -> BudgetStatus:
     return BudgetStatus.DEFICIT
 
 
-def check_subset_feasibility(
-    instance: Instance, subset: Sequence[int], thresholds: np.ndarray
-) -> bool:
-    """True when every agent can afford its thresholds across the subset."""
+def _subset_indices(instance: Instance, subset: Sequence[int]) -> tuple[int, ...]:
+    """``subset`` as a tuple, refused with a duplicate or out-of-range index."""
     subset = tuple(subset)
     if len(set(subset)) != len(subset):
         raise ValueError(f"subset {subset} contains duplicate project indices")
     for j in subset:
         if not 0 <= j < instance.n_projects:
             raise ValueError(f"subset index {j} out of range for {instance.n_projects} projects")
+    return subset
+
+
+def check_subset_feasibility(
+    instance: Instance, subset: Sequence[int], thresholds: np.ndarray
+) -> bool:
+    """True when every agent can afford its thresholds across the subset."""
+    subset = _subset_indices(instance, subset)
     if not subset:
         return True
     need = thresholds[:, list(subset)].sum(axis=1)

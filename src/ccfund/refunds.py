@@ -10,6 +10,7 @@ ever put into a project.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -89,8 +90,9 @@ class LinearAdditiveRefund(RefundScheme):
     sum_additive = True
 
     def __post_init__(self):
-        if not self.slope > 0.0:
-            raise ValueError(f"linear refund slope must be positive, got {self.slope!r}")
+        # an infinite slope puts every threshold at 0, where share is inf·0 = nan
+        if not (self.slope > 0.0 and math.isfinite(self.slope)):
+            raise ValueError(f"linear refund slope must be positive and finite, got {self.slope!r}")
 
     def share(self, x, bonus, total):
         return self.slope * x

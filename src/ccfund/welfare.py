@@ -1,10 +1,10 @@
 """Welfare-optimal project subsets under the pooled budget.
 
-Two exact solvers over the same objective: a Pareto list of subsets built in
-index order (``solve_subset_bruteforce``) and a 0/1-knapsack dynamic program
-over quantized costs. They share one deterministic tie-break so answers can
-be compared verbatim: highest value, then fewest projects, then
-lexicographically smallest index list.
+One exact solver, a Pareto list of subsets built in index order
+(``solve_subset_bruteforce``). The 0/1-knapsack DP (``solve_subset_dp``) is
+the same list over costs quantized to whole units and cut at the capacity.
+Both answer with one deterministic tie-break: highest value, then fewest
+projects, then lexicographically smallest index list.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError
-from .model import TOL, Instance
+from .model import TOL, Instance, _require_finite, _subset_indices
 
 #: The subset list is pruned whenever it reaches this many rows.
 _ROW_CAP = 1 << 7
@@ -27,9 +27,9 @@ _ROW_GUARD = 1 << 16
 _MASK_BITS = 48
 #: The list's pruning margin allows this many p·eps·sum|v| of rounding.
 _PRUNE_SLACK = 8
-#: Two subsets whose values differ by at most this are tied (both solvers).
+#: Two subsets whose values differ by at most this are tied.
 TIE_TOL = 1e-9
-#: The DP refuses tables larger than this many cells.
+#: The DP refuses more than this many (project, unit) cells.
 _DP_CELL_GUARD = 150_000_000
 
 
@@ -48,8 +48,10 @@ def _subset_stats(values: np.ndarray, costs: np.ndarray, subset: tuple[int, ...]
     return float(values[idx].sum()), float(costs[idx].sum())
 
 
-def _prune(rows: np.ndarray, margin: float) -> np.ndarray:
+def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
     """Sort, merge and prune the subset list's rows (see ``_pareto_list``)."""
+    if cutoff < math.inf:
+        rows = rows[rows[:, 1] <= cutoff]
     value = rows[:, 0]
     # complex keys sort by cost, then by minus value
     keys = rows[:, 1] - 1j * value
@@ -70,7 +72,8 @@ def _prune(rows: np.ndarray, margin: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _pareto_list(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...]:
+def _pareto_list(value_bytes: bytes, cost_bytes: bytes,
+                 cutoff: float = math.inf) -> tuple[np.ndarray, ...]:
     """The columns of the near-Pareto subsets of one item set.
 
     Columns: value, cost, tie count (capped at 2), size, then ceil(p/48)
@@ -80,10 +83,16 @@ def _pareto_list(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...
     ``_ROW_CAP`` rows and after the last item, ``_prune`` sorts them by cost
     and then by value, highest first, merges equal rows (summed count,
     lowest key) and drops each row that a no-costlier row beats by more than
-    ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK`` (no pruning when
-    sum|v| is infinite). Cached for the last item set, which the sampler's
-    lift loop re-solves at new capacities; the arrays are read-only, since
-    every caller shares them.
+    ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK``. Nothing is
+    pruned when sum|v| overflows: a row's value may then be infinite, and
+    its running maximum minus an infinite M is NaN, which would drop it.
+    Cached for the last item set, which the sampler's lift loop re-solves at
+    new capacities; the arrays are read-only, since every caller shares them.
+
+    A finite ``cutoff`` also drops the rows that cost more. The DP passes
+    its capacity in units, where every cost is at least one unit, so such a
+    row and all its extensions never fit. Its list holds about one row per
+    unit, so the guard grows to ``cutoff + 1`` rows if that is more.
 
     Each row's value and cost are the index-order left folds of its subset,
     as the itertools oracle sums them, and pruning changes no answer:
@@ -109,38 +118,39 @@ def _pareto_list(value_bytes: bytes, cost_bytes: bytes) -> tuple[np.ndarray, ...
     table = np.zeros((2 * _ROW_CAP, items.shape[1]))
     table[0, 2] = 1.0
     n = 1
+    guard = max(_ROW_GUARD, cutoff + 1) if cutoff < math.inf else _ROW_GUARD
     for j, item in enumerate(items):
         if 2 * n > len(table):
             table = np.concatenate((table[:n], table[:n]))
         np.add(table[:n], item, out=table[n : 2 * n])
         n *= 2
         if magnitude < math.inf and (n >= _ROW_CAP or j == p - 1):
-            rows = _prune(table[:n], margin)
+            rows = _prune(table[:n], margin, cutoff)
             n = len(rows)
             table[:n] = rows
-        if n > _ROW_GUARD:
+        if n > guard:
             raise SolverError(f"{n} subsets after {j + 1} of {p} projects "
-                              f"exceed the list guard of {_ROW_GUARD} rows")
+                              f"exceed the list guard of {guard} rows")
     columns = table[:n].T.copy()
     columns.setflags(write=False)
     return tuple(columns)
 
 
-def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
-    """Exact argmax of subset value subject to subset cost <= capacity.
-
-    Reads the item set's Pareto list (Nemhauser & Ullmann 1969; see
-    ``_pareto_list``): a row fits when its cost is at most ``capacity + TOL``,
-    the fitting rows within ``TIE_TOL`` of the best tie, and the least key
-    among them is the answer. The list is short for perturbed inputs such as
-    the sampler's (Beier & Vöcking 2003); one longer than ``_ROW_GUARD`` rows,
-    as superincreasing inputs give, raises ``SolverError``.
-    """
+def _items(values, costs) -> tuple[np.ndarray, np.ndarray]:
+    """The solvers' item arrays, refused when not finite or not of one length."""
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
-    if math.isnan(capacity):
-        raise ValueError("capacity must be a number, got nan")
-    value, cost, count, *key = _pareto_list(values.tobytes(), costs.tobytes())
+    if len(costs) != len(values):
+        raise ValueError(f"costs must have one entry per value, got {len(costs)} for {len(values)}")
+    _require_finite("values", values)
+    _require_finite("costs", costs)
+    return values, costs
+
+
+def _read_list(columns, capacity: float, values: np.ndarray, costs: np.ndarray) -> WelfareSolution:
+    """The answer in a Pareto list's columns: the least key among the fitting
+    rows within ``TIE_TOL`` of the best, with its value and cost over ``costs``."""
+    value, cost, count, *key = columns
     fits = cost <= capacity + TOL
     if not fits.any():
         raise SolverError(f"no subset fits within capacity {capacity!r}")
@@ -153,20 +163,37 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     return WelfareSolution(subset, *_subset_stats(values, costs, subset), unique)
 
 
+def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
+    """Exact argmax of subset value subject to subset cost <= capacity.
+
+    Reads the item set's Pareto list (Nemhauser & Ullmann 1969; see
+    ``_pareto_list``): a row fits when its cost is at most ``capacity + TOL``,
+    the fitting rows within ``TIE_TOL`` of the best tie, and the least key
+    among them is the answer. The list is short for perturbed inputs such as
+    the sampler's (Beier & Vöcking 2003); one longer than ``_ROW_GUARD`` rows,
+    as superincreasing inputs give, raises ``SolverError``.
+    """
+    values, costs = _items(values, costs)
+    if math.isnan(capacity):
+        raise ValueError("capacity must be a number, got nan")
+    return _read_list(_pareto_list(values.tobytes(), costs.tobytes()), capacity, values, costs)
+
+
 def solve_subset_dp(values, costs, capacity: float, resolution: float) -> WelfareSolution:
     """Exact knapsack DP over quantized costs.
 
-    Costs round up and the capacity rounds down, so the DP never admits a
-    subset the continuous budget constraint would reject. Matches the
-    enumeration on any instance whose costs sit clear of quantization
-    boundaries.
+    Costs round up to whole units of ``resolution`` (at least one) and the
+    capacity rounds down, so the DP never admits a subset the continuous
+    budget constraint would reject. Matches the enumeration on any instance
+    whose costs sit clear of quantization boundaries.
 
-    Row j maps a capacity k to the best value projects j.. reach within k
-    units, with the fewest projects among its ties and the number of tied
-    subsets. Each row is a step function of k, so it keeps only its
-    breakpoints (Nemhauser & Ullmann 1969): O(p·B) work for at most
-    B <= min(2^p, cap_q + 1) breakpoints a row, and every value equals the
-    full table's at the same capacity.
+    The DP is the enumeration's Pareto list over the quantized costs, cut at
+    the capacity of ``cap_q`` units (see ``_pareto_list``): about one row per
+    reachable unit, so its work and memory grow with
+    ``min(2^p, cap_q + 1)`` (Nemhauser & Ullmann 1969). The answer, its
+    tie-break and its uniqueness flag are the enumeration's over those
+    units; its welfare and cost are the subset's sums over the given costs.
+    More than ``_DP_CELL_GUARD`` (project, unit) cells are refused up front.
     """
     # an infinite step would quantize every cost past every capacity and
     # return the empty subset as if it were the answer
@@ -174,91 +201,18 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     if not math.isfinite(capacity):
         raise ValueError(f"capacity must be finite, got {capacity!r}")
-    values = np.asarray(values, dtype=float)
-    costs = np.asarray(costs, dtype=float)
+    values, costs = _items(values, costs)
     p = len(values)
     cap_q = max(int(np.floor(capacity / resolution + 1e-9)), 0)
-    costs_q = np.ceil(costs / resolution - 1e-9).astype(np.int64)
-    costs_q = np.maximum(costs_q, 1)
     cells = (p + 1) * (cap_q + 1)
     if cells > _DP_CELL_GUARD:
         raise SolverError(
             f"DP table needs {cells} cells for {p} projects at resolution {resolution}; "
             f"guard is {_DP_CELL_GUARD}"
         )
-    # a row holds sorted breakpoints ks (ks[0] = 0) and the dp, cnt and ways
-    # values on each interval [ks[i], ks[i+1])
-    ks = np.zeros(1, dtype=np.int64)
-    dp = np.zeros(1)
-    cnt = np.zeros(1, dtype=np.int64)
-    ways = np.ones(1, dtype=np.int64)
-    rows = [(ks, dp, cnt)] * (p + 1)
-    for j in reversed(range(p)):
-        c = int(costs_q[j])
-        if c <= cap_q:
-            # merge the breakpoints with their shifts by c (two sorted runs,
-            # so the stable sort is a merge); at each merged key the running
-            # counts of either run locate the excluding and including steps
-            shifted = ks[: np.searchsorted(ks, cap_q - c, side="right")] + c
-            merged = np.concatenate((ks, shifted))
-            order = np.argsort(merged, kind="stable")
-            keys = merged[order]
-            from_ks = order < len(ks)
-            at_ex = np.cumsum(from_ks) - 1
-            at_in = np.cumsum(~from_ks) - 1
-            last = np.append(keys[1:] != keys[:-1], True)
-            keys, at_ex, at_in = keys[last], at_ex[last], at_in[last]
-            dp_cur, cnt_cur, ways_cur = dp[at_ex], cnt[at_ex], ways[at_ex]
-            seg = slice(int(np.searchsorted(keys, c)), None)
-            at_in = at_in[seg]
-            incl = values[j] + dp[at_in]
-            excl = dp_cur[seg]
-            diff = incl - excl
-            take = diff > TIE_TOL
-            tie = np.abs(diff) <= TIE_TOL
-            dp_cur[seg] = np.where(take, incl, excl)
-            inc_cnt = cnt[at_in] + 1
-            exc_cnt = cnt_cur[seg]
-            cnt_cur[seg] = np.where(
-                take, inc_cnt, np.where(tie, np.minimum(inc_cnt, exc_cnt), exc_cnt)
-            )
-            inc_ways = ways[at_in]
-            exc_ways = ways_cur[seg]
-            ways_cur[seg] = np.where(take, inc_ways, np.where(tie, inc_ways + exc_ways, exc_ways))
-            # a breakpoint whose step equals the one before it is no step
-            step = np.ones(len(keys), dtype=bool)
-            step[1:] = (
-                (dp_cur[1:] != dp_cur[:-1])
-                | (cnt_cur[1:] != cnt_cur[:-1])
-                | (ways_cur[1:] != ways_cur[:-1])
-            )
-            ks, dp, cnt, ways = keys[step], dp_cur[step], cnt_cur[step], ways_cur[step]
-        rows[j] = (ks, dp, cnt)
-
-    subset: list[int] = []
-    k = cap_q
-    for j in range(p):
-        c = int(costs_q[j])
-        if c > k:
-            continue
-        ks, dp, cnt = rows[j + 1]
-        at_in, at_ex = np.searchsorted(ks, (k - c, k), side="right") - 1
-        incl = values[j] + dp[at_in]
-        excl = dp[at_ex]
-        diff = incl - excl
-        if diff > TIE_TOL:
-            include = True
-        elif abs(diff) <= TIE_TOL:
-            include = cnt[at_in] + 1 <= cnt[at_ex]
-        else:
-            include = False
-        if include:
-            subset.append(j)
-            k -= c
-    chosen = tuple(subset)
-    welfare, cost = _subset_stats(values, costs, chosen)
-    # row 0's last step is the one that holds at cap_q
-    return WelfareSolution(chosen, welfare, cost, int(ways[-1]) == 1)
+    costs_q = np.maximum(np.ceil(costs / resolution - 1e-9), 1.0)
+    columns = _pareto_list(values.tobytes(), costs_q.tobytes(), cap_q)
+    return _read_list(columns, cap_q, values, costs)
 
 
 def _objective_values(instance: Instance, objective: str) -> np.ndarray:
@@ -285,9 +239,6 @@ def solve_pstar_dp(
 
 def welfare_of(instance: Instance, subset: Sequence[int], objective: str = "welfare") -> float:
     """Objective value of a subset (welfare headroom by default)."""
-    subset = tuple(subset)
-    for j in subset:
-        if not 0 <= j < instance.n_projects:
-            raise ValueError(f"subset index {j} out of range for {instance.n_projects} projects")
+    subset = _subset_indices(instance, subset)
     values = _objective_values(instance, objective)
     return float(values[list(subset)].sum())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -262,6 +264,11 @@ class TestSchemeSelection:
     def test_linear_requires_slope(self):
         with pytest.raises(ValueError, match="slope"):
             scheme_from_tag("linear-additive")
+
+    @pytest.mark.parametrize("slope", [0.0, -0.5, math.inf, math.nan])
+    def test_linear_slope_must_be_positive_and_finite(self, slope):
+        with pytest.raises(ValueError, match="slope must be positive and finite"):
+            LinearAdditiveRefund(slope)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown"):

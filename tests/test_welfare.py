@@ -23,11 +23,9 @@ from ccfund import (
 )
 from ccfund import welfare
 from ccfund.welfare import (
-    _DP_CELL_GUARD,
     _MASK_BITS,
     _PRUNE_SLACK,
     TIE_TOL,
-    WelfareSolution,
     _pareto_list,
     _subset_stats,
 )
@@ -50,79 +48,6 @@ def reference_enumeration(values, costs, capacity):
     tied = [entry for entry in affordable if entry[1] >= best - TIE_TOL]
     subset, welfare, cost = min(tied, key=lambda entry: (len(entry[0]), entry[0]))
     return subset, welfare, cost, len(tied)
-
-
-def dense_dp_reference(values, costs, capacity, resolution):
-    """Oracle: the knapsack DP over a full table of every budget unit.
-
-    Costs round up and the capacity rounds down, so the DP never admits a
-    subset the continuous budget constraint would reject. Matches the
-    enumeration on any instance whose costs sit clear of quantization
-    boundaries.
-    """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
-    values = np.asarray(values, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    p = len(values)
-    cap_q = max(int(np.floor(capacity / resolution + 1e-9)), 0)
-    costs_q = np.ceil(costs / resolution - 1e-9).astype(np.int64)
-    costs_q = np.maximum(costs_q, 1)
-    cells = (p + 1) * (cap_q + 1)
-    if cells > _DP_CELL_GUARD:
-        raise SolverError(
-            f"DP table needs {cells} cells for {p} projects at resolution {resolution}; "
-            f"guard is {_DP_CELL_GUARD}"
-        )
-    width = cap_q + 1
-    dps: list[np.ndarray] = [np.zeros(width)] * (p + 1)
-    cnts: list[np.ndarray] = [np.zeros(width, dtype=np.int64)] * (p + 1)
-    ways = np.ones(width, dtype=np.int64)
-    for j in reversed(range(p)):
-        dp_next, cnt_next = dps[j + 1], cnts[j + 1]
-        dp_cur = dp_next.copy()
-        cnt_cur = cnt_next.copy()
-        ways_cur = ways.copy()
-        c = int(costs_q[j])
-        if c <= cap_q:
-            seg = slice(c, None)
-            incl = values[j] + dp_next[: width - c]
-            excl = dp_next[seg]
-            diff = incl - excl
-            take = diff > TIE_TOL
-            tie = np.abs(diff) <= TIE_TOL
-            dp_cur[seg] = np.where(take, incl, excl)
-            inc_cnt = cnt_next[: width - c] + 1
-            exc_cnt = cnt_next[seg]
-            cnt_cur[seg] = np.where(
-                take, inc_cnt, np.where(tie, np.minimum(inc_cnt, exc_cnt), exc_cnt)
-            )
-            inc_ways = ways[: width - c]
-            exc_ways = ways[seg]
-            ways_cur[seg] = np.where(take, inc_ways, np.where(tie, inc_ways + exc_ways, exc_ways))
-        dps[j], cnts[j], ways = dp_cur, cnt_cur, ways_cur
-
-    subset: list[int] = []
-    k = cap_q
-    for j in range(p):
-        c = int(costs_q[j])
-        if c > k:
-            continue
-        incl = values[j] + dps[j + 1][k - c]
-        excl = dps[j + 1][k]
-        diff = incl - excl
-        if diff > TIE_TOL:
-            include = True
-        elif abs(diff) <= TIE_TOL:
-            include = cnts[j + 1][k - c] + 1 <= cnts[j + 1][k]
-        else:
-            include = False
-        if include:
-            subset.append(j)
-            k -= c
-    chosen = tuple(subset)
-    welfare, cost = _subset_stats(values, costs, chosen)
-    return WelfareSolution(chosen, welfare, cost, int(ways[cap_q]) == 1)
 
 
 def assert_matches_reference(values, costs, capacity):
@@ -249,26 +174,19 @@ class TestBruteforce:
     @given(
         st.integers(13, 25).flatmap(
             lambda p: st.tuples(
-                st.lists(st.integers(-100, 1000), min_size=p, max_size=p),
+                st.lists(st.floats(-1.0, 10.0), min_size=p, max_size=p),
                 st.lists(st.integers(1, 20), min_size=p, max_size=p),
             )
         ),
         st.floats(0.0, 1.0),
     )
     def test_property_matches_exact_dp_on_integer_costs(self, items, fraction):
-        # at resolution 1 integer costs never round, so the DP is exact.
-        # Values sit on a 0.01 grid: the DP compares ties one step at a time,
-        # not against one global window, so near-ties on a finer scale can
-        # chain apart.
-        values = np.array(items[0]) * 0.01
+        # at resolution 1 integer costs never round, so the DP is exact
+        values = np.array(items[0])
         costs = np.array(items[1], dtype=float)
         capacity = float(np.floor(fraction * costs.sum()))
-        bf = solve_subset_bruteforce(values, costs, capacity)
-        dp = solve_subset_dp(values, costs, capacity, 1.0)
-        assert bf.subset == dp.subset
-        assert bf.unique == dp.unique
-        assert bf.welfare == pytest.approx(dp.welfare, abs=1e-9)
-        assert bf.cost == dp.cost
+        assert solve_subset_dp(values, costs, capacity, 1.0) == (
+            solve_subset_bruteforce(values, costs, capacity))
 
     def test_all_tied_worst_case_memory_is_bounded(self):
         # every subset of the capacity's size ties; equal rows merge, so the
@@ -485,7 +403,12 @@ class TestTieWindow:
         ((1.0, 1.0 + 5e-10), (1.0, 1.0), 1.0, (0,)),
         # the 1e-12 item adds only noise, so the fewest projects win
         ((0.0,) * 11 + (1e-12, 1.0), (1.0,) * 13, 13.0, (12,)),
-    ], ids=["near-tied-singletons", "noise-item"])
+        # each item alone sits inside the window of the empty subset, but
+        # both together do not: the pair is best and ties both singletons
+        ((6e-10, 6e-10), (1.0, 1.0), 2.0, (0,)),
+        # the same chain beside a larger item
+        ((1.0, 6e-10, 6e-10), (1.0, 1.0, 1.0), 3.0, (0, 1)),
+    ], ids=["near-tied-singletons", "noise-item", "near-tie-chain", "near-tie-chain-beside-larger"])
     def test_both_solvers_share_one_tie_window(self, values, costs, capacity, subset):
         for sol in (solve_subset_bruteforce(values, costs, capacity),
                     solve_subset_dp(values, costs, capacity, 1.0)):
@@ -493,9 +416,16 @@ class TestTieWindow:
             assert not sol.unique
 
 
+def quantized(costs, capacity, resolution):
+    """Costs rounded up to whole units of ``resolution`` (at least one) and
+    the capacity rounded down, as the DP documents."""
+    units = [float(max(math.ceil(c / resolution - 1e-9), 1)) for c in costs]
+    return units, float(max(math.floor(capacity / resolution + 1e-9), 0))
+
+
 @st.composite
 def dp_cases(draw):
-    """Values, costs, capacity and resolution for the DP against its dense oracle."""
+    """Values, costs, capacity and resolution for the DP against the enumeration."""
     p = draw(st.integers(0, 14))
     if draw(st.booleans()):
         # small integers and halves tie constantly; at resolution 1 the
@@ -568,20 +498,24 @@ class TestDp:
 
     @settings(max_examples=300, deadline=None)
     @given(dp_cases())
-    def test_property_matches_dense_reference(self, case):
-        # the breakpoint rows hold the full table's values at every capacity,
-        # so every comparison and every answer is the full table's
+    # sub-window values that chain: all three items are best, and every pair ties them
+    @example(case=(np.array([6e-10, 9e-10, 9e-10]), np.array([1.0, 3.0, 2.0]), 6.9, 1.0))
+    def test_property_matches_quantized_enumeration(self, case):
+        # the DP's answer is the enumeration's over whole units; its welfare
+        # and cost are that subset's sums over the given costs
         values, costs, capacity, resolution = case
         sol = solve_subset_dp(values, costs, capacity, resolution)
-        ref = dense_dp_reference(values, costs, capacity, resolution)
-        assert sol.subset == ref.subset
-        assert sol.unique == ref.unique
-        assert np.float64(sol.welfare).tobytes() == np.float64(ref.welfare).tobytes()
-        assert np.float64(sol.cost).tobytes() == np.float64(ref.cost).tobytes()
+        subset, _, _, ties = reference_enumeration(
+            values, *quantized(costs, capacity, resolution))
+        assert sol.subset == subset
+        assert sol.unique == (ties == 1)
+        welfare, cost = _subset_stats(values, costs, subset)
+        assert np.float64(sol.welfare).tobytes() == np.float64(welfare).tobytes()
+        assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
 
     def test_rows_hold_breakpoints_not_budget_units(self):
         # about 1e6 budget units: full rows would take well over 100 MB, the
-        # breakpoint rows hold at most 2^10 steps each
+        # list holds at most one row per subset of the 10 items
         rng = np.random.default_rng(41)
         values = rng.uniform(0.1, 10.0, size=10)
         costs = rng.integers(10_000, 300_000, size=10).astype(float)
@@ -597,6 +531,32 @@ class TestDp:
     def test_memory_guard_reports_size(self):
         with pytest.raises(SolverError, match="cells"):
             solve_subset_dp(np.ones(3), np.ones(3), 1e9, 0.001)
+
+    def test_equal_ratio_items_past_the_list_guard(self):
+        # subset-sum items: each subset is worth its cost, so the list holds a
+        # row per reachable cost. Uncut, that is more rows than the list guard
+        # allows; cut at the capacity, the guard grows to cap_q + 1 rows
+        rng = np.random.default_rng(43)
+        costs = rng.integers(1, 100_000, size=18).astype(float)
+        capacity = float(np.floor(costs.sum() / 2))
+        assert capacity > 1 << 16
+        _pareto_list.cache_clear()
+        with pytest.raises(SolverError, match="list guard of 65536 rows"):
+            solve_subset_bruteforce(costs, costs, capacity)
+        assert solve_subset_dp(costs, costs, capacity, 1.0) == (
+            mitm_reference.solve_subset_bruteforce(costs, costs, capacity))
+
+    def test_cut_list_guard_names_its_size(self):
+        # equal rows merge only at a prune, so the fourth row trips a guard
+        # of max(2, cap_q + 1) = 3 rows
+        _pareto_list.cache_clear()
+        with mock.patch.object(welfare, "_ROW_GUARD", 2), pytest.raises(
+                SolverError, match=r"^4 subsets after 2 of 3 projects exceed the list guard of 3 rows$"):
+            solve_subset_dp(np.ones(3), np.ones(3), 2.0, 1.0)
+
+    def test_cost_past_int64_never_fits(self):
+        # 1e20 units lie past any int64; the cost still rounds up past the capacity
+        assert solve_subset_dp([5.0], [1e20], 10.0, 1.0).subset == ()
 
     def test_randomized_oracle_equivalence(self):
         # costs sit on the quantization grid so rounding never flips
@@ -655,6 +615,31 @@ class TestDp:
             assert sol.subset == tuple(range(rich.n_projects))
 
 
+class TestItems:
+    @pytest.mark.parametrize("solve", [
+        solve_subset_bruteforce,
+        lambda values, costs, capacity: solve_subset_dp(values, costs, capacity, 1.0),
+    ], ids=["list", "dp"])
+    @pytest.mark.parametrize("values, costs, name", [
+        ([math.nan, 1.0], [1.0, 1.0], "values"),
+        ([1.0, -math.inf], [1.0, 1.0], "values"),
+        ([1.0, 1.0], [1.0, math.nan], "costs"),
+        ([1.0, 1.0], [math.inf, 1.0], "costs"),
+        ([1.0, 1.0], [1.0], "costs"),
+    ])
+    def test_bad_items_are_named(self, solve, values, costs, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            solve(values, costs, 2.0)
+
+    def test_overflowing_sums_are_not_pruned(self):
+        # finite values whose sum overflows: the pair is worth inf, and inf
+        # minus an infinite pruning margin would be NaN
+        values, costs = np.array([1e308, 1e308]), np.ones(2)
+        with np.errstate(over="ignore"):
+            assert_matches_reference(values, costs, 2.0)
+            assert solve_subset_dp(values, costs, 2.0, 1.0).subset == (0, 1)
+
+
 class TestWelfareOf:
     def test_empty(self):
         inst = random_instance(np.random.default_rng(21))
@@ -686,3 +671,8 @@ class TestWelfareOf:
         inst = random_instance(np.random.default_rng(31))
         with pytest.raises(ValueError, match="out of range"):
             welfare_of(inst, (inst.n_projects,))
+
+    def test_duplicate_index(self):
+        inst = random_instance(np.random.default_rng(31))
+        with pytest.raises(ValueError, match="duplicate"):
+            welfare_of(inst, (0, 0))
