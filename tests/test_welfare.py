@@ -545,6 +545,8 @@ class TestDp:
             solve_subset_bruteforce(costs, costs, capacity)
         assert solve_subset_dp(costs, costs, capacity, 1.0) == (
             mitm_reference.solve_subset_bruteforce(costs, costs, capacity))
+        # the DP's cut list holds no row that costs more than the capacity
+        assert _pareto_list(costs.tobytes(), costs.tobytes(), int(capacity))[1].max() <= capacity
 
     def test_cut_list_guard_names_its_size(self):
         # equal rows merge only at a prune, so the fourth row trips a guard
