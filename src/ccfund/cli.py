@@ -274,9 +274,7 @@ def cmd_best_response(args) -> int:
 def cmd_play(args) -> int:
     instance = io.load_instance(args.instance)
     if args.assignment is not None:
-        assignment = io.read_input(
-            args.assignment, lambda names: Assignment(tuple(Heuristic(name) for name in names))
-        )
+        assignment = io.load_assignment(args.assignment)
     else:
         assignment = Assignment.uniform(Heuristic(args.heuristic), instance.n_agents)
     _echo(

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import InputError
 from .generators import SamplerConfig
 from .harness import ExperimentConfig
+from .heuristics import Assignment, Heuristic
 from .model import ContributionProfile, Instance
-from .refunds import LINEAR_ADDITIVE_TAG, LinearAdditiveRefund, RefundScheme, scheme_from_tag
+from .refunds import LINEAR_ADDITIVE_TAG, RefundScheme, scheme_from_tag
 
 
 def format_float(value) -> str:
@@ -54,7 +55,7 @@ def _render(obj, out: list[str]) -> None:
             _render(obj[key], out)
         out.append("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _render({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
+        _render(_dump(obj), out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -70,63 +71,6 @@ def dumps_canonical(obj) -> str:
     out: list[str] = []
     _render(obj, out)
     return "".join(out)
-
-
-# -- instances ---------------------------------------------------------------
-
-
-def instance_to_jsonable(instance: Instance) -> dict:
-    return {
-        "agents": [
-            {"budget": float(b), "valuations": [float(v) for v in row]}
-            for b, row in zip(instance.budgets, instance.valuations)
-        ],
-        "projects": [
-            {"target": float(t), "bonus": float(b)}
-            for t, b in zip(instance.targets, instance.bonuses)
-        ],
-        **_refund_jsonable(instance.refund),
-    }
-
-
-def _refund_jsonable(scheme: RefundScheme) -> dict:
-    """The ``refund`` tag, with ``linear_slope`` for the linear scheme."""
-    data = {"refund": scheme.tag}
-    if isinstance(scheme, LinearAdditiveRefund):
-        data["linear_slope"] = scheme.slope
-    return data
-
-
-def _object(data, keys, what: str, path: str = "") -> dict:
-    """``data``, a JSON object whose keys are all in ``keys``.
-
-    Any other key raises InputError naming its path, such as
-    ``agents[3].comment``.
-    """
-    if not isinstance(data, dict):
-        raise InputError(f"{what} {path.rstrip('.') or 'file'} must be a JSON object")
-    for key in data:
-        if key not in keys:
-            raise InputError(f"unknown {what} key {path}{key}")
-    return data
-
-
-def instance_from_jsonable(data: dict) -> Instance:
-    _object(data, ("agents", "projects", "refund", "linear_slope"), "instance")
-    agents = [_object(a, ("budget", "valuations"), "instance", f"agents[{i}].")
-              for i, a in enumerate(data["agents"])]
-    projects = [_object(p, ("target", "bonus"), "instance", f"projects[{i}].")
-                for i, p in enumerate(data["projects"])]
-    if "linear_slope" in data and data["refund"] != LINEAR_ADDITIVE_TAG:
-        raise InputError(f"instance key linear_slope applies only to refund {LINEAR_ADDITIVE_TAG}")
-    scheme = scheme_from_tag(data["refund"], data.get("linear_slope"))
-    return Instance(
-        valuations=np.array([a["valuations"] for a in agents], dtype=float),
-        budgets=np.array([a["budget"] for a in agents], dtype=float),
-        targets=np.array([p["target"] for p in projects], dtype=float),
-        bonuses=np.array([p["bonus"] for p in projects], dtype=float),
-        refund=scheme,
-    )
 
 
 def _finite_float(text: str) -> float:
@@ -152,32 +96,12 @@ def read_input(path, parse):
             raise InputError(f"{path}: {exc}") from exc
 
 
-def save_instance(path, instance: Instance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(instance_to_jsonable(instance)) + "\n")
-
-
-def load_instance(path) -> Instance:
-    return read_input(path, instance_from_jsonable)
-
-
-# -- profiles ----------------------------------------------------------------
-
-
-def profile_from_jsonable(data: dict) -> ContributionProfile:
-    _object(data, ("contributions",), "profile")
-    return ContributionProfile(np.array(data["contributions"], dtype=float))
-
-
-def load_profile(path) -> ContributionProfile:
-    return read_input(path, profile_from_jsonable)
-
-
-# -- configs -----------------------------------------------------------------
-# One loader and one dumper walk the config dataclasses' fields. A key is its
-# field's name unless _KEYS renames it, a RefundScheme field is the refund
-# pair, and a key in _ONLY_WITH goes only beside one value of another key.
-# Any other key raises InputError naming its path, such as ``sampler.bonus_fracton``.
+# -- the walker --------------------------------------------------------------
+# One loader and one dumper walk the fields of the configs and of the classes
+# below that lay out instance and profile files. A key is its field's name
+# unless _KEYS renames it, a RefundScheme field is the refund pair, and a key
+# in _ONLY_WITH goes only beside one value of another key. Any other key raises
+# InputError naming its path, such as ``sampler.bonus_fracton``.
 
 _KEYS = {"valuation_dist": "valuations"}
 _ONLY_WITH = {"lo": ("kind", "uniform"), "hi": ("kind", "uniform"),
@@ -187,74 +111,151 @@ _RETIRED = ("delta",)
 #: JSON types each scalar annotation reads, and its name; an enum reads a string.
 _SCALARS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
             bool: ((bool,), "true or false"), str: ((str,), "a string")}
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _dump(value):
-    """A config, or one of its field values, as JSON data."""
-    if isinstance(value, tuple):
-        return [_dump(item) for item in value]
-    if not dataclasses.is_dataclass(value):
-        return value.value if isinstance(value, Enum) else value
+@dataclasses.dataclass(frozen=True)
+class _Agent:
+    budget: float
+    valuations: tuple[float, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Project:
+    target: float
+    bonus: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _InstanceFile:
+    """An instance file: a row per agent and per project, and the refund pair."""
+
+    agents: tuple[_Agent, ...]
+    projects: tuple[_Project, ...]
+    refund: RefundScheme
+
+    @classmethod
+    def of(cls, instance: Instance) -> _InstanceFile:
+        agents = map(_Agent, instance.budgets.tolist(), map(tuple, instance.valuations.tolist()))
+        projects = map(_Project, instance.targets.tolist(), instance.bonuses.tolist())
+        return cls(tuple(agents), tuple(projects), instance.refund)
+
+    def instance(self) -> Instance:
+        return Instance([a.valuations for a in self.agents], [a.budget for a in self.agents],
+                        [p.target for p in self.projects], [p.bonus for p in self.projects],
+                        self.refund)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProfileFile:
+    contributions: tuple[tuple[float, ...], ...]
+
+
+def _items(value) -> dict:
+    """A dataclass's keys and field values, one level deep."""
     data = {}
     for f in dataclasses.fields(value):
         item = getattr(value, f.name)
         if isinstance(item, RefundScheme):
-            data.update(_refund_jsonable(item))
+            data.update(refund=item.tag, linear_slope=getattr(item, "slope", None))
         else:
-            data[_KEYS.get(f.name, f.name)] = _dump(item)
+            data[_KEYS.get(f.name, f.name)] = item
     return {key: item for key, item in data.items()
             if key not in _ONLY_WITH or data[_ONLY_WITH[key][0]] == _ONLY_WITH[key][1]}
 
 
-def _load(cls, data, path: str = ""):
+def _dump(value):
+    """A dataclass, or one of its field values, as JSON data."""
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {key: _dump(item) for key, item in _items(value).items()}
+    return value.value if isinstance(value, Enum) else value
+
+
+def _load(cls, data, path: str = "", noun: str = "config"):
     """``cls`` from its JSON object, with the dataclass default for each omitted key."""
     if not isinstance(data, dict):
-        raise InputError(f"config {path.rstrip('.') or 'file'} must be a JSON object")
-    hints, kwargs = typing.get_type_hints(cls), {}
+        raise InputError(f"{noun} {path.rstrip('.') or 'file'} must be a JSON object")
+    hints, kwargs = _hints(cls), {}
     for f in dataclasses.fields(cls):
         key = _KEYS.get(f.name, f.name)
-        if key in data and hints[f.name] is RefundScheme:
+        wanted = key in data or f.default is f.default_factory  # both MISSING: no default
+        if wanted and hints[f.name] is RefundScheme:
             slope = data.get("linear_slope")
             kwargs[f.name] = scheme_from_tag(
-                _read(str, data[key], path + key),
-                None if slope is None else _read(float, slope, path + "linear_slope"),
+                _read(str, data[key], path + key, noun),
+                None if slope is None else _read(float, slope, path + "linear_slope", noun),
             )
-        elif key in data:
-            kwargs[f.name] = _read(hints[f.name], data[key], path + key)
+        elif wanted:
+            kwargs[f.name] = _read(hints[f.name], data[key], path + key, noun)
     cfg = cls(**kwargs)
-    carried = _dump(cfg)
+    carried = _items(cfg)
     for key in data:
-        if key in _RETIRED:
+        if key in _RETIRED and noun == "config":
             print(f"note: config key {path}{key} is retired and ignored", file=sys.stderr)
         elif key in _ONLY_WITH and key not in carried:
             other, value = _ONLY_WITH[key]
-            raise InputError(f"config key {path}{key} applies only to {other} {value}")
+            raise InputError(f"{noun} key {path}{key} applies only to {other} {value}")
         elif key not in carried:
-            raise InputError(f"unknown config key {path}{key}")
+            raise InputError(f"unknown {noun} key {path}{key}")
     return cfg
 
 
-def _read(kind, value, path: str):
+def _read(kind, value, path: str, noun: str):
     """A JSON value read as a field annotated ``kind``."""
     if dataclasses.is_dataclass(kind):
-        return _load(kind, value, path + ".")
+        return _load(kind, value, path + ".", noun)
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
-            raise InputError(f"config key {path} must be a list, got {json.dumps(value)}")
+            where = f"key {path}" if path else "file"
+            raise InputError(f"{noun} {where} must be a list, got {json.dumps(value)}")
         items = typing.get_args(kind)
+        if items == (float, ...) and all(type(item) is float for item in value):
+            return tuple(value)  # a row of JSON floats, read in one pass
         if items[-1] is Ellipsis:
             items = items[:1] * len(value)
         if len(value) != len(items):
-            raise InputError(f"config key {path} must hold {len(items)} items, got {value}")
-        return tuple(_read(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(items, value)))
+            raise InputError(f"{noun} key {path} must hold {len(items)} items, got {value}")
+        return tuple(_read(k, value[i], f"{path}[{i}]", noun) for i, k in enumerate(items))
     types, name = _SCALARS.get(kind, _SCALARS[str])
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
             or kind is int and isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"config key {path} must be {name}, got {json.dumps(value)}")
+        raise InputError(f"{noun} key {path} must be {name}, got {json.dumps(value)}")
     try:
         return kind(value)
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
-        raise InputError(f"config key {path}: {exc}") from None
+        raise InputError(f"{noun} key {path}: {exc}") from None
+
+
+def instance_to_jsonable(instance: Instance) -> dict:
+    return _dump(_InstanceFile.of(instance))
+
+
+def instance_from_jsonable(data: dict) -> Instance:
+    return _load(_InstanceFile, data, noun="instance").instance()
+
+
+def save_instance(path, instance: Instance) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_canonical(instance_to_jsonable(instance)) + "\n")
+
+
+def load_instance(path) -> Instance:
+    return read_input(path, instance_from_jsonable)
+
+
+def profile_from_jsonable(data: dict) -> ContributionProfile:
+    return ContributionProfile(_load(_ProfileFile, data, noun="profile").contributions)
+
+
+def load_profile(path) -> ContributionProfile:
+    return read_input(path, profile_from_jsonable)
+
+
+def load_assignment(path) -> Assignment:
+    return Assignment(read_input(path, functools.partial(
+        _read, tuple[Heuristic, ...], path="", noun="assignment")))
 
 
 sampler_config_to_jsonable = experiment_config_to_jsonable = _dump

@@ -552,7 +552,8 @@ class TestInputFileKeys:
         (lambda data: data["projects"][1], "budget", "unknown instance key projects[1].budget"),
         (lambda data: data, "linear_slope",
          "instance key linear_slope applies only to refund linear-additive"),
-    ], ids=["top-level", "agent", "project", "slope-under-ppr"])
+        (lambda data: data, "delta", "unknown instance key delta"),
+    ], ids=["top-level", "agent", "project", "slope-under-ppr", "delta"])
     def test_instance_key_is_refused(self, where, key, message, tmp_path, capsys):
         data = copy.deepcopy(ONE_AGENT)
         where(data)[key] = 0.3
@@ -571,6 +572,47 @@ class TestInputFileKeys:
         assert main(["solve-pstar", "--instance", str(inst)]) == 0
         assert main(["best-response", "--instance", str(inst), "--agent", "0",
                      "--others", str(others), "--delta", "0.5"]) == 0
+
+    # each of these used to load as a number (1.5, 1.0, 0.5), and the command exit 0
+    @pytest.mark.parametrize("where, key, value, message", [
+        (lambda data: data["agents"][0], "budget", "1.5",
+         'instance key agents[0].budget must be a number, got "1.5"'),
+        (lambda data: data["agents"][0]["valuations"], 1, True,
+         "instance key agents[0].valuations[1] must be a number, got true"),
+        (lambda data: data["projects"][0], "bonus", "0.5",
+         'instance key projects[0].bonus must be a number, got "0.5"'),
+    ], ids=["string-budget", "boolean-valuation", "string-bonus"])
+    def test_instance_value_must_be_a_number(self, where, key, value, message, tmp_path,
+                                             capsys):
+        data = copy.deepcopy(ONE_AGENT)
+        where(data)[key] = value
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(data))
+        assert main(["solve-pstar", "--instance", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_profile_value_must_be_a_number(self, tmp_path, capsys):
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps(ONE_AGENT))
+        others.write_text(json.dumps({"contributions": [[0.0, "0.5"]]}))
+        assert main(["best-response", "--instance", str(inst), "--agent", "0",
+                     "--others", str(others), "--delta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert 'profile key contributions[0][1] must be a number, got "0.5"' in captured.err
+
+    def test_assignment_must_be_a_list_of_names(self, tmp_path, capsys):
+        inst, names = tmp_path / "inst.json", tmp_path / "names.json"
+        inst.write_text(json.dumps(ONE_AGENT))
+        for data, message in (({"agents": ["symmetric"]}, "assignment file must be a list"),
+                              ([1], "assignment key [0] must be a string, got 1")):
+            names.write_text(json.dumps(data))
+            assert main(["play", "--instance", str(inst), "--assignment", str(names)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_profile_key_is_refused(self, tmp_path, capsys):
         inst, others = tmp_path / "inst.json", tmp_path / "others.json"
