@@ -25,7 +25,7 @@ from .welfare import solve_subset_bruteforce
 #: A project counts as funded once the shortfall is within this.
 FUND_TOL = 1e-9
 #: Utility gaps at most this wide count as ties for tie-breaking.
-TIE_TOL = 1e-12
+UTILITY_TIE_TOL = 1e-12
 #: Guard on the number of budget grid units.
 UNIT_GUARD = 1_000_000
 #: Guard on the number of enumerated grid profiles.
@@ -118,15 +118,19 @@ def _grid_layout(view: ResidualView, delta: float) -> tuple[int, list[int]]:
     """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    budget_units = int(np.floor(view.budget / delta + 1e-9))
+    # quotients stay floats until checked: past float range they are infinite
+    budget_units = np.floor(view.budget / delta + 1e-9)
     if budget_units > UNIT_GUARD:
         raise SolverError(
-            f"budget spans {budget_units} grid units, exceeding the guard of {UNIT_GUARD}"
+            f"budget {view.budget} spans {budget_units:.0f} grid units at delta {delta}, "
+            f"exceeding the guard of {UNIT_GUARD}"
         )
-    fund_units = [
-        0 if r <= FUND_TOL else int(np.ceil(r / delta - 1e-9)) for r in view.remaining
-    ]
-    return budget_units, fund_units
+    fund = [r / delta - 1e-9 if r > FUND_TOL else 0.0 for r in view.remaining.tolist()]
+    for j, units in enumerate(fund):
+        if not math.isfinite(units):
+            raise SolverError(f"project {j}'s shortfall {view.remaining[j]} spans more "
+                              f"grid units than a float holds at delta {delta}")
+    return int(budget_units), [math.ceil(units) for units in fund]
 
 
 def _value_tables(
@@ -230,10 +234,10 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     (:func:`_row_plan`), built once per call; numpy's fixed cost per call,
     not arithmetic, dominates a level at fine-grid sizes.
 
-    Ties within ``TIE_TOL`` of the optimum resolve to the smallest total
-    spend, which is the least k whose ``best[0][k]`` ties it, then to money
-    placed on the earliest project indices: walking the projects in order,
-    each takes the largest spend that still leaves a tying completion
+    Ties within ``UTILITY_TIE_TOL`` of the optimum resolve to the smallest
+    total spend, which is the least k whose ``best[0][k]`` ties it, then to
+    money placed on the earliest project indices: walking the projects in
+    order, each takes the largest spend that still leaves a tying completion
     (matching the subset solver's preference for lower-indexed projects).
     """
     budget_units, fund_units = _grid_layout(view, delta)
@@ -250,7 +254,7 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
         best.append(cur)
     best.reverse()
 
-    need = best[0][-1] - TIE_TOL
+    need = best[0][-1] - UTILITY_TIE_TOL
     k = int(np.argmax(best[0] >= need))
     chosen = []
     for t, after in zip(tables, best[1:]):
@@ -288,7 +292,7 @@ def best_response_bruteforce(view: ResidualView, delta: float) -> BestResponse:
         spent = np.add.outer(spent, np.arange(sizes[j], dtype=np.int64)).ravel()
     feasible = spent <= budget_units
     best = util[feasible].max()
-    cand = feasible & (util >= best - TIE_TOL)
+    cand = feasible & (util >= best - UTILITY_TIE_TOL)
     min_spent = spent[cand].min()
     cand &= spent == min_spent
     idx = int(np.flatnonzero(cand)[-1])

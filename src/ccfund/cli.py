@@ -255,6 +255,9 @@ def cmd_best_response(args) -> int:
     if not 0 <= args.agent < instance.n_agents:
         raise InputError(f"--agent {args.agent} is out of range for {instance.n_agents} agents")
     profile = io.load_profile(args.others)
+    if profile.contributions.shape != instance.valuations.shape:
+        raise InputError(f"{args.others}: profile shape {profile.contributions.shape} does not "
+                         f"match the instance's {instance.valuations.shape}")
     _echo(
         "best-response",
         {"instance": args.instance, "agent": args.agent, "delta": args.delta,
@@ -275,6 +278,9 @@ def cmd_play(args) -> int:
     instance = io.load_instance(args.instance)
     if args.assignment is not None:
         assignment = io.load_assignment(args.assignment)
+        if len(assignment.heuristics) != instance.n_agents:
+            raise InputError(f"{args.assignment}: assignment names {len(assignment.heuristics)} "
+                             f"heuristics for {instance.n_agents} agents")
     else:
         assignment = Assignment.uniform(Heuristic(args.heuristic), instance.n_agents)
     _echo(

@@ -203,14 +203,17 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         raise ValueError(f"capacity must be finite, got {capacity!r}")
     values, costs = _items(values, costs)
     p = len(values)
-    cap_q = max(int(np.floor(capacity / resolution + 1e-9)), 0)
+    # a float until the guard passes it: past float range the quotient is infinite
+    cap_q = max(np.floor(capacity / resolution + 1e-9), 0.0)
     cells = (p + 1) * (cap_q + 1)
     if cells > _DP_CELL_GUARD:
         raise SolverError(
-            f"DP table needs {cells} cells for {p} projects at resolution {resolution}; "
-            f"guard is {_DP_CELL_GUARD}"
+            f"capacity {capacity} needs a DP table of {cells:.0f} cells for {p} projects at "
+            f"resolution {resolution}; guard is {_DP_CELL_GUARD}"
         )
-    costs_q = np.maximum(np.ceil(costs / resolution - 1e-9), 1.0)
+    cap_q = int(cap_q)
+    with np.errstate(over="ignore"):  # an infinite cost never fits
+        costs_q = np.maximum(np.ceil(costs / resolution - 1e-9), 1.0)
     columns = _pareto_list(values.tobytes(), costs_q.tobytes(), cap_q)
     return _read_list(columns, cap_q, values, costs)
 

@@ -318,6 +318,28 @@ class TestExitCodes:
         assert main(["solve-pstar", "--instance", str(bad)]) == 2
         assert f"{bad}: NaN is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, budget, valuation, target, bonus, message", [
+        (["solve-pstar", "--method", "dp"], 1e308, 3.0, 2.0, 0.5,
+         "capacity 1e+308 needs a DP table of inf cells"),
+        (["best-response", "--method", "exact"], 1e308, 3.0, 2.0, 0.5,
+         "budget 1e+308 spans inf grid units at delta 0.01"),
+        (["best-response", "--delta", "0.001"], 1.0, 1.5e308, 1e308, 1e307,
+         "project 0's shortfall 1e+308 spans more grid units than a float holds at delta 0.001"),
+    ], ids=["dp-capacity", "exact-budget", "exact-shortfall"])
+    def test_quotient_past_float_range_is_solver_error(self, command, budget, valuation, target,
+                                                       bonus, message, tmp_path, capsys):
+        # these used to escape as an OverflowError traceback (exit 1)
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps({"agents": [{"budget": budget, "valuations": [valuation]}],
+                                    "projects": [{"target": target, "bonus": bonus}],
+                                    "refund": "ppr"}))
+        others.write_text(json.dumps({"contributions": [[0.0]]}))
+        extra = ["--agent", "0", "--others", str(others)] if command[0] == "best-response" else []
+        assert main([command[0], "--instance", str(inst), *command[1:], *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
     @pytest.mark.parametrize("command, text", [
         ("experiment", '{"instances_per_cell": Infinity}'),
         ("gen", '{"n": 1e999}'),
@@ -613,6 +635,36 @@ class TestInputFileKeys:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    @pytest.mark.parametrize("names", [["symmetric"], ["symmetric"] * 3],
+                             ids=["too-few", "too-many"])
+    def test_assignment_must_name_every_agent(self, names, tmp_path, capsys):
+        # too few names used to exit 3 with a ValueError from intent_matrix
+        data = copy.deepcopy(ONE_AGENT)
+        data["agents"].append(copy.deepcopy(data["agents"][0]))
+        inst, path = tmp_path / "inst.json", tmp_path / "names.json"
+        inst.write_text(json.dumps(data))
+        path.write_text(json.dumps(names))
+        assert main(["play", "--instance", str(inst), "--assignment", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {path}: assignment names {len(names)} heuristics for 2 agents"
+                in captured.err)
+
+    @pytest.mark.parametrize("rows", [[[0.0, 0.0]] * 2, [[0.0]], [[0.0, 0.0, 0.0]]],
+                             ids=["extra-agent", "missing-project", "extra-project"])
+    def test_profile_must_match_the_instance(self, rows, tmp_path, capsys):
+        # these used to exit 3 with a ValueError from make_view
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps(ONE_AGENT))
+        others.write_text(json.dumps({"contributions": rows}))
+        assert main(["best-response", "--instance", str(inst), "--agent", "0",
+                     "--others", str(others), "--delta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shape = (len(rows), len(rows[0]))
+        assert (f"error: {others}: profile shape {shape} does not match the instance's (1, 2)"
+                in captured.err)
 
     def test_profile_key_is_refused(self, tmp_path, capsys):
         inst, others = tmp_path / "inst.json", tmp_path / "others.json"
