@@ -2,8 +2,8 @@
 
 Each digest is the SHA-256 of what one command wrote when the digests were
 captured: the stdout of ``solve-pstar``, ``best-response``, ``play`` (in
-random order), ``fixture`` and ``verify``, and the ``*.solution.json`` files
-``gen`` writes. ``verify`` is also pinned by its exit code, which is 1 when
+random order), ``fixture`` and ``verify``, and the instance and
+``*.solution.json`` files ``gen`` writes. ``verify`` is also pinned by its exit code, which is 1 when
 a certificate check fails. The instances come from ``gen`` with fixed
 sampler configs (proportional and linear refunds), and
 the other agents' profile is a fixed fraction of their budgets.
@@ -121,6 +121,19 @@ GOLDEN_SOLUTIONS = {
     ],
 }
 
+GOLDEN_INSTANCES = {
+    "linear": [
+        "fd0205d963af5321c644cd1ebd81a658d3b5dc291102698c1e2a8e4a049c4cad",
+        "dc9d38f3f994c8ce8bb02d01838837dda52449a4b4584a04d4cf425aee576170",
+        "a0616a7b3f4daa8dd7a19e05c4a2154d30e4af711e0ffce3fa0c2a912fbe5105",
+    ],
+    "ppr": [
+        "9d4f4c9bebddac474a1b8f5b5a136622bbc586e06018f817fd0ed5dbfe93aafc",
+        "7311df4f6a13e672eda0db7c58391bdaba57d1356c392ab7d79f4e9ae726c3d8",
+        "4b267e7e53902f0747da45afe0dc956f15b5b6c6f3aa25603aa6e84b16a586fb",
+    ],
+}
+
 
 VERIFY_COMMANDS = {
     **{f"verify-{name}": ["verify", name]
@@ -176,6 +189,7 @@ def test_verify_matches_golden(name, capsys):
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_gen_solutions_match_golden(sampler, generated):
     directory = generated[sampler][0]
-    digests = [_sha((directory / f"instance_{k:05d}.solution.json").read_bytes())
-               for k in range(GEN_COUNT)]
-    assert digests == GOLDEN_SOLUTIONS[sampler]
+    for suffix, golden in ((".solution.json", GOLDEN_SOLUTIONS), (".json", GOLDEN_INSTANCES)):
+        digests = [_sha((directory / f"instance_{k:05d}{suffix}").read_bytes())
+                   for k in range(GEN_COUNT)]
+        assert digests == golden[sampler], suffix
