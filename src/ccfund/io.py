@@ -111,7 +111,7 @@ _RETIRED = ("delta",)
 #: JSON types each scalar annotation reads, and its name; an enum reads a string.
 _SCALARS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
             bool: ((bool,), "true or false"), str: ((str,), "a string")}
-_hints = functools.cache(typing.get_type_hints)
+_hints, _fields = functools.cache(typing.get_type_hints), functools.cache(dataclasses.fields)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,7 +154,7 @@ class _ProfileFile:
 def _items(value) -> dict:
     """A dataclass's keys and field values, one level deep."""
     data = {}
-    for f in dataclasses.fields(value):
+    for f in _fields(type(value)):
         item = getattr(value, f.name)
         if isinstance(item, RefundScheme):
             data.update(refund=item.tag, linear_slope=getattr(item, "slope", None))
@@ -178,7 +178,7 @@ def _load(cls, data, path: str = "", noun: str = "config"):
     if not isinstance(data, dict):
         raise InputError(f"{noun} {path.rstrip('.') or 'file'} must be a JSON object")
     hints, kwargs = _hints(cls), {}
-    for f in dataclasses.fields(cls):
+    for f in _fields(cls):
         key = _KEYS.get(f.name, f.name)
         wanted = key in data or f.default is f.default_factory  # both MISSING: no default
         if wanted and hints[f.name] is RefundScheme:
@@ -211,7 +211,7 @@ def _read(kind, value, path: str, noun: str):
             where = f"key {path}" if path else "file"
             raise InputError(f"{noun} {where} must be a list, got {json.dumps(value)}")
         items = typing.get_args(kind)
-        if items == (float, ...) and all(type(item) is float for item in value):
+        if items == (float, ...) and {float}.issuperset(map(type, value)):
             return tuple(value)  # a row of JSON floats, read in one pass
         if items[-1] is Ellipsis:
             items = items[:1] * len(value)

@@ -567,18 +567,27 @@ ONE_AGENT = {"agents": [{"budget": 3.0, "valuations": [3.0, 1.0]}],
 
 
 class TestInputFileKeys:
-    # each of these used to load, the stray key ignored, and the command exit 0
-    @pytest.mark.parametrize("where, key, message", [
-        (lambda data: data, "comment", "unknown instance key comment"),
-        (lambda data: data["agents"][0], "name", "unknown instance key agents[0].name"),
-        (lambda data: data["projects"][1], "budget", "unknown instance key projects[1].budget"),
-        (lambda data: data, "linear_slope",
+    # each of these used to load, the stray key ignored or the string or
+    # boolean read as a number (1.5, 1.0, 0.5), and the command exit 0
+    @pytest.mark.parametrize("where, key, value, message", [
+        (lambda data: data, "comment", 0.3, "unknown instance key comment"),
+        (lambda data: data["agents"][0], "name", 0.3, "unknown instance key agents[0].name"),
+        (lambda data: data["projects"][1], "budget", 0.3,
+         "unknown instance key projects[1].budget"),
+        (lambda data: data, "linear_slope", 0.3,
          "instance key linear_slope applies only to refund linear-additive"),
-        (lambda data: data, "delta", "unknown instance key delta"),
-    ], ids=["top-level", "agent", "project", "slope-under-ppr", "delta"])
-    def test_instance_key_is_refused(self, where, key, message, tmp_path, capsys):
+        (lambda data: data, "delta", 0.3, "unknown instance key delta"),
+        (lambda data: data["agents"][0], "budget", "1.5",
+         'instance key agents[0].budget must be a number, got "1.5"'),
+        (lambda data: data["agents"][0]["valuations"], 1, True,
+         "instance key agents[0].valuations[1] must be a number, got true"),
+        (lambda data: data["projects"][0], "bonus", "0.5",
+         'instance key projects[0].bonus must be a number, got "0.5"'),
+    ], ids=["top-level", "agent", "project", "slope-under-ppr", "delta", "string-budget",
+            "boolean-valuation", "string-bonus"])
+    def test_instance_key_is_refused(self, where, key, value, message, tmp_path, capsys):
         data = copy.deepcopy(ONE_AGENT)
-        where(data)[key] = 0.3
+        where(data)[key] = value
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(data))
         assert main(["solve-pstar", "--instance", str(inst)]) == 2
@@ -594,26 +603,6 @@ class TestInputFileKeys:
         assert main(["solve-pstar", "--instance", str(inst)]) == 0
         assert main(["best-response", "--instance", str(inst), "--agent", "0",
                      "--others", str(others), "--delta", "0.5"]) == 0
-
-    # each of these used to load as a number (1.5, 1.0, 0.5), and the command exit 0
-    @pytest.mark.parametrize("where, key, value, message", [
-        (lambda data: data["agents"][0], "budget", "1.5",
-         'instance key agents[0].budget must be a number, got "1.5"'),
-        (lambda data: data["agents"][0]["valuations"], 1, True,
-         "instance key agents[0].valuations[1] must be a number, got true"),
-        (lambda data: data["projects"][0], "bonus", "0.5",
-         'instance key projects[0].bonus must be a number, got "0.5"'),
-    ], ids=["string-budget", "boolean-valuation", "string-bonus"])
-    def test_instance_value_must_be_a_number(self, where, key, value, message, tmp_path,
-                                             capsys):
-        data = copy.deepcopy(ONE_AGENT)
-        where(data)[key] = value
-        inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps(data))
-        assert main(["solve-pstar", "--instance", str(inst)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
 
     def test_profile_value_must_be_a_number(self, tmp_path, capsys):
         inst, others = tmp_path / "inst.json", tmp_path / "others.json"
