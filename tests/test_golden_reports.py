@@ -6,8 +6,10 @@ cover what the acceptance-scale goldens do not: exponential valuations,
 random play order, the linear refund with and without a matched utility
 baseline, runs without control cells, deviator counts that floor a
 fractional alpha*n (down to zero deviators), instances whose optimum is
-empty, so normalized welfare is excluded, and a seed above 2^32, whose
-seed sequences mix more than four entropy words. Two configs sum over at
+empty, so normalized welfare is excluded, a seed above 2^32, whose
+seed sequences mix more than four entropy words, and a crowd past 10,000
+agents, where numpy's ``choice`` picks large deviator sets by a partial
+shuffle instead of Floyd's algorithm. Two configs sum over at
 least eight projects, where numpy's pairwise sum is no longer a plain left
 fold, so a reordered project sum moves their bytes: the acceptance config
 at p=10, and p=17 (one full block of eight accumulators and a remainder).
@@ -46,6 +48,11 @@ CONFIGS = {
     # 32-instance block and a partial one
     "acceptance-p10": lambda: ExperimentConfig(instances_per_cell=40, seed=3),
     "seventeen-projects": lambda: _config({"p": 17}),
+    # past 10,000 agents: 100 deviators are drawn by Floyd's algorithm,
+    # 5,000 and all 10,001 as numpy's tail shuffle
+    "ten-thousand-one": lambda: _config(
+        {"n": 10_001, "p": 2}, alphas=(0.01, 0.5, 1.0), instances_per_cell=2
+    ),
 }
 
 GOLDEN = {
@@ -61,6 +68,7 @@ GOLDEN = {
     "wide-seed": "1d1e59fde45365d437a4701d816f65df370a1e89e8e5e007d75cd80c29cecba5",
     "acceptance-p10": "b7850183fbab8a680376a9a26d7aec80c9d5ecca1aec1dff59b495fd677ea0c8",
     "seventeen-projects": "94e03ec2751f8830f81d8699f7627527813646d54aa28a8cc06f342ace3ab9b2",
+    "ten-thousand-one": "54314d9b8ffdf1f2b301243d361c78745fdf91c7f4ec8504bc27267768b98b03",
 }
 
 
