@@ -277,9 +277,9 @@ _MASK32 = 0xFFFFFFFF
 #: PCG64's 128-bit LCG multiplier (pcg_random.h, PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-#: numpy's ``Generator.choice`` shuffles a tail in place of Floyd's algorithm
-#: past this many items when it picks over a ``_TAIL_CUTOFF``-th of them.
-_FLOYD_MAX_N, _TAIL_CUTOFF = 10_000, 50
+#: Items up to which numpy's ``Generator.choice`` always picks by Floyd's
+#: algorithm; past them it shuffles a tail for picks over a 50th of them.
+_FLOYD_MAX_N = 10_000
 
 
 def _words(value: int) -> list[int]:
@@ -332,82 +332,64 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _seeded(bits: np.random.PCG64, state: tuple[int, int]) -> np.random.PCG64:
+    """``bits`` moved to the PCG64 ``(state, inc)`` pair ``state``, no half buffered."""
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+def _choice(bits: np.random.PCG64, n: int, size: int) -> np.ndarray:
+    """``Generator(bits).choice(n, size, replace=False)``: a row the batch leaves to numpy."""
+    return np.random.Generator(bits).choice(n, size, replace=False)
+
+
 def _choice_masks(states: list[tuple[int, int]], n: int, sizes: np.ndarray) -> np.ndarray:
     """The items ``Generator(PCG64).choice(n, size, replace=False)`` picks, as masks.
 
     Row ``r``'s generator starts at the PCG64 ``(state, inc)`` ``states[r]``
-    and picks ``sizes[r]`` items. ``choice`` takes every draw from numpy's
-    ``random_bounded_uint64`` (Lemire, ACM TOMACS 2019): the next 32-bit
-    half of a raw word, low half first, times the number of values
-    ``span``, redrawn while the product's low word is below ``2^32 mod
-    span``; a span of one draws nothing. It keeps its picks by Floyd's
-    algorithm (Bentley, CACM 1987), or, past 10,000 items when it picks over
-    a 50th of them, as the tail of a partial Fisher-Yates shuffle. Each
-    row's raw words are read once, and each draw position is one numpy step
-    over the rows still drawing, with a per-row cursor into the words. The
-    order ``choice`` then shuffles its picks into does not matter to a mask.
+    and picks ``sizes[r]`` items. Up to 10,000 items ``choice`` keeps its
+    picks by Floyd's algorithm (Bentley, CACM 1987). Its draw ``d`` picks
+    one of ``span = n - size + d + 1`` values as numpy's
+    ``random_bounded_uint64`` does (Lemire, ACM TOMACS 2019): the next
+    32-bit half of a raw word, low half first, times ``span``, keeping the
+    product's high word and redrawing while its low word is below ``2^32
+    mod span``. Rows picking none or all of the items draw nothing. Every
+    other row up to 10,000 items reads its raw words once and takes draw
+    ``d`` from half ``d``, and each draw position is one numpy step over the
+    rows still drawing. ``choice`` itself picks for a row with a draw numpy
+    would redraw (odds below ``n / 2^32`` a draw) and for every drawing row
+    past 10,000 items. The order ``choice`` then shuffles its picks into
+    does not matter to a mask.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    tail = (n > _FLOYD_MAX_N) & (sizes > n // _TAIL_CUTOFF)
-    draws = np.where(tail, np.minimum(sizes, n - 1), sizes)
-    # rows drawing longest first: the rows still drawing at position d are a
-    # prefix, and the tail-shuffle rows, which draw more, come before the others
-    order = np.argsort(-draws, kind="stable")
-    sizes, draws = sizes[order], draws[order]
-    steps = int(draws[0]) if len(draws) else 0
-    drawing = np.searchsorted(-draws, -np.arange(steps), side="left").tolist()
-    shuffled = int(tail.sum())
-    rows = np.arange(len(order))
-    gen = np.random.PCG64(0)
-
-    def halves(width: int) -> np.ndarray:
-        words = np.empty((len(order), width), dtype=np.uint64)
-        for row, r in enumerate(order.tolist()):
-            state, inc = states[r]
-            gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            words[row] = gen.random_raw(width)
-        return words.astype("<u8", copy=False).view("<u4")
-
-    # every row gets a spare half; redraws that run past it read wider words
-    u32 = halves(steps // 2 + 1)
-    cursor = np.zeros(len(order), dtype=np.intp)
-    masks = np.zeros((len(order), n), dtype=bool)
-    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (shuffled, 1))
-    for d, m in enumerate(drawing):
-        top = np.full(m, n - 1 - d, dtype=np.uint64)
-        top[shuffled:] = n - sizes[shuffled:m] + d
-        span = top + 1
-        floor = (1 << 32) % span
-        live = rows[:m]
-        product = u32[live, cursor[:m]] * span
-        cursor[:m] += top > 0
-        redraw = np.flatnonzero((product & _MASK32) < floor)
-        while len(redraw):
-            need = int((cursor[redraw] + draws[redraw] - d).max())
-            if need > u32.shape[1]:
-                u32 = halves(need // 2 + 1)
-            product[redraw] = u32[redraw, cursor[redraw]] * span[redraw]
-            cursor[redraw] += 1
-            redraw = redraw[(product[redraw] & _MASK32) < floor[redraw]]
+    masks = np.zeros((len(sizes), n), dtype=bool)
+    masks[sizes == n] = True
+    drawing = (sizes > 0) & (sizes < n)
+    redo = drawing & (n > _FLOYD_MAX_N)
+    floyd = np.where(redo, 0, sizes * drawing)
+    steps = int(floyd.max(initial=0))
+    # rows drawing longest first: the rows still drawing at position d are a prefix
+    order = np.argsort(-floyd, kind="stable")
+    floyd = floyd[order]
+    bits = np.random.PCG64(0)
+    words = np.empty((np.count_nonzero(floyd), (steps + 1) // 2), dtype=np.uint64)
+    for row, r in enumerate(order[: len(words)].tolist()):
+        words[row] = _seeded(bits, states[r]).random_raw(words.shape[1])
+    u32 = words.astype("<u8", copy=False).view("<u4")
+    for d, m in enumerate(np.searchsorted(-floyd, -np.arange(steps), side="left").tolist()):
+        live = order[:m]
+        top = n - floyd[:m] + d
+        span = (top + 1).astype(np.uint64)
+        product = u32[:m, d] * span
+        redo[live] |= (product & _MASK32) < (1 << 32) % span
         picked = (product >> 32).astype(np.intp)
-        swapping = live[:shuffled]
-        if len(swapping):
-            held = perm[swapping, picked[:shuffled]]
-            perm[swapping, picked[:shuffled]] = perm[swapping, n - 1 - d]
-            perm[swapping, n - 1 - d] = held
-        floyd, picked = live[shuffled:], picked[shuffled:]
-        taken = masks[floyd, picked]
-        masks[floyd, np.where(taken, top[shuffled:].astype(np.intp), picked)] = True
-    # a tail-shuffle row keeps the items its last sizes[r] positions hold
-    np.put_along_axis(masks[:shuffled], perm, np.arange(n) >= n - sizes[:shuffled, None], axis=1)
-    out = np.empty_like(masks)
-    out[order] = masks
-    return out
+        # Floyd's rule: a pick already taken takes the top value instead
+        masks[live, np.where(masks[live, picked], top, picked)] = True
+    for r in np.flatnonzero(redo).tolist():
+        masks[r] = False
+        masks[r, _choice(_seeded(bits, states[r]), n, int(sizes[r]))] = True
+    return masks
 
 
 def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
