@@ -13,6 +13,7 @@ whose internal inconsistency is documented rather than repaired.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,18 @@ def _draw_game(cfg: SamplerConfig, rng: np.random.Generator):
     return theta, vartheta, targets, bonuses, thr
 
 
+@contextmanager
+def _in_float_range(dist: ValuationDist):
+    """Refuse, naming the valuation knob, a draw whose sums, thresholds or budgets overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        key = "hi" if dist.kind == "uniform" else "rate"
+        raise SolverError(f"valuations.{key} {getattr(dist, key)!r} puts the sampler's sums, "
+                          "thresholds or budgets past float range") from None
+
+
 #: Rounds of the lift/re-solve loop before a draw is abandoned.
 _LIFT_ROUNDS = 12
 
@@ -131,18 +144,19 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
     base = cfg.seed if seed is None else seed
     for attempt in range(cfg.max_rejections):
         rng = _rng(base, attempt)
-        drawn = _draw_game(cfg, rng)
-        if drawn is None:
-            continue
-        theta, vartheta, targets, bonuses, thr = drawn
-        rho = rng.uniform(cfg.budget_rho[0], cfg.budget_rho[1])
-        pool = rho * targets.sum()
+        with _in_float_range(cfg.valuation_dist):
+            drawn = _draw_game(cfg, rng)
+            if drawn is None:
+                continue
+            theta, vartheta, targets, bonuses, thr = drawn
+            rho = rng.uniform(cfg.budget_rho[0], cfg.budget_rho[1])
+            pool = rho * targets.sum()
 
-        mass = thr.sum(axis=1)
-        total_mass = mass.sum()
-        if total_mass <= 0.0:
-            continue
-        budgets = pool * mass / total_mass
+            mass = thr.sum(axis=1)
+            total_mass = mass.sum()
+            if total_mass <= 0.0:
+                continue
+            budgets = pool * mass / total_mass
 
         values = vartheta - targets
         sol = solve_subset_bruteforce(values, targets, pool)
@@ -175,11 +189,12 @@ def sample_surplus_sf_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance,
     also guarantees a budget surplus, so the optimal subset is every project.
     """
     rng = _rng(cfg.seed if seed is None else seed, 0)
-    drawn = _draw_game(cfg, rng)
-    if drawn is None:
-        raise SolverError("a project drew zero total valuation; no target fits it")
-    theta, vartheta, targets, bonuses, thr = drawn
-    budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, SURPLUS_MAX_SLACK, size=cfg.n))
+    with _in_float_range(cfg.valuation_dist):
+        drawn = _draw_game(cfg, rng)
+        if drawn is None:
+            raise SolverError("a project drew zero total valuation; no target fits it")
+        theta, vartheta, targets, bonuses, thr = drawn
+        budgets = thr.sum(axis=1) * (1.0 + rng.uniform(0.0, SURPLUS_MAX_SLACK, size=cfg.n))
     instance = Instance(theta, budgets, targets, bonuses, cfg.refund)
     everything = tuple(range(cfg.p))
     welfare = float((vartheta - targets).sum())

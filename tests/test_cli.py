@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,26 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), *out]) == 2
         literal = "Infinity" if "Infinity" in text else "1e999"
         assert f"{cfg}: {literal} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("valuations, key", [
+        ({"kind": "uniform", "lo": 0, "hi": 1.7976931348623157e308}, "hi"),
+        ({"kind": "uniform", "lo": 0, "hi": 1e200}, "hi"),
+        ({"kind": "exponential", "rate": 1e-300}, "rate"),
+    ], ids=["column-sums", "thresholds", "exponential"])
+    def test_draws_past_float_range_name_the_valuation_key(self, valuations, key, tmp_path,
+                                                           capsys):
+        # these used to print numpy overflow warnings, then a NaN error naming
+        # no key or a rejection that blamed budget_rho and target_fraction
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "p": 3, "valuations": valuations}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen", "--config", str(cfg), "--count", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: valuations.{key} {valuations[key]!r} puts the sampler's" in err
 
     @pytest.mark.parametrize("name", ["example1", "appendixB"])
     def test_fixed_ppr_fixture_refuses_other_scheme(self, name, capsys):
