@@ -433,6 +433,39 @@ class TestDeviatorDraws:
             assert np.array_equal(got, self._choice_mask(state, inc, n, int(s)))
 
 
+class TestDeviatorDrawBatch:
+    """Ordinary rows stay in the batch; ``choice`` gets only the rows left to it."""
+
+    @pytest.fixture
+    def choice_sizes(self, monkeypatch):
+        sizes = []
+
+        def counted(bits, n, size):
+            sizes.append(size)
+            return np.random.Generator(bits).choice(n, size, replace=False)
+
+        monkeypatch.setattr(harness, "_choice", counted)
+        return sizes
+
+    def test_acceptance_block_calls_choice_for_no_row(self, choice_sizes):
+        # n=100, one 32-instance block of 40 deviant cells: per-row choice
+        # would give the same masks at about twice the cost
+        cfg = ExperimentConfig(seed=3)
+        masks = _deviator_masks(cfg, 100, range(_BLOCK))
+        assert masks.shape == (_BLOCK, 40, 100)
+        assert choice_sizes == []
+
+    def test_rows_past_floyd_range_call_choice(self, choice_sizes):
+        # past 10,000 agents every row that draws goes to numpy; none or all
+        # of the agents draw nothing
+        n = harness._FLOYD_MAX_N + 1
+        cfg = ExperimentConfig(seed=3, alphas=(0.00005, 0.01, 0.5, 1.0))
+        masks = _deviator_masks(cfg, n, range(2))
+        assert sorted(set(choice_sizes)) == [100, n // 2]
+        assert len(choice_sizes) == 2 * len(cfg.deviant_heuristics) * 2
+        assert (masks.sum(axis=2) == [0, 100, n // 2, n] * len(cfg.deviant_heuristics)).all()
+
+
 class TestRowMoments:
     def test_matches_one_dimensional_sums_bit_for_bit(self):
         rng = np.random.default_rng(3)
