@@ -438,11 +438,11 @@ class TestDeviatorDrawBatch:
 
     @pytest.fixture
     def choice_sizes(self, monkeypatch):
-        sizes = []
+        sizes, choice = [], harness._choice
 
         def counted(bits, n, size):
             sizes.append(size)
-            return np.random.Generator(bits).choice(n, size, replace=False)
+            return choice(bits, n, size)
 
         monkeypatch.setattr(harness, "_choice", counted)
         return sizes
