@@ -30,6 +30,7 @@ UTILITY_TIE_TOL = 1e-12
 UNIT_GUARD = 1_000_000
 #: Guard on the number of enumerated grid profiles.
 ENUM_GUARD = 10_000_000
+_FLOAT_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,7 @@ def _assemble(view, delta, chosen_units, fund_units, utility, optimal) -> BestRe
 
 
 def _row_plan(width: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rows :func:`_concave_maxplus` settles, level by level, at this width.
+    """The rows :func:`_monotone_search` settles, level by level, at this width.
 
     A level holds the middle row of each open segment and the nearest
     settled rows to the segment's left and right, whose argmaxes bound its
@@ -188,6 +189,41 @@ def _row_plan(width: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 def _concave_maxplus(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
     """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
+
+    The maximum merges the two slope sequences (Bussieck et al., Oper. Res.
+    Lett. 1994), and it takes no search when one sequence's slopes all lie on
+    one side of the other's:
+
+    - every increment of ``t`` at most every increment of ``u``: b* = 0;
+    - every increment of ``t`` at least every increment of ``u``:
+      b* = min(k, len(t) - 1).
+
+    Telescoping the increments over the steps between any b and that b*
+    gives the real inequality t[b] + u[k-b] <= t[b*] + u[k-b*], for any
+    ``t`` and ``u``. Rounding is monotone, so no float sum exceeds that one:
+    it is the maximum, the same float the search returns. Each computed
+    increment is within 2^-53 of its own size of the real one, of either
+    sign (exact when subnormal), so the test asks for a gap of 2^-50 times
+    the largest increment size plus the least normal float: room for both
+    sides' errors and for rounding the margin and its sum. Equal slopes fail
+    the strict test and go to the search, as do NaN increments and infinite
+    ones, which make the margin infinite.
+    """
+    dt, du = np.diff(t), np.diff(u)
+    t_lo, t_hi = dt.min(initial=np.inf), dt.max(initial=-np.inf)
+    u_lo, u_hi = du.min(initial=np.inf), du.max(initial=-np.inf)
+    margin = 2.0**-50 * max(t_hi, -t_lo, u_hi, -u_lo, 0.0) + _FLOAT_TINY
+    if t_hi + margin < u_lo:
+        return t[0] + u
+    if u_hi + margin < t_lo:
+        k = np.arange(len(u))
+        b = np.minimum(k, len(t) - 1)
+        return t[b] + u[k - b]
+    return _monotone_search(t, u, plan)
+
+
+def _monotone_search(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
+    """:func:`_concave_maxplus` by monotone-argmax search, for any slopes.
 
     With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
     Monge, so the leftmost maximizing column of row k never moves left as k grows
@@ -226,13 +262,14 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     units. Below its funding spend a project's value table is a refund share,
     concave in the spend for every shipped scheme (``x * B / (O + x)`` with
     B, O >= 0 for proportional refunds, ``slope * x`` for linear ones), so
-    each step is a concave (max,+) convolution done by monotone-argmax
-    search (:func:`_concave_maxplus`); the funding spend then adds one
-    shifted vector. That is O(p * U log U) for U budget units, against
-    O(p * U^2) for trying every spend. Which rows that search settles at
-    each level depends only on U, so the p steps share one row plan
-    (:func:`_row_plan`), built once per call; numpy's fixed cost per call,
-    not arithmetic, dominates a level at fine-grid sizes.
+    each step is a concave (max,+) convolution (:func:`_concave_maxplus`):
+    O(U) when one side's slopes dominate the other's, else a monotone-argmax
+    search; the funding spend then adds one shifted vector. That is at most
+    O(p * U log U) for U budget units, against O(p * U^2) for trying every
+    spend. Which rows the search settles at each level depends only on U, so
+    the p steps share one row plan (:func:`_row_plan`), built once per call.
+    A level's O(U) arithmetic outweighs numpy's fixed cost per call: about
+    two thirds of a level at 2,000 units, nineteen twentieths at 20,000.
 
     Ties within ``UTILITY_TIE_TOL`` of the optimum resolve to the smallest
     total spend, which is the least k whose ``best[0][k]`` ties it, then to

@@ -28,6 +28,7 @@ from ccfund import (
     solve_pstar_bruteforce,
     thresholds,
 )
+from ccfund import bestresponse
 from ccfund.heuristics import PLAY_ORDERS
 from ccfund.bestresponse import UTILITY_TIE_TOL, _concave_maxplus, _row_plan, _value_tables
 
@@ -235,26 +236,38 @@ def maxplus_inputs(draw):
 
     Tables are proportional shares over a positive others' total (concave),
     steps (others' total zero: the first unit takes the pool) or linear
-    shares; continuations climb in quarter steps with plateaus, so a unit
-    grid with a linear table ties exactly in float, or in those steps scaled
-    by uniform draws.
+    shares, optionally with one entry an ulp low; continuations climb in
+    quarter steps with plateaus, so a unit grid with a linear table ties
+    exactly in float, or in those steps scaled by uniform draws. Boundary
+    cases: a flat continuation, one of the table's own slope (equal slopes),
+    and one-entry tables and continuations.
     """
-    width = draw(st.integers(1, 600))
+    width = draw(st.integers(1, 600) | st.just(1))
     length = draw(st.one_of(st.integers(1, 2), st.integers(1, width)))
-    x = np.arange(length) * draw(st.sampled_from([1.0, 0.1, 0.01]))
+    step = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    x = np.arange(length) * step
     bonus = draw(st.sampled_from([0.5, 1.0, 3.0]) | st.floats(0.01, 10.0))
     shape = draw(st.sampled_from(["proportional", "step", "linear"]))
+    slope = draw(st.sampled_from([0.25, 0.5, 1.0]))
     if shape == "proportional":
         t = PprRefund().share(x, bonus, draw(st.floats(0.01, 50.0)) + x)
     elif shape == "step":
         t = PprRefund().share(x, bonus, x)
     else:
-        t = LinearAdditiveRefund(draw(st.sampled_from([0.25, 0.5, 1.0]))).share(x, bonus, x)
+        t = LinearAdditiveRefund(slope).share(x, bonus, x)
+    if length > 2 and draw(st.booleans()):
+        dip = draw(st.integers(1, length - 2))
+        t[dip] = np.nextafter(t[dip], -np.inf)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     climb = np.where(rng.random(width) < draw(st.floats(0.0, 1.0)), 0.0,
                      rng.integers(1, 5, width) * 0.25)
     if draw(st.booleans()):
         climb = climb * rng.random(width)
+    u = draw(st.sampled_from(["climb", "flat", "equal-slope"]))
+    if u == "flat":
+        return t, np.full(width, draw(st.sampled_from([0.0, 2.5])))
+    if u == "equal-slope":
+        return t, LinearAdditiveRefund(slope).share(np.arange(width) * step, bonus, 0.0)
     return t, np.cumsum(climb)
 
 
@@ -264,6 +277,58 @@ def test_maxplus_kernel_matches_reference(inputs):
     t, u = inputs
     assert np.array_equal(_concave_maxplus(t, u, _row_plan(len(u))),
                           bisection_maxplus_reference(t, u))
+
+
+class TestSearchSkips:
+    """Steps where one slope sequence dominates the other skip the search."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        counts = {"steps": 0, "searches": 0}
+        kernel, search = bestresponse._concave_maxplus, bestresponse._monotone_search
+
+        def counted_kernel(t, u, plan):
+            counts["steps"] += 1
+            return kernel(t, u, plan)
+
+        def counted_search(t, u, plan):
+            counts["searches"] += 1
+            return search(t, u, plan)
+
+        monkeypatch.setattr(bestresponse, "_concave_maxplus", counted_kernel)
+        monkeypatch.setattr(bestresponse, "_monotone_search", counted_search)
+        return counts
+
+    def test_fine_grid_response_skips_half_its_searches(self, steps):
+        # agent 0's first step meets the all-zero continuation and its second
+        # a shallower one (all spend here first); three later tables are
+        # shallower than their continuations (no spend here)
+        instance, solution = sample_instance(SamplerConfig(n=100, p=10, seed=101), seed=(101, 0))
+        profile = play(instance, Assignment.uniform(Heuristic.OPT_WELFARE, instance.n_agents),
+                       solution.subset, thresholds(instance))
+        best_response_exact(make_view(instance, profile, 0), 0.01)
+        assert steps["steps"] == 10
+        assert steps["searches"] <= steps["steps"] // 2
+
+    def test_equal_slopes_call_the_search(self, steps):
+        # linear refunds against a continuation of the same slope: neither
+        # side dominates past rounding, so no shortcut may claim the step
+        t = LinearAdditiveRefund(0.5).share(np.arange(40) * 0.01, 1.0, 0.0)
+        u = LinearAdditiveRefund(0.5).share(np.arange(300) * 0.01, 1.0, 0.0)
+        w = bestresponse._concave_maxplus(t, u, _row_plan(len(u)))
+        assert steps["searches"] == 1
+        assert np.array_equal(w, bisection_maxplus_reference(t, u))
+
+    @pytest.mark.parametrize("t, u, w", [
+        ([0.0, 1.0, 1.5], [0.0, 2.0, 4.0, 6.0], [0.0, 2.0, 4.0, 6.0]),
+        ([0.0, 1.0, 1.5], [2.0, 2.25, 2.5, 2.75], [2.0, 3.0, 3.5, 3.75]),
+        ([3.0], [0.0, 1.0], [3.0, 4.0]),
+        ([0.0, 1.0], [5.0], [5.0]),
+    ], ids=["no-spend-here", "all-spend-here-first", "one-entry-table", "one-entry-continuation"])
+    def test_dominated_slopes_skip_the_search(self, steps, t, u, w):
+        t, u = np.array(t), np.array(u)
+        assert np.array_equal(bestresponse._concave_maxplus(t, u, _row_plan(len(u))), w)
+        assert steps["searches"] == 0
 
 
 @st.composite
