@@ -37,11 +37,11 @@ def generated(tmp_path_factory):
         assert main(["gen", "--config", str(cfg_path), "--count", str(GEN_COUNT),
                      "--out", str(directory)]) == 0
         instance = load_instance(directory / "instance_00000.json")
-        n = instance.n_agents
-        short = (0.05, 0.1, 0.3, 0.6)
-        row = [float(t) * (1.0 - s) / (n - 1) for t, s in zip(instance.targets, short)]
+        # each agent spends its whole budget, in these shares of it per project
+        shares = (0.3, 0.45, 0.2, 0.05)
+        rows = [[float(budget) * share for share in shares] for budget in instance.budgets]
         profile = root / f"{name}.profile.json"
-        profile.write_text(json.dumps({"contributions": [row] * n}))
+        profile.write_text(json.dumps({"contributions": rows}))
         out[name] = (directory, profile)
     return out
 
@@ -83,10 +83,10 @@ COMMANDS = {
 }
 
 GOLDEN_STDOUT = {
-    "br-bruteforce-linear": "14926163e1cc87d4017f1f419baf243a444f50fc248ee140314384bdc212608f",
-    "br-bruteforce-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
-    "br-exact-linear": "14926163e1cc87d4017f1f419baf243a444f50fc248ee140314384bdc212608f",
-    "br-exact-ppr": "112fa11ee2f4691cae39d4217e9bf368eac95e76c26a7faca556e115fc0e7d73",
+    "br-bruteforce-linear": "68507875b7ffe07f077673e643a74ffd3f0c370460ffeacb0f0790b4e2a6b217",
+    "br-bruteforce-ppr": "5add99aa0d0f2f90f35b7a8c2c541baec909ca9fc497e20a997439fc2c50c07c",
+    "br-exact-linear": "68507875b7ffe07f077673e643a74ffd3f0c370460ffeacb0f0790b4e2a6b217",
+    "br-exact-ppr": "5add99aa0d0f2f90f35b7a8c2c541baec909ca9fc497e20a997439fc2c50c07c",
     "fixture-appendixB": "dcf577362bff7443a3aa6720802b44bdaad620982093688e4500e960debb2688",
     "fixture-example1": "b7d240546103998cd592fe505d501e55b59a1b78f312259fcfac96cd3a5ea03f",
     "fixture-example2": "9988700ba6e4167746c33159a6d266750c463b44d1736f7712631de4478be301",
@@ -102,8 +102,8 @@ GOLDEN_STDOUT = {
 }
 
 # commands that must fail with the solver exit code and print nothing; the
-# knapsack oracle's continuous optimum (13.4987) is more than its grid
-# contributions earn (12.8586 by response_utility), so it refuses
+# knapsack oracle's continuous optimum (6.0359) is more than its grid
+# contributions earn (5.5497 by response_utility), so it refuses
 REFUSED = {
     "br-knapsack-linear": _respond("linear", "knapsack"),
 }
