@@ -86,7 +86,8 @@ def make_view(instance: Instance, profile, agent: int) -> ResidualView:
     """Build an agent's residual view from a full contribution matrix.
 
     The agent's own row in ``profile`` is ignored; only the other rows count
-    toward the per-project totals.
+    toward the per-project totals, and each must keep within its agent's
+    budget, as :meth:`ContributionProfile.validate_against` judges it.
     """
     if not 0 <= agent < instance.n_agents:
         raise ValueError(f"agent index {agent} out of range for {instance.n_agents} agents")
@@ -98,6 +99,9 @@ def make_view(instance: Instance, profile, agent: int) -> ResidualView:
         raise ValueError(
             f"profile shape {x.shape} does not match instance shape {instance.valuations.shape}"
         )
+    rest = x.copy()
+    rest[agent] = 0.0
+    ContributionProfile(rest).validate_against(instance)
     others = x.sum(axis=0) - x[agent]
     remaining = np.clip(instance.targets - others, 0.0, None)
     return ResidualView(

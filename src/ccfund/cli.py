@@ -258,12 +258,15 @@ def cmd_best_response(args) -> int:
     if profile.contributions.shape != instance.valuations.shape:
         raise InputError(f"{args.others}: profile shape {profile.contributions.shape} does not "
                          f"match the instance's {instance.valuations.shape}")
+    try:
+        view = make_view(instance, profile, args.agent)
+    except ValueError as exc:
+        raise InputError(f"{args.others}: {exc}") from exc
     _echo(
         "best-response",
         {"instance": args.instance, "agent": args.agent, "delta": args.delta,
          "method": args.method},
     )
-    view = make_view(instance, profile, args.agent)
     if args.method == "bruteforce":
         response = best_response_bruteforce(view, args.delta)
     elif args.method == "knapsack":

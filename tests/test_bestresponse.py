@@ -554,6 +554,15 @@ class TestMakeView:
         assert view.remaining == pytest.approx([4.0, 2.5])
         assert view.budget == 5.0
 
+    def test_other_rows_must_keep_within_budget(self):
+        inst = Instance(
+            [[6.0, 4.0], [6.0, 4.0]], [5.0, 5.0], [5.0, 3.0], [2.0, 1.0], PprRefund()
+        )
+        with pytest.raises(ValueError, match="agent 0 spends 6, exceeding its budget 5"):
+            make_view(inst, [[3.0, 3.0], [0.0, 0.0]], 1)
+        # within the budget comparison's tolerance the row still counts as feasible
+        assert make_view(inst, [[3.0, 2.0 + 5e-10], [0.0, 0.0]], 1).budget == 5.0
+
     def test_overfunded_project_clamps_to_zero(self):
         inst = Instance(
             [[6.0, 4.0], [6.0, 4.0]], [9.0, 5.0], [5.0, 3.0], [2.0, 1.0], PprRefund()

@@ -676,6 +676,23 @@ class TestInputFileKeys:
         assert (f"error: {others}: profile shape {shape} does not match the instance's (1, 2)"
                 in captured.err)
 
+    def test_others_over_budget_are_refused(self, tmp_path, capsys):
+        # agent 0 spends 10 of its 3; this used to answer exit 0 as if it were
+        # feasible play. The responding agent's own row stays ignored
+        data = copy.deepcopy(ONE_AGENT)
+        data["agents"].append({"budget": 1.0, "valuations": [3.0, 1.0]})
+        inst, others = tmp_path / "inst.json", tmp_path / "others.json"
+        inst.write_text(json.dumps(data))
+        others.write_text(json.dumps({"contributions": [[5.0, 5.0], [0.0, 0.5]]}))
+        argv = ["best-response", "--instance", str(inst), "--others", str(others),
+                "--delta", "0.5"]
+        assert main(argv + ["--agent", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {others}: agent 0 spends 10, exceeding its budget 3" in captured.err
+        others.write_text(json.dumps({"contributions": [[1.0, 2.0], [9.0, 9.0]]}))
+        assert main(argv + ["--agent", "1"]) == 0
+
     def test_profile_key_is_refused(self, tmp_path, capsys):
         inst, others = tmp_path / "inst.json", tmp_path / "others.json"
         inst.write_text(json.dumps(ONE_AGENT))
