@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ContributionProfile, Instance
+from .model import ContributionProfile, Instance, _require_finite
 
 
 class Heuristic(str, Enum):
@@ -174,7 +174,10 @@ def clamp_play(
     the amount still missing, so per-project totals stop exactly at the target.
     Leading axes of ``intents`` stack independent play-outs of one instance
     (agents on the second-to-last axis), each realized as it would be alone.
+    Non-finite targets are refused; intents are not scanned, as they come
+    from the package's own rules on the play-out's hot path.
     """
+    _require_finite("targets", np.asarray(targets))
     ordered = intents if permutation is None else intents[..., permutation, :]
     # what each project still misses when an agent's turn comes
     missing = np.zeros(ordered.shape)

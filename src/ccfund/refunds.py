@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SolverError
+from .model import _require_finite
 
 if TYPE_CHECKING:
     from .model import Instance
@@ -213,11 +214,13 @@ def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.n
     bisection per entry elsewhere; both follow the provision-point
     convention. No threshold exceeds its valuation: with a bonus too small to
     move ``bonus + target``, the proportional closed form can round one ulp
-    above it.
+    above it. Non-finite inputs are refused by name.
     """
     valuations = np.asarray(valuations, dtype=float)
     targets = np.asarray(targets, dtype=float)
     bonuses = np.asarray(bonuses, dtype=float)
+    for name, arr in (("valuations", valuations), ("targets", targets), ("bonuses", bonuses)):
+        _require_finite(name, arr)
     out = scheme.closed_form_threshold(valuations, targets, bonuses)
     if out is None:
         out = np.array([

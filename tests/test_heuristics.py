@@ -198,6 +198,14 @@ class TestClampReference:
             slow = self._sequential_clamp(intents, targets, perm)
             assert np.allclose(fast, slow, atol=1e-12)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_non_finite_targets_are_named(self, target):
+        # a NaN target used to come back as a NaN contribution
+        from ccfund.heuristics import clamp_play
+
+        with pytest.raises(ValueError, match="targets must be finite"):
+            clamp_play(np.ones((3, 2)), np.array([1.0, target]))
+
     def test_greedy_allocation_matches_scalar_loop(self):
         rng = np.random.default_rng(53)
         for _ in range(100):

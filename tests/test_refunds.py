@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ class TestThresholdMatrix:
             assert bar == threshold_general(scheme, valuations[i, j], targets[j], bonuses[j])
         # theta - x = 0.2 x has the root theta / 1.2
         assert np.allclose(thr, valuations / 1.2, rtol=0.0, atol=BISECTION_TOL)
+
+    @pytest.mark.parametrize("scheme", [PprRefund(), LinearAdditiveRefund(0.3)],
+                             ids=["ppr", "linear"])
+    @pytest.mark.parametrize("name, args", [
+        ("valuations", ([[1.0, math.nan]], [1.0, 1.0], [0.5, 0.5])),
+        ("targets", ([[1.0, 1.0]], [1.0, math.inf], [0.5, 0.5])),
+        ("bonuses", ([[1.0, 1.0]], [1.0, 1.0], [-math.inf, 0.5])),
+    ])
+    def test_non_finite_inputs_are_named(self, scheme, name, args):
+        # a NaN valuation used to come back as a NaN threshold, and an
+        # infinite target warned, then did the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                threshold_matrix(*args, scheme)
 
     def test_closed_form_elementwise(self):
         # the whole-matrix closed form gives the scalar one's bits, capped at θ
