@@ -30,7 +30,6 @@ UTILITY_TIE_TOL = 1e-12
 UNIT_GUARD = 1_000_000
 #: Guard on the number of enumerated grid profiles.
 ENUM_GUARD = 10_000_000
-_FLOAT_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,40 +193,32 @@ def _row_plan(width: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 def _concave_maxplus(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
     """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
 
-    The maximum merges the two slope sequences (Bussieck et al., Oper. Res.
-    Lett. 1994), and it takes no search when one sequence's slopes all lie on
-    one side of the other's:
-
-    - every increment of ``t`` at most every increment of ``u``: b* = 0;
-    - every increment of ``t`` at least every increment of ``u``:
-      b* = min(k, len(t) - 1).
-
-    Telescoping the increments over the steps between any b and that b*
-    gives the real inequality t[b] + u[k-b] <= t[b*] + u[k-b*], for any
-    ``t`` and ``u``. Rounding is monotone, so no float sum exceeds that one:
-    it is the maximum, the same float the search returns. Each computed
-    increment is within 2^-53 of its own size of the real one, of either
-    sign (exact when subnormal), so the test asks for a gap of 2^-50 times
-    the largest increment size plus the least normal float: room for both
-    sides' errors and for rounding the margin and its sum. Equal slopes fail
-    the strict test and go to the search, as do NaN increments and infinite
-    ones, which make the margin infinite.
+    A (max,+) convolution merges the two slope sequences (Bussieck et al.,
+    Oper. Res. Lett. 1994). When every increment of ``t`` is at most every
+    increment of ``u``, telescoping them gives t[b] + u[k-b] <= t[b*] + u[k-b*]
+    over the reals for b* = 0; when every one is at least, for
+    b* = min(k, len(t) - 1). Rounding is monotone, so that float sum is the
+    maximum the search would return. A computed increment is within 2^-53 of
+    its size of the real one, either sign (exact when subnormal), so the
+    strict test asks for a gap of 2^-50 times the largest increment size plus
+    the least normal float, which also covers rounding the margin and its
+    sum. Equal slopes fail it and go to the search, as do NaN and infinite
+    increments (an infinite margin).
     """
     dt, du = np.diff(t), np.diff(u)
     t_lo, t_hi = dt.min(initial=np.inf), dt.max(initial=-np.inf)
     u_lo, u_hi = du.min(initial=np.inf), du.max(initial=-np.inf)
-    margin = 2.0**-50 * max(t_hi, -t_lo, u_hi, -u_lo, 0.0) + _FLOAT_TINY
+    margin = 2.0**-50 * max(t_hi, -t_lo, u_hi, -u_lo, 0.0) + np.finfo(float).tiny
     if t_hi + margin < u_lo:
         return t[0] + u
     if u_hi + margin < t_lo:
-        k = np.arange(len(u))
-        b = np.minimum(k, len(t) - 1)
-        return t[b] + u[k - b]
+        b = np.minimum(np.arange(len(u)), len(t) - 1)
+        return t[b] + u[np.arange(len(u)) - b]
     return _monotone_search(t, u, plan)
 
 
 def _monotone_search(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
-    """:func:`_concave_maxplus` by monotone-argmax search, for any slopes.
+    """:func:`_concave_maxplus` by monotone-argmax search, whatever the slopes.
 
     With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
     Monge, so the leftmost maximizing column of row k never moves left as k grows
