@@ -12,6 +12,7 @@ whole bonus pools, so the supremum is approached but never attained.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,26 +172,32 @@ def _assemble(view, delta, chosen_units, fund_units, utility, optimal) -> BestRe
     return BestResponse(contributions, funded, float(utility), optimal)
 
 
-def _row_plan(width: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=1)
+def _row_plan(width: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The rows :func:`_monotone_search` settles, level by level, at this width.
 
     A level holds the middle row of each open segment and the nearest
     settled rows to the segment's left and right, whose argmaxes bound its
     columns. Rows -1 and ``width`` stand for columns 0 and ``width - 1``.
     Segments keep the order of the recursion: left halves, then right halves.
+    Every step of one best response has the same width, so the plan is built
+    at most once per response, and only when a step searches.
     """
     plan = []
     lo, hi = np.array([0]), np.array([width - 1])
     while lo.size:
         mid = (lo + hi) // 2
-        plan.append((mid, lo - 1, hi + 1))
+        level = (mid, lo - 1, hi + 1)
+        for arr in level:
+            arr.setflags(write=False)
+        plan.append(level)
         lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid - 1, hi])
         keep = lo <= hi
         lo, hi = lo[keep], hi[keep]
-    return plan
+    return tuple(plan)
 
 
-def _concave_maxplus(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
+def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
 
     A (max,+) convolution merges the two slope sequences (Bussieck et al.,
@@ -202,32 +209,75 @@ def _concave_maxplus(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
     its size of the real one, either sign (exact when subnormal), so the
     strict test asks for a gap of 2^-50 times the largest increment size plus
     the least normal float, which also covers rounding the margin and its
-    sum. Equal slopes fail it and go to the search, as do NaN and infinite
-    increments (an infinite margin).
+    sum. Equal slopes fail it, as do NaN and infinite increments (a margin
+    that is not finite).
+
+    Otherwise, when both computed increment sequences ``dt`` and ``du`` are
+    non-increasing and the margin ``M`` is finite, the slopes merge in O(U).
+    Moving row k's split from b to b + 1 changes its sum by dt[b] - du[k-1-b]
+    (in the real increments). Let lo(k) count the b < min(k, len(t) - 1)
+    with dt[b] > fl(du[k-1-b] + M), and hi(k) those with
+    dt[b] > fl(du[k-1-b] - M). Each test is true, then false, as b grows
+    (dt falls, du[k-1-b] rises, rounding is monotone), so lo(k) and hi(k)
+    are how many of dt's entries come among the first k of a descending
+    merge with fl(du + M) or fl(du - M), ties to ``du``: one stable sort of
+    the two runs and a cumulative count each. By the margin above, for
+    b < lo(k) the real increment is positive and for b >= hi(k) negative,
+    so every real argmax of row k lies in [lo(k), hi(k)], and since rounding
+    is monotone the largest float sum in that window is the row's maximum.
+    No real concavity is assumed. A window rarely holds more than one
+    split; if the windows together hold more than U extra, the search runs
+    instead, as it does for steps whose computed increments are not
+    monotone: tables past a funding jump, rounded linear tables, ulp dips.
     """
     dt, du = np.diff(t), np.diff(u)
     t_lo, t_hi = dt.min(initial=np.inf), dt.max(initial=-np.inf)
     u_lo, u_hi = du.min(initial=np.inf), du.max(initial=-np.inf)
-    margin = 2.0**-50 * max(t_hi, -t_lo, u_hi, -u_lo, 0.0) + np.finfo(float).tiny
+    margin = 2.0**-50 * np.max([t_hi, -t_lo, u_hi, -u_lo, 0.0]) + np.finfo(float).tiny
     if t_hi + margin < u_lo:
         return t[0] + u
+    n = len(u)
+    k = np.arange(n)
     if u_hi + margin < t_lo:
-        b = np.minimum(np.arange(len(u)), len(t) - 1)
-        return t[b] + u[np.arange(len(u)) - b]
-    return _monotone_search(t, u, plan)
+        b = np.minimum(k, len(t) - 1)
+        return t[b] + u[k - b]
+    if not (np.isfinite(margin) and (dt[1:] <= dt[:-1]).all() and (du[1:] <= du[:-1]).all()):
+        return _monotone_search(t, u)
+
+    def taken(shift):
+        order = np.argsort(np.concatenate([-(du + shift), -dt]), kind="stable")
+        return np.concatenate([[0], (order[: n - 1] >= n - 1).cumsum()])
+
+    lo, hi = taken(margin), taken(-margin)
+    lengths = hi - lo + 1
+    if lengths.sum() > 2 * n:
+        return _monotone_search(t, u)
+    w = t[lo] + u[k - lo]
+    wide = np.flatnonzero(lengths > 1)
+    if wide.size:
+        cols, starts = _spans(lo[wide], lengths[wide])
+        w[wide] = np.maximum.reduceat(t[cols] + u[wide.repeat(lengths[wide]) - cols], starts)
+    return w
 
 
-def _monotone_search(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
+def _spans(lo: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``lo[i], ..., lo[i] + lengths[i] - 1`` end to end, and where each starts."""
+    ends = lengths.cumsum()
+    starts = ends - lengths
+    return np.arange(ends[-1]) + (lo - starts).repeat(lengths), starts
+
+
+def _monotone_search(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`_concave_maxplus` by monotone-argmax search, whatever the slopes.
 
     With ``t`` concave, the matrix ``A[k, i] = t[k - i] + u[i]`` is inverse
     Monge, so the leftmost maximizing column of row k never moves left as k grows
     (Aggarwal et al., Algorithmica 1987). Divide and conquer over the rows
-    (``plan``, from :func:`_row_plan` at ``len(u)``) then bounds each row's
-    columns by the argmaxes of the settled rows around it. Each level is one
-    batch of numpy calls over all of its rows, whose column ranges overlap
-    only at their ends: about log2(len(u)) levels of O(len(u)) work. No later
-    row reads the last level's argmaxes, so that level skips them.
+    (:func:`_row_plan` at ``len(u)``) then bounds each row's columns by the
+    argmaxes of the settled rows around it. Each level is one batch of numpy
+    calls over all of its rows, whose column ranges overlap only at their
+    ends: about log2(len(u)) levels of O(len(u)) work. No later row reads
+    the last level's argmaxes, so that level skips them.
     """
     m = len(t) - 1
     n = len(u)
@@ -235,13 +285,12 @@ def _monotone_search(t: np.ndarray, u: np.ndarray, plan) -> np.ndarray:
     # arg[r] is row r's leftmost argmax; the sentinel row -1 is the last slot
     arg = np.empty(n + 2, dtype=np.int64)
     arg[n], arg[-1] = n - 1, 0
+    plan = _row_plan(n)
     last = len(plan) - 1
     for level, (mid, left, right) in enumerate(plan):
         lo = np.maximum(arg[left], mid - m)
         lengths = np.minimum(arg[right], mid) - lo + 1
-        ends = lengths.cumsum()
-        starts = ends - lengths
-        cols = np.arange(ends[-1]) + (lo - starts).repeat(lengths)
+        cols, starts = _spans(lo, lengths)
         vals = t[mid.repeat(lengths) - cols] + u[cols]
         top = np.maximum.reduceat(vals, starts)
         w[mid] = top
@@ -258,13 +307,10 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     concave in the spend for every shipped scheme (``x * B / (O + x)`` with
     B, O >= 0 for proportional refunds, ``slope * x`` for linear ones), so
     each step is a concave (max,+) convolution (:func:`_concave_maxplus`):
-    O(U) when one side's slopes dominate the other's, else a monotone-argmax
-    search; the funding spend then adds one shifted vector. That is at most
-    O(p * U log U) for U budget units, against O(p * U^2) for trying every
-    spend. Which rows the search settles at each level depends only on U, so
-    the p steps share one row plan (:func:`_row_plan`), built once per call.
-    A level's O(U) arithmetic outweighs numpy's fixed cost per call: about
-    two thirds of a level at 2,000 units, nineteen twentieths at 20,000.
+    O(U) when one side's slopes dominate the other's or both sides' computed
+    slopes fall, else a monotone-argmax search; the funding spend then adds
+    one shifted vector. That is at most O(p * U log U) for U budget units,
+    against O(p * U^2) for trying every spend.
 
     Ties within ``UTILITY_TIE_TOL`` of the optimum resolve to the smallest
     total spend, which is the least k whose ``best[0][k]`` ties it, then to
@@ -275,12 +321,11 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     budget_units, fund_units = _grid_layout(view, delta)
     tables = _value_tables(view, delta, budget_units, fund_units)
     width = budget_units + 1
-    plan = _row_plan(width)
 
     best = [np.zeros(width)]
     for t, f in zip(reversed(tables), reversed(fund_units)):
         after = best[-1]
-        cur = _concave_maxplus(t[:f], after, plan) if f else np.full(width, -np.inf)
+        cur = _concave_maxplus(t[:f], after) if f else np.full(width, -np.inf)
         if f <= budget_units:
             cur[f:] = np.maximum(cur[f:], t[f] + after[: width - f])
         best.append(cur)

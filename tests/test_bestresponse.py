@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_instance, random_view
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
@@ -30,7 +30,7 @@ from ccfund import (
 )
 from ccfund import bestresponse
 from ccfund.heuristics import PLAY_ORDERS
-from ccfund.bestresponse import UTILITY_TIE_TOL, _concave_maxplus, _row_plan, _value_tables
+from ccfund.bestresponse import UTILITY_TIE_TOL, _concave_maxplus, _value_tables
 
 
 def bisection_maxplus_reference(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -271,53 +271,113 @@ def maxplus_inputs(draw):
     return t, np.cumsum(climb)
 
 
+def bruteforce_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every row's maximum over all of its splits, one row at a time."""
+    return np.array([max(t[b] + u[k - b] for b in range(min(k, len(t) - 1) + 1))
+                     for k in range(len(u))])
+
+
+def falling(x: np.ndarray) -> bool:
+    """Whether the computed increments of ``x`` never rise."""
+    steps = np.diff(x)
+    return bool((steps[1:] <= steps[:-1]).all())
+
+
 @settings(max_examples=300, deadline=None)
 @given(maxplus_inputs())
 def test_maxplus_kernel_matches_reference(inputs):
     t, u = inputs
-    assert np.array_equal(_concave_maxplus(t, u, _row_plan(len(u))),
-                          bisection_maxplus_reference(t, u))
+    assert np.array_equal(_concave_maxplus(t, u), bisection_maxplus_reference(t, u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(maxplus_inputs())
+def test_maxplus_merge_matches_every_split(inputs):
+    # where both increment sequences fall, the merge (or a dominance test)
+    # settles the step, and its rows are the true maxima over every split
+    t, u = inputs
+    assume(falling(t) and falling(u))
+    w = _concave_maxplus(t, u)
+    assert np.array_equal(w, bruteforce_maxplus(t, u))
+    assert np.array_equal(w, bisection_maxplus_reference(t, u))
 
 
 class TestSearchSkips:
-    """Steps where one slope sequence dominates the other skip the search."""
+    """Steps whose slope sequences dominate or merge skip the search."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        counts = {"steps": 0, "searches": 0}
-        kernel, search = bestresponse._concave_maxplus, bestresponse._monotone_search
+        counts = {"steps": 0, "searches": 0, "plans": 0}
+        kernel, search, plan = (bestresponse._concave_maxplus, bestresponse._monotone_search,
+                                bestresponse._row_plan)
 
-        def counted_kernel(t, u, plan):
+        def counted_kernel(t, u):
             counts["steps"] += 1
-            return kernel(t, u, plan)
+            return kernel(t, u)
 
-        def counted_search(t, u, plan):
+        def counted_search(t, u):
             counts["searches"] += 1
-            return search(t, u, plan)
+            return search(t, u)
+
+        def counted_plan(width):
+            counts["plans"] += 1
+            return plan(width)
 
         monkeypatch.setattr(bestresponse, "_concave_maxplus", counted_kernel)
         monkeypatch.setattr(bestresponse, "_monotone_search", counted_search)
+        monkeypatch.setattr(bestresponse, "_row_plan", counted_plan)
         return counts
 
-    def test_fine_grid_response_skips_half_its_searches(self, steps):
+    def test_fine_grid_response_never_searches(self, steps):
         # agent 0's first step meets the all-zero continuation and its second
         # a shallower one (all spend here first); three later tables are
-        # shallower than their continuations (no spend here)
+        # shallower than their continuations (no spend here); the others
+        # interleave two falling slope sequences and merge
         instance, solution = sample_instance(SamplerConfig(n=100, p=10, seed=101), seed=(101, 0))
         profile = play(instance, Assignment.uniform(Heuristic.OPT_WELFARE, instance.n_agents),
                        solution.subset, thresholds(instance))
         best_response_exact(make_view(instance, profile, 0), 0.01)
         assert steps["steps"] == 10
-        assert steps["searches"] <= steps["steps"] // 2
+        assert steps["searches"] == 0
+        assert steps["plans"] == 0
 
     def test_equal_slopes_call_the_search(self, steps):
-        # linear refunds against a continuation of the same slope: neither
-        # side dominates past rounding, so no shortcut may claim the step
+        # linear refunds against a continuation of the same slope: the
+        # rounded increments wobble, so neither dominance nor the merge applies
         t = LinearAdditiveRefund(0.5).share(np.arange(40) * 0.01, 1.0, 0.0)
         u = LinearAdditiveRefund(0.5).share(np.arange(300) * 0.01, 1.0, 0.0)
-        w = bestresponse._concave_maxplus(t, u, _row_plan(len(u)))
+        assert not falling(t)
+        w = bestresponse._concave_maxplus(t, u)
         assert steps["searches"] == 1
         assert np.array_equal(w, bisection_maxplus_reference(t, u))
+
+    def test_ulp_dip_calls_the_search(self, steps):
+        # a linear table one ulp low at b=2: its increments rise once
+        t = np.array([0.0, 1.0, np.nextafter(2.0, 0.0), 3.0])
+        u = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert not falling(t)
+        w = bestresponse._concave_maxplus(t, u)
+        assert steps["searches"] == 1
+        assert np.array_equal(w, bisection_maxplus_reference(t, u))
+
+    def test_wide_windows_call_the_search(self, steps):
+        # exact equal slopes tie every split of every row: windows that
+        # large would cost more than the search
+        t, u = np.arange(300) * 0.25, np.arange(600) * 0.25
+        w = bestresponse._concave_maxplus(t, u)
+        assert steps["searches"] == 1
+        assert np.array_equal(w, u)
+
+    def test_equal_slopes_merge_over_a_window(self, steps):
+        # dt[0] = 1 + 2^-52 against du[0] = 1: within the margin, so row 1's
+        # window holds both splits, and only the second reaches the maximum
+        t = np.array([0.0, 1.0 + 2.0**-52, 1.5])
+        u = np.array([0.0, 1.0, 2.0, 2.5])
+        assert t[1] + u[0] > t[0] + u[1]
+        w = bestresponse._concave_maxplus(t, u)
+        assert steps["searches"] == 0
+        assert np.array_equal(w, bruteforce_maxplus(t, u))
+        assert w[1] == 1.0 + 2.0**-52
 
     @pytest.mark.parametrize("t, u, w", [
         ([0.0, 1.0, 1.5], [0.0, 2.0, 4.0, 6.0], [0.0, 2.0, 4.0, 6.0]),
@@ -327,7 +387,7 @@ class TestSearchSkips:
     ], ids=["no-spend-here", "all-spend-here-first", "one-entry-table", "one-entry-continuation"])
     def test_dominated_slopes_skip_the_search(self, steps, t, u, w):
         t, u = np.array(t), np.array(u)
-        assert np.array_equal(bestresponse._concave_maxplus(t, u, _row_plan(len(u))), w)
+        assert np.array_equal(bestresponse._concave_maxplus(t, u), w)
         assert steps["searches"] == 0
 
 
