@@ -280,6 +280,10 @@ _MASK128 = (1 << 128) - 1
 #: Items up to which numpy's ``Generator.choice`` always picks by Floyd's
 #: algorithm; past them it shuffles a tail for picks over a 50th of them.
 _FLOYD_MAX_N = 10_000
+#: Items up to which the batch draws a row itself, at most ``_FLOYD_MAX_N``
+#: (it reproduces only Floyd's algorithm). Its numpy step per draw position
+#: grows with the items, and past about 500 a ``choice`` call per row is faster.
+_BATCH_MAX_N = 500
 
 
 def _words(value: int) -> list[int]:
@@ -355,18 +359,18 @@ def _choice_masks(states: list[tuple[int, int]], n: int, sizes: np.ndarray) -> n
     32-bit half of a raw word, low half first, times ``span``, keeping the
     product's high word and redrawing while its low word is below ``2^32
     mod span``. Rows picking none or all of the items draw nothing. Every
-    other row up to 10,000 items reads its raw words once and takes draw
-    ``d`` from half ``d``, and each draw position is one numpy step over the
-    rows still drawing. ``choice`` itself picks for a row with a draw numpy
-    would redraw (odds below ``n / 2^32`` a draw) and for every drawing row
-    past 10,000 items. The order ``choice`` then shuffles its picks into
-    does not matter to a mask.
+    other row up to ``_BATCH_MAX_N`` items reads its raw words once and
+    takes draw ``d`` from half ``d``, and each draw position is one numpy
+    step over the rows still drawing. ``choice`` itself picks for a row with
+    a draw numpy would redraw (odds below ``n / 2^32`` a draw) and for every
+    drawing row past ``_BATCH_MAX_N`` items. The order ``choice`` then
+    shuffles its picks into does not matter to a mask.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     masks = np.zeros((len(sizes), n), dtype=bool)
     masks[sizes == n] = True
     drawing = (sizes > 0) & (sizes < n)
-    redo = drawing & (n > _FLOYD_MAX_N)
+    redo = drawing & (n > _BATCH_MAX_N)
     floyd = np.where(redo, 0, sizes * drawing)
     steps = int(floyd.max(initial=0))
     # rows drawing longest first: the rows still drawing at position d are a prefix

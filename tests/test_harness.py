@@ -455,6 +455,21 @@ class TestDeviatorDrawBatch:
         assert masks.shape == (_BLOCK, 40, 100)
         assert choice_sizes == []
 
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_batch_cutoff_matches_per_row_choice(self, choice_sizes, past):
+        # up to the cutoff the batch draws every row; one agent past it,
+        # numpy's choice draws every row that picks some but not all agents
+        n = harness._BATCH_MAX_N + past
+        cfg = ExperimentConfig(seed=3, alphas=(0.01, 0.5, 1.0))
+        masks = _deviator_masks(cfg, n, range(2))
+        for k, row in enumerate(masks):
+            for ci, (_, alpha) in enumerate(cfg.cell_keys[: len(row)]):
+                rng = np.random.default_rng(np.random.SeedSequence((3, _DEVIATOR_SALT, ci, k)))
+                expected = np.zeros(n, dtype=bool)
+                expected[rng.choice(n, size=int(math.floor(alpha * n + 1e-9)), replace=False)] = True
+                assert np.array_equal(row[ci], expected)
+        assert len(choice_sizes) == past * 2 * len(cfg.deviant_heuristics) * 2
+
     def test_rows_past_floyd_range_call_choice(self, choice_sizes):
         # past 10,000 agents every row that draws goes to numpy; none or all
         # of the agents draw nothing
