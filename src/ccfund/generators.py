@@ -142,11 +142,14 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
     deficit or fails to stabilize.
     """
     base = cfg.seed if seed is None else seed
+    rejected = dict.fromkeys(("zero-valuation column", "zero threshold mass",
+                              "the lift broke the deficit", "no fixed point"), 0)
     for attempt in range(cfg.max_rejections):
         rng = _rng(base, attempt)
         with _in_float_range(cfg.valuation_dist):
             drawn = _draw_game(cfg, rng)
             if drawn is None:
+                rejected["zero-valuation column"] += 1
                 continue
             theta, vartheta, targets, bonuses, thr = drawn
             rho = rng.uniform(cfg.budget_rho[0], cfg.budget_rho[1])
@@ -155,30 +158,28 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
             mass = thr.sum(axis=1)
             total_mass = mass.sum()
             if total_mass <= 0.0:
+                rejected["zero threshold mass"] += 1
                 continue
             budgets = pool * mass / total_mass
 
         values = vartheta - targets
         sol = solve_subset_bruteforce(values, targets, pool)
-        stable = False
         for _ in range(_LIFT_ROUNDS):
             need = thr[:, list(sol.subset)].sum(axis=1) if sol.subset else np.zeros(cfg.n)
             budgets = np.maximum(budgets, need)
             if budgets.sum() >= targets.sum() - TOL:
-                break  # the lift destroyed the deficit
+                rejected["the lift broke the deficit"] += 1
+                break
             lifted = solve_subset_bruteforce(values, targets, float(budgets.sum()))
             if lifted.subset == sol.subset:
-                sol = lifted
-                stable = True
-                break
+                return Instance(theta, budgets, targets, bonuses, cfg.refund), lifted
             sol = lifted
-        if not stable:
-            continue
-        instance = Instance(theta, budgets, targets, bonuses, cfg.refund)
-        return instance, sol
+        else:
+            rejected["no fixed point"] += 1
+    causes = ", ".join(f"{cause}: {count}" for cause, count in rejected.items())
     raise SolverError(
         f"sampler rejected all {cfg.max_rejections} draws (acceptance rate 0.0%); "
-        "widen budget_rho or target_fraction"
+        f"rejections by cause: {causes}"
     )
 
 

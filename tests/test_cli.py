@@ -379,6 +379,21 @@ class TestExitCodes:
         assert err.count("error:") == 1
         assert f"error: valuations.{key} {valuations[key]!r} puts the sampler's" in err
 
+    def test_rejected_draws_are_counted_by_cause(self, tmp_path, capsys):
+        # valuations this small keep every target within the sampler's
+        # absolute deficit tolerance: every lift breaks the deficit, and no
+        # budget_rho or target_fraction can help
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "p": 3,
+                                   "valuations": {"kind": "uniform", "lo": 0, "hi": 1e-10}}))
+        assert main(["gen", "--config", str(cfg), "--count", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert ("rejections by cause: zero-valuation column: 0, zero threshold mass: 0, "
+                "the lift broke the deficit: 200, no fixed point: 0") in err
+        assert "budget_rho" not in err.split("error:")[1]
+
     @pytest.mark.parametrize("name", ["example1", "appendixB"])
     def test_fixed_ppr_fixture_refuses_other_scheme(self, name, capsys):
         # these games are proportional-refund whatever the option says, so the
