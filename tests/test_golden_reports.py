@@ -53,6 +53,13 @@ CONFIGS = {
     "ten-thousand-one": lambda: _config(
         {"n": 10_001, "p": 2}, alphas=(0.01, 0.5, 1.0), instances_per_cell=2
     ),
+    # odd p, random order and a linear refund scored against a separate
+    # proportional baseline, in one block of 23 instances that is not full
+    "partial-block": lambda: _config(
+        {"n": 30, "p": 5, "refund": LinearAdditiveRefund(0.5)},
+        play_order="random",
+        instances_per_cell=23,
+    ),
 }
 
 GOLDEN = {
@@ -69,6 +76,7 @@ GOLDEN = {
     "acceptance-p10": "b7850183fbab8a680376a9a26d7aec80c9d5ecca1aec1dff59b495fd677ea0c8",
     "seventeen-projects": "94e03ec2751f8830f81d8699f7627527813646d54aa28a8cc06f342ace3ab9b2",
     "ten-thousand-one": "54314d9b8ffdf1f2b301243d361c78745fdf91c7f4ec8504bc27267768b98b03",
+    "partial-block": "9c6d47c5bcf2fc6043e6958bf2e0a085d8e9f0b8d798b1c12bb311c984a29907",
 }
 
 
