@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import SamplerConfig, sample_instance
-# intent_matrix is not called here; the benchmark's tracer rebinds it by name
+# intent_matrix and evaluate are not called here; the benchmark's tracer rebinds them by name
 from .heuristics import Heuristic, PlayOrder, _intent_rows, clamp_play, intent_matrix  # noqa: F401
-from .model import ContributionProfile, Instance, Outcome, evaluate
+from .model import TOL, ContributionProfile, Instance, Outcome, _evaluate, _project_sum
+from .model import evaluate  # noqa: F401
 from .refunds import PprRefund, thresholds
 
 logger = logging.getLogger(__name__)
@@ -55,6 +56,10 @@ _BLOCK = 32
 #: Agent utilities one moment pass takes at most: a block's at the
 #: acceptance configuration, fewer instances' for larger crowds.
 _PASS_VALUES = 1 << 18
+#: Intents one play-out takes at most: four instances' at the acceptance
+#: configuration, a whole block's for small games, one instance's for
+#: large crowds.
+_PLAY_VALUES = 3 << 16
 #: Instance count under the full-scale flag.
 FULL_SCALE_INSTANCES = 100_000
 
@@ -422,60 +427,100 @@ def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
     return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
+def _check_group(instances: list[Instance], realized: np.ndarray) -> None:
+    """Refuse realized play as :class:`ContributionProfile` and ``validate_against`` would.
+
+    ``realized`` is (n, instance, row, p), in agent order. One pass finds
+    whether anything is wrong: the least entry is NaN if any is, and below
+    zero if any is negative, so ``min``, ``max`` and the budget test cover
+    the profile's checks. Only then is each instance's stack checked as a
+    profile of its own, in instance order, for the message it would raise.
+    """
+    budgets = np.stack([instance.budgets for instance in instances], axis=1)[..., None]
+    spent = _project_sum(np.moveaxis(realized, -1, 0))
+    if realized.min() >= 0.0 and realized.max() < np.inf and (spent <= budgets + TOL).all():
+        return
+    for instance, stack in zip(instances, np.moveaxis(realized, 0, -2)):
+        ContributionProfile(stack).validate_against(instance)
+
+
 def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     """Moment sums each instance of a block adds to each cell.
 
     (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
     ``start``, a multiple of it, or those up to ``count``. Every deviant
-    cell's play of an instance is one row of a stacked (rows, n, p) intent
-    tensor, gathered in one pass from the rules' intents; the control cells
-    all play the baseline, so they share one last row. Each instance's stack
-    is played out, evaluated and scored in one pass each; the block's
-    deviator draws are one batch, and so are its moment sums.
+    cell's play of an instance is one row of a stacked intent tensor; the
+    control cells all play the baseline, so they share one last row. The
+    block plays out in groups of instances holding at most
+    :data:`_PLAY_VALUES` intents: one gather from the rules' intents lays a
+    group's stacks agents outermost, (n, instance, row, p), each instance's
+    agents in its play order, and one :func:`clamp_play` call realizes them,
+    adding one agent to every running total of the group at a time. Each
+    instance is then evaluated and scored straight from its slice, in agent
+    order; the block's deviator draws are one batch, and so are its moment
+    sums.
     """
     ks = range(start, min(start + _BLOCK, count))
-    n = cfg.sampler.n
+    n, p = cfg.sampler.n, cfg.sampler.p
     rules, alphas = len(cfg.deviant_heuristics), len(cfg.alphas)
     rows = rules * alphas + 1
     deviators = np.zeros((len(ks), rows, n), dtype=bool)
     deviators[:, :-1] = _deviator_masks(cfg, n, ks)
     # with the baseline's and each deviant rule's intents laid end to end,
-    # agent i of stack row r plays the one at row picks[., r, i]
+    # agent i of stack row r plays the one at row picks[., i, r]
     rule_of_row = np.append(np.repeat(np.arange(1, rules + 1), alphas), 0)
-    picks = deviators * rule_of_row[:, None] * n + np.arange(n)
+    picks = (deviators * rule_of_row[:, None] * n + np.arange(n)).transpose(0, 2, 1)
     moments = np.zeros((len(ks), rows, len(_METRICS), 3))
     # utilities wait for the moment pass in groups of at most _PASS_VALUES
     per_pass = max(1, _PASS_VALUES // (rows * n))
     au = np.empty((min(per_pass, len(ks)), rows, n))
-    for b, k in enumerate(ks):
-        instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
-        thr = thresholds(instance)
-        if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
-            thr_base = thr
-        else:
-            thr_base = thresholds(instance, scheme=PprRefund())
+    # instance slot g of a group lays its rules' intents from row g * laid
+    laid = (rules + 1) * n
+    shuffled = cfg.play_order == "random"
+    per_group = max(1, _PLAY_VALUES // (rows * n * p))
+    for first in range(0, len(ks), per_group):
+        group = range(first, min(first + per_group, len(ks)))
+        slots = np.arange(len(group))
+        instances, solutions, baselines, plays, orders = [], [], [], [], []
+        for b in group:
+            instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, ks[b]))
+            thr = thresholds(instance)
+            if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
+                baselines.append(thr)
+            else:
+                baselines.append(thresholds(instance, scheme=PprRefund()))
+            instances.append(instance)
+            solutions.append(solution)
+            for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics):
+                plays.append(_intent_rows(rule, instance, np.arange(n), solution.subset, thr))
+            if shuffled:
+                seed = (cfg.seed, _PLAY_ORDER_SALT, ks[b])
+                orders.append(PlayOrder("random", seed=seed).permutation(n))
+        index = picks[first : group.stop] + slots[:, None, None] * laid
+        if shuffled:
+            orders = np.array(orders)
+            index = index[slots[:, None], orders]
+        intents = np.take(np.concatenate(plays), index.transpose(1, 0, 2), axis=0)
+        targets = np.stack([instance.targets for instance in instances])[:, None]
+        realized = np.moveaxis(clamp_play(np.moveaxis(intents, 0, -2), targets), -2, 0)
+        if shuffled:
+            played, realized = realized, np.empty(realized.shape)
+            realized[orders.T, slots] = played
+        _check_group(instances, realized)
 
-        def uniform_intents(rule: Heuristic) -> np.ndarray:
-            return _intent_rows(rule, instance, np.arange(n), solution.subset, thr)
-
-        plays = [uniform_intents(rule) for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)]
-        intents = np.take(np.concatenate(plays), picks[b], axis=0)
-
-        permutation = None
-        if cfg.play_order == "random":
-            permutation = PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
-        realized = clamp_play(intents, instance.targets, permutation)
-        outcome = evaluate(instance, ContributionProfile(realized))
-        sw = sw_n(instance, outcome, solution.welfare)
-        au[b % per_pass] = au_n(instance, outcome, thr_base)
-        if sw is not None:
-            moments[b, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
-        if (b + 1) % per_pass == 0 or b + 1 == len(ks):
-            done = slice(b - b % per_pass, b + 1)
-            values = au[: done.stop - done.start]
-            defined = ~np.isnan(values)
-            keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
-            moments[done, :, 1:] = _row_moments(values, keep).transpose(1, 2, 0, 3)
+        for slot, b in enumerate(group):
+            instance = instances[slot]
+            outcome = _evaluate(instance, realized[:, slot])
+            sw = sw_n(instance, outcome, solutions[slot].welfare)
+            au[b % per_pass] = au_n(instance, outcome, baselines[slot])
+            if sw is not None:
+                moments[b, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
+            if (b + 1) % per_pass == 0 or b + 1 == len(ks):
+                done = slice(b - b % per_pass, b + 1)
+                values = au[: done.stop - done.start]
+                defined = ~np.isnan(values)
+                keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
+                moments[done, :, 1:] = _row_moments(values, keep).transpose(1, 2, 0, 3)
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]

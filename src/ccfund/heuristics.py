@@ -165,6 +165,14 @@ def intent_matrix(
     return out
 
 
+#: Values per agent (leading entries times projects) from which the play-out
+#: adds one agent at a time to every running total. ``np.cumsum`` walks one
+#: running total after another at about 4 ns a value, bound by the latency
+#: of each addition; a wide add runs them all at once but costs a numpy call
+#: per agent. The two broke even between 256 and 512 values.
+_CUMSUM_MAX_WIDTH = 384
+
+
 def clamp_play(
     intents: np.ndarray, targets: np.ndarray, permutation: np.ndarray | None = None
 ) -> np.ndarray:
@@ -172,24 +180,45 @@ def clamp_play(
 
     Each agent's realized amount on a project is the minimum of its intent and
     the amount still missing, so per-project totals stop exactly at the target.
-    Leading axes of ``intents`` stack independent play-outs of one instance
-    (agents on the second-to-last axis), each realized as it would be alone.
-    Non-finite targets are refused; intents are not scanned, as they come
-    from the package's own rules on the play-out's hot path.
+    Leading axes of ``intents`` stack independent play-outs (agents on the
+    second-to-last axis), each realized as it would be alone; ``targets``
+    broadcasts against the leading axes plus the project axis, so each
+    play-out may have targets of its own. Non-finite targets are refused;
+    intents are not scanned, as they come from the package's own rules on
+    the play-out's hot path.
+
+    The result has the shape of ``intents`` and agent-major memory:
+    ``np.moveaxis(result, -2, 0)`` is C-contiguous, and so is that view of
+    ``intents`` when the caller lays it out agents first. What each project
+    still misses when an agent's turn comes is the running sum of the
+    earlier agents' intents, a left fold over agents either way: one
+    ``np.cumsum`` over narrow stacks, one wide add per agent over stacks of
+    at least :data:`_CUMSUM_MAX_WIDTH` values per agent. Both add in the
+    same order, so the bits do not depend on the width (Higham 2002, §4.2).
     """
     _require_finite("targets", np.asarray(targets))
-    ordered = intents if permutation is None else intents[..., permutation, :]
-    # what each project still misses when an agent's turn comes
-    missing = np.zeros(ordered.shape)
-    np.cumsum(ordered[..., :-1, :], axis=-2, out=missing[..., 1:, :])
+    ordered = np.moveaxis(intents, -2, 0)
+    if permutation is not None:
+        ordered = ordered[permutation]
+    missing = np.empty(ordered.shape)
+    missing[:1] = 0.0
+    n = len(ordered)
+    # targets laid out like one agent's intents, so that no pass runs a
+    # p-long inner loop per leading index
+    targets = np.ascontiguousarray(np.broadcast_to(targets, missing.shape[1:]))
+    if n > 1 and ordered[0].size >= _CUMSUM_MAX_WIDTH:
+        missing[1] = ordered[0]
+        for i in range(2, n):
+            np.add(missing[i - 1], ordered[i - 1], out=missing[i])
+    else:
+        np.cumsum(ordered[:-1], axis=0, out=missing[1:])
     np.subtract(targets, missing, out=missing)
     np.maximum(missing, 0.0, out=missing)
     realized = np.minimum(ordered, missing, out=missing)
-    if permutation is None:
-        return realized
-    out = np.empty(realized.shape)
-    out[..., permutation, :] = realized
-    return out
+    if permutation is not None:
+        realized = np.empty(realized.shape)
+        realized[permutation] = missing
+    return np.moveaxis(realized, 0, -2)
 
 
 def play(

@@ -235,23 +235,34 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     A funded project pays each agent valuation minus contribution; an unfunded
     project with any money in it pays refund shares; an untouched project pays
     nothing. Each stacked profile evaluates to the same bits it would alone.
-
-    The work runs on a (..., p, n) copy of the contributions, so that every
-    pass runs along agents rather than along the short project rows; the
-    sums keep numpy's order over the (..., n, p) array, so the fields have
-    the bits ``x.sum`` would give them. ``per_pair_utilities`` is a
-    transposed view of that layout.
+    The profile is checked against the instance first; the work is
+    :func:`_evaluate`'s on an agents-first view of the contributions.
     """
     profile.validate_against(instance)
-    x = profile.contributions
-    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    return _evaluate(instance, np.moveaxis(profile.contributions, -2, 0))
+
+
+def _evaluate(instance: Instance, x: np.ndarray) -> Outcome:
+    """:func:`evaluate` on agent-major contributions ``x`` of shape (n, ..., p).
+
+    ``x`` is not checked; the caller vouches that it is finite, non-negative
+    and within budget, as :class:`ContributionProfile` and its
+    ``validate_against`` would. The project axis must be innermost in
+    memory. Then the totals ``x.sum(axis=0)`` add one agent to every total a
+    pass, the left fold over agents that ``sum(axis=-2)`` runs one short row
+    at a time over the (..., n, p) layout, and need no copy; the play-out's
+    buffer, agents outermost, is read in place. The other passes run on a
+    (..., p, n) copy, along agents rather than along the short project rows;
+    the utilities keep numpy's order over projects, so every field has the
+    bits ``sum`` gives the (..., n, p) array. ``per_pair_utilities`` is a
+    transposed view of that layout.
+    """
+    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
     if instance.n_projects == 1:
         # numpy drops the length-1 project axis and sums the column pairwise
-        totals = x.sum(axis=-2)
+        totals = xt.sum(axis=-1)
     else:
-        # with agents outermost, each pass adds one agent to every total: the
-        # left fold over agents that x.sum(axis=-2) runs one short row at a time
-        totals = np.ascontiguousarray(np.moveaxis(xt, -1, 0)).sum(axis=0)
+        totals = x.sum(axis=0)
     funded = totals >= instance.targets - TOL
     refunded = ~funded & (totals > 0.0)
     shares = instance.refund.share(xt, instance.bonuses[:, None], totals[..., None])

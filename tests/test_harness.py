@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ccfund import (
     ExperimentConfig,
     Heuristic,
     Instance,
+    PlayOrder,
     PprRefund,
     SamplerConfig,
     au_n,
@@ -249,18 +251,41 @@ class TestRunExperiment:
         # instance k + 1 of a run at seed s and instance k at seed s + 1 once
         # shared one permutation
         orders = []
-        real = harness.clamp_play
 
-        def recording(intents, targets, permutation=None):
-            orders.append(permutation)
-            return real(intents, targets, permutation)
+        class Recording(PlayOrder):
+            def permutation(self, n_agents):
+                orders.append(super().permutation(n_agents))
+                return orders[-1]
 
-        monkeypatch.setattr(harness, "clamp_play", recording)
+        monkeypatch.setattr(harness, "PlayOrder", Recording)
         for seed in (5, 6):
             run_experiment(small_config(play_order="random", seed=seed, instances_per_cell=2),
                            workers=1)
         assert len(orders) == 4
         assert not np.array_equal(orders[1], orders[2])
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "contributions must be finite, got nan at index (2, 3, 1)"),
+            (np.inf, "contributions must be finite, got inf at index (2, 3, 1)"),
+            (-1.0, "contribution by agent 3 to project 1 in profile (2,) is negative (-1)"),
+            (1e6, "agent 3 in profile (2,) spends 1000002.89595, exceeding its budget 3.86127277171"),
+        ],
+    )
+    def test_bad_play_is_refused_as_a_profile_would_be(self, monkeypatch, value, message):
+        # the text ContributionProfile(stack).validate_against(instance) gives
+        # the second instance's stack alone, as when each instance played alone
+        real = harness.clamp_play
+
+        def corrupt(intents, targets, permutation=None):
+            realized = real(intents, targets, permutation)
+            realized[1, 2, 3, 1] = value  # instance 1 of the group: row 2, agent 3, project 1
+            return realized
+
+        monkeypatch.setattr(harness, "clamp_play", corrupt)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(small_config(), workers=1)
 
     def test_ascending_order_draws_no_permutation(self, monkeypatch):
         cfg = small_config(instances_per_cell=2)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccfund import (
     Assignment,
@@ -18,6 +22,7 @@ from ccfund import (
     sample_surplus_sf_instance,
     thresholds,
 )
+from ccfund.heuristics import _CUMSUM_MAX_WIDTH
 
 
 def intent_row(heuristic, inst, agent, pstar=None, thresholds=None):
@@ -172,6 +177,49 @@ class TestPlay:
         assert permuted.contributions.sum() == pytest.approx(5.0)
 
 
+def _cumsum_clamp(intents, targets, permutation=None):
+    """The play-out as one ``np.cumsum`` over agents, with targets per leading index."""
+    ordered = intents if permutation is None else intents[..., permutation, :]
+    missing = np.zeros(ordered.shape)
+    np.cumsum(ordered[..., :-1, :], axis=-2, out=missing[..., 1:, :])
+    np.subtract(np.asarray(targets)[..., None, :], missing, out=missing)
+    np.maximum(missing, 0.0, out=missing)
+    realized = np.minimum(ordered, missing, out=missing)
+    if permutation is None:
+        return realized
+    out = np.empty(realized.shape)
+    out[..., permutation, :] = realized
+    return out
+
+
+@st.composite
+def clamp_cases(draw):
+    """Intents with 0-2 leading axes on either side of the width cutoff, laid
+    out in C order or agents first, targets shared or per leading index, and
+    an optional play order; some intents are exact zeros of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 7))
+    lead = ()
+    if draw(st.integers(0, 2)) >= 1:
+        outer = draw(st.integers(1, 8))
+        lead = (outer,) if draw(st.booleans()) else (outer, 1)
+        if draw(st.booleans()):  # at least _CUMSUM_MAX_WIDTH values per agent
+            need = math.ceil(_CUMSUM_MAX_WIDTH / (p * outer))
+            last = draw(st.integers(need, need + 8))
+        else:
+            last = draw(st.integers(1, max(1, (_CUMSUM_MAX_WIDTH - 1) // (p * outer))))
+        lead = lead[:-1] + (lead[-1] * last,)
+    intents = rng.uniform(0.0, 3.0, size=lead + (n, p))
+    zeros = rng.random(intents.shape) < 0.2
+    intents[zeros] = np.where(rng.random(intents.shape) < 0.5, 0.0, -0.0)[zeros]
+    if draw(st.booleans()):
+        intents = np.moveaxis(np.ascontiguousarray(np.moveaxis(intents, -2, 0)), 0, -2)
+    shape = lead + (p,) if draw(st.booleans()) else (p,)
+    targets = rng.uniform(0.5, 2.0 * n, size=shape)
+    permutation = rng.permutation(n) if draw(st.booleans()) else None
+    return intents, targets, permutation
+
+
 class TestClampReference:
     @staticmethod
     def _sequential_clamp(intents, targets, order):
@@ -205,6 +253,18 @@ class TestClampReference:
 
         with pytest.raises(ValueError, match="targets must be finite"):
             clamp_play(np.ones((3, 2)), np.array([1.0, target]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(clamp_cases())
+    def test_same_bytes_as_one_cumsum(self, case):
+        from ccfund.heuristics import clamp_play
+
+        intents, targets, permutation = case
+        realized = clamp_play(intents, targets, permutation)
+        expected = _cumsum_clamp(intents, targets, permutation)
+        assert realized.shape == expected.shape
+        assert realized.tobytes() == expected.tobytes()
+        assert np.all(realized.sum(axis=-2) <= targets + 1e-9), "a project was overfunded"
 
     def test_greedy_allocation_matches_scalar_loop(self):
         rng = np.random.default_rng(53)
