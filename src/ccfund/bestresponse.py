@@ -200,12 +200,17 @@ def _row_plan(width: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
 def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``w[k] = max(t[b] + u[k - b] for 0 <= b <= min(k, len(t) - 1))`` for concave ``t``.
 
+    The two dominance tests and the merge below return each row's float
+    maximum. Steps that neither settles run :func:`_monotone_search`, whose
+    rows are float sums of one split each and may fall a few ulps below the
+    maximum, within the bound it states.
+
     A (max,+) convolution merges the two slope sequences (Bussieck et al.,
     Oper. Res. Lett. 1994). When every increment of ``t`` is at most every
     increment of ``u``, telescoping them gives t[b] + u[k-b] <= t[b*] + u[k-b*]
     over the reals for b* = 0; when every one is at least, for
     b* = min(k, len(t) - 1). Rounding is monotone, so that float sum is the
-    maximum the search would return. A computed increment is within 2^-53 of
+    row's float maximum. A computed increment is within 2^-53 of
     its size of the real one, either sign (exact when subnormal), so the
     strict test asks for a gap of 2^-50 times the largest increment size plus
     the least normal float, which also covers rounding the margin and its
@@ -278,6 +283,19 @@ def _monotone_search(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     calls over all of its rows, whose column ranges overlap only at their
     ends: about log2(len(u)) levels of O(len(u)) work. No later row reads
     the last level's argmaxes, so that level skips them.
+
+    Each ``w[k]`` is the float sum of one split of row k, so it is never
+    above the row's float maximum, but it reaches that maximum only when the
+    float sums are themselves inverse Monge, which rounding can break by an
+    ulp even where the real sums are (rounded linear tables lose one on some
+    rows). Say every float sum lies within d of ``t'[k - i] + u[i]`` for a
+    ``t'`` concave over the reals. A row settled on level l (from 0) then
+    lies at most 2d(l + 1) below its float maximum, and its argmax's sum at
+    most that below the real maximum: level 0 searches every column, and by
+    the Monge inequality the columns between two settled rows' argmaxes hold,
+    for each row between them, one whose real sum is at most their larger
+    shortfall below that row's real maximum. Over the whole plan that is
+    2d times its number of levels.
     """
     m = len(t) - 1
     n = len(u)

@@ -391,6 +391,22 @@ class TestSearchSkips:
         assert steps["searches"] == 0
 
 
+def test_search_shortfall_stays_within_its_bound():
+    # rounded linear tables: the real sums are inverse Monge, the float sums
+    # are not, and 71 of the 300 rows come back one ulp (2.2e-16) below their
+    # float maximum. Every sum lies within d = eps * max|sum| of the real
+    # ones, and _monotone_search promises at most 2d per level of its plan.
+    t = LinearAdditiveRefund(0.5).share(np.arange(40) * 0.01, 1.0, 0.0)
+    u = LinearAdditiveRefund(0.5).share(np.arange(300) * 0.01, 1.0, 0.0)
+    w = bestresponse._monotone_search(t, u)
+    k, b = np.arange(len(u))[:, None], np.arange(len(t))
+    sums = np.where(b <= k, t[b] + u[k - np.minimum(b, k)], -np.inf)
+    assert np.array_equal(sums.max(axis=1), bruteforce_maxplus(t, u))
+    assert (sums == w[:, None]).any(axis=1).all(), "a row is not the sum of one split"
+    d = np.finfo(float).eps * np.abs(sums.max(axis=1)).max()
+    assert np.all(sums.max(axis=1) - w <= 2 * d * len(bestresponse._row_plan(len(u))))
+
+
 @st.composite
 def wide_views(draw):
     """Views with thousands of grid units, past what enumeration can check."""
