@@ -49,16 +49,13 @@ _DEFAULT_DEVIANTS = (
 _DEVIATOR_SALT = 0x5EED
 #: Entropy salt separating random play orders from the other draws.
 _PLAY_ORDER_SALT = 0x0DE5
-#: Instances per block: one batched deviator draw, one moment pass and one
-#: process-pool task each. Blocks start at multiples of it, so they never
-#: straddle k = 2^32 and all of a block's indices take one entropy width.
+#: Instances per block: one batched deviator draw and one process-pool task
+#: each. Blocks start at multiples of it, so they never straddle k = 2^32
+#: and all of a block's indices take one entropy width.
 _BLOCK = 32
-#: Agent utilities one moment pass takes at most: a block's at the
-#: acceptance configuration, fewer instances' for larger crowds.
-_PASS_VALUES = 1 << 18
-#: Intents one play-out takes at most: four instances' at the acceptance
+#: Intents one play group takes at most: four instances' at the acceptance
 #: configuration, a whole block's for small games, one instance's for
-#: large crowds.
+#: large crowds. Each group is played out and scored in one pass.
 _PLAY_VALUES = 3 << 16
 #: Instance count under the full-scale flag.
 FULL_SCALE_INSTANCES = 100_000
@@ -257,19 +254,20 @@ def _row_moments(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     A row is one index into ``keep``'s leading axes, its values lie along
     the last axis, and ``values`` broadcasts against ``keep``; the result
     has ``keep``'s leading shape plus an axis of 3. Rows keeping equally
-    many values are gathered into one (rows, count) block, so each total is
-    the same pairwise sum numpy takes over that row's kept values as a 1-D
-    array, and reports keep their bytes.
+    many values are gathered by index into one (rows, count) block, so each
+    total is the same pairwise sum numpy takes over that row's kept values
+    as a 1-D array, whichever rows share the call, and reports keep their
+    bytes. Each row is gathered once, so a call is linear in the values.
     """
     counts = keep.sum(axis=-1)
     out = np.zeros(counts.shape + (3,))
     out[..., 2] = counts
     values = np.broadcast_to(values, keep.shape)
     for count in np.unique(counts[counts > 0]):
-        group = counts == count
-        picked = values[keep & group[..., None]].reshape(-1, count)
-        out[group, 0] = picked.sum(axis=1)
-        out[group, 1] = np.square(picked, out=picked).sum(axis=1)
+        rows = np.nonzero(counts == count)
+        picked = values[rows][keep[rows]].reshape(-1, count)
+        out[..., 0][rows] = picked.sum(axis=1)
+        out[..., 1][rows] = np.square(picked, out=picked).sum(axis=1)
     return out
 
 
@@ -456,9 +454,9 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     group's stacks agents outermost, (n, instance, row, p), each instance's
     agents in its play order, and one :func:`clamp_play` call realizes them,
     adding one agent to every running total of the group at a time. Each
-    instance is then evaluated and scored straight from its slice, in agent
-    order; the block's deviator draws are one batch, and so are its moment
-    sums.
+    instance is then evaluated straight from its slice, in agent order, and
+    one :func:`_row_moments` call sums the group's utilities; the block's
+    deviator draws are one batch.
     """
     ks = range(start, min(start + _BLOCK, count))
     n, p = cfg.sampler.n, cfg.sampler.p
@@ -471,9 +469,6 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     rule_of_row = np.append(np.repeat(np.arange(1, rules + 1), alphas), 0)
     picks = (deviators * rule_of_row[:, None] * n + np.arange(n)).transpose(0, 2, 1)
     moments = np.zeros((len(ks), rows, len(_METRICS), 3))
-    # utilities wait for the moment pass in groups of at most _PASS_VALUES
-    per_pass = max(1, _PASS_VALUES // (rows * n))
-    au = np.empty((min(per_pass, len(ks)), rows, n))
     # instance slot g of a group lays its rules' intents from row g * laid
     laid = (rules + 1) * n
     shuffled = cfg.play_order == "random"
@@ -508,19 +503,18 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
             realized[orders.T, slots] = played
         _check_group(instances, realized)
 
+        au = np.empty((len(group), rows, n))
         for slot, b in enumerate(group):
             instance = instances[slot]
             outcome = _evaluate(instance, realized[:, slot])
             sw = sw_n(instance, outcome, solutions[slot].welfare)
-            au[b % per_pass] = au_n(instance, outcome, baselines[slot])
+            au[slot] = au_n(instance, outcome, baselines[slot])
             if sw is not None:
                 moments[b, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
-            if (b + 1) % per_pass == 0 or b + 1 == len(ks):
-                done = slice(b - b % per_pass, b + 1)
-                values = au[: done.stop - done.start]
-                defined = ~np.isnan(values)
-                keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
-                moments[done, :, 1:] = _row_moments(values, keep).transpose(1, 2, 0, 3)
+        done = slice(first, group.stop)
+        defined = ~np.isnan(au)
+        keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
+        moments[done, :, 1:] = _row_moments(au, keep).transpose(1, 2, 0, 3)
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]

@@ -56,7 +56,9 @@ class PprRefund(RefundScheme):
     """Proportional refunds: each contributor receives an x/C share of the pool.
 
     Shares over an unfunded project with any positive total sum to the whole
-    pool; a project nobody contributed to pays nothing.
+    pool; a project nobody contributed to pays nothing. Every caller passes
+    0 <= x <= total, so a zero total comes with a zero x, whose share
+    ``x / 1.0 * bonus`` is already zero.
     """
 
     tag = PPR_TAG
@@ -65,8 +67,7 @@ class PprRefund(RefundScheme):
         if isinstance(x, np.ndarray) or isinstance(total, np.ndarray):
             x = np.asarray(x, dtype=float)
             total = np.asarray(total, dtype=float)
-            safe = np.where(total > 0.0, total, 1.0)
-            return np.where(total > 0.0, x / safe * bonus, 0.0)
+            return x / np.where(total > 0.0, total, 1.0) * bonus
         if total <= 0.0:
             return 0.0
         return x / total * bonus

@@ -304,6 +304,95 @@ class TestRunExperiment:
         assert all(cell.instances == 7 for cell in report.cells)
 
 
+def _mean_and_se(values):
+    mean = float(np.mean(values)) if len(values) else None
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else None
+    return mean, se
+
+
+def reference_cells(cfg):
+    """Each cell's report fields, in order, from one instance and one profile at a time."""
+    n = cfg.sampler.n
+    keys = cfg.cell_keys
+    deviant_cells = len(cfg.deviant_heuristics) * len(cfg.alphas)
+    welfare = [[] for _ in keys]
+    utilities = [[] for _ in keys]
+    masks = [[] for _ in keys]
+    for k in range(cfg.instances_per_cell):
+        instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
+        thr = thresholds(instance)
+        order = PlayOrder(cfg.play_order, seed=(cfg.seed, harness._PLAY_ORDER_SALT, k))
+        for ci, (rule, alpha) in enumerate(keys):
+            mask = np.zeros(n, dtype=bool)
+            if ci < deviant_cells:
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEVIATOR_SALT, ci, k)))
+                mask[rng.choice(n, math.floor(alpha * n + 1e-9), replace=False)] = True
+            assignment = Assignment(tuple(rule if m else Heuristic.OPT_WELFARE for m in mask))
+            outcome = evaluate(instance, play(instance, assignment, solution.subset, thr, order))
+            sw = sw_n(instance, outcome, solution.welfare)
+            if sw is not None:
+                welfare[ci].append(sw)
+            utilities[ci].append(harness.au_n(instance, outcome, thr))
+            masks[ci].append(mask)
+    cells = []
+    for ci in range(len(keys)):
+        pooled = np.concatenate(utilities[ci])
+        dev, nondev = deviation_split(pooled, np.concatenate(masks[ci]))
+        cells += [cfg.instances_per_cell - len(welfare[ci]), *_mean_and_se(welfare[ci]),
+                  *_mean_and_se(pooled[~np.isnan(pooled)]), dev, nondev]
+    return cells
+
+
+class TestProtocolReference:
+    """The harness's batched cells against the public per-profile API."""
+
+    @staticmethod
+    def tiny_config(play_order):
+        return ExperimentConfig(
+            sampler=SamplerConfig(n=9, p=3, bonus_fraction=0.9),
+            alphas=(0.3, 1.0),
+            deviant_heuristics=(Heuristic.WEIGHTED, Heuristic.GREEDY_THETA),
+            instances_per_cell=5,
+            seed=13,
+            play_order=play_order,
+        )
+
+    @staticmethod
+    def report_cells(cfg):
+        return [field for c in run_experiment(cfg, workers=1).cells
+                for field in (c.excluded, c.sw_mean, c.sw_se, c.au_mean, c.au_se,
+                              c.au_dev_mean, c.au_nondev_mean)]
+
+    @pytest.mark.parametrize("play_order", ["ascending", "random"])
+    def test_cells_match_per_profile_reference(self, play_order):
+        cfg = self.tiny_config(play_order)
+        assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
+
+    def test_excluded_agents_match_reference(self, monkeypatch):
+        real = harness.au_n
+
+        def blank_agent_zero(instance, outcome, threshold_matrix):
+            values = real(instance, outcome, threshold_matrix)
+            values[..., 0] = np.nan
+            return values
+
+        monkeypatch.setattr(harness, "au_n", blank_agent_zero)
+        cfg = self.tiny_config("random")
+        assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
+
+
+class TestPlayGroups:
+    @pytest.mark.parametrize("play_order", ["ascending", "random"])
+    @pytest.mark.parametrize("count", [_BLOCK + 5, 2 * _BLOCK])
+    def test_group_size_leaves_no_trace(self, monkeypatch, play_order, count):
+        # the acceptance configuration plays four instances a group
+        cfg = ExperimentConfig(seed=3, play_order=play_order)
+        default = harness._block_moments(cfg, count, _BLOCK).tobytes()
+        for per_group in (1, 1 << 40):
+            monkeypatch.setattr(harness, "_PLAY_VALUES", per_group)
+            assert harness._block_moments(cfg, count, _BLOCK).tobytes() == default
+
+
 class TestDeviationAdvantageShrinks:
     def test_half_deviating_narrows_the_gap(self):
         # free-riding pays much less once half the crowd does it too
@@ -507,6 +596,18 @@ class TestDeviatorDrawBatch:
 
 
 class TestRowMoments:
+    @staticmethod
+    def assert_one_dimensional_sums(values, keep):
+        moments = harness._row_moments(values, keep)
+        assert moments.shape == keep.shape[:-1] + (3,)
+        values = np.broadcast_to(values, keep.shape)
+        for row in np.ndindex(keep.shape[:-1]):
+            picked = values[row][keep[row]]
+            total, square, count = moments[row]
+            assert count == len(picked)
+            assert total == (float(picked.sum()) if len(picked) else 0.0)
+            assert square == (float((picked * picked).sum()) if len(picked) else 0.0)
+
     def test_matches_one_dimensional_sums_bit_for_bit(self):
         rng = np.random.default_rng(3)
         for n in (1, 7, 8, 9, 100, 129, 300):
@@ -514,12 +615,18 @@ class TestRowMoments:
             values[rng.random((12, n)) < 0.05] = np.nan
             keep = ~np.isnan(values) & (rng.random((12, n)) < rng.random((12, 1)))
             keep[0] = False
-            moments = harness._row_moments(values, keep)
-            for row, kept, (total, square, count) in zip(values, keep, moments):
-                picked = row[kept]
-                assert count == len(picked)
-                assert total == (float(picked.sum()) if len(picked) else 0.0)
-                assert square == (float((picked * picked).sum()) if len(picked) else 0.0)
+            self.assert_one_dimensional_sums(values, keep)
+        # a play group's shape: (instance, row, agent) utilities under an
+        # (all, deviators, others) keep
+        for n in (9, 100):
+            values = rng.exponential(size=(4, 5, n))
+            values[rng.random(values.shape) < 0.1] = np.nan
+            defined = ~np.isnan(values)
+            split = rng.random(values.shape) < rng.random((4, 5, 1))
+            keep = np.stack([defined, defined & split, defined & ~split])
+            counts = keep.sum(axis=-1)
+            assert len(np.unique(counts[1:])) < counts[1:].size  # counts repeat across rows
+            self.assert_one_dimensional_sums(values, keep)
 
 
 class TestWorkerCount:

@@ -47,6 +47,21 @@ class TestRefundShare:
     def test_zero_total_pays_nothing(self):
         assert PprRefund().share(0.0, 2.0, 0.0) == 0.0
 
+    def test_array_shares_equal_scalar_shares_bit_for_bit(self):
+        # callers pass +0.0 <= x <= total, so a zero total comes with a zero x
+        rng = np.random.default_rng(17)
+        total = rng.exponential(size=500)
+        total[rng.random(500) < 0.2] = 0.0
+        x = total * rng.random(500)
+        whole = rng.random(500) < 0.1
+        x[whole] = total[whole]
+        bonus = rng.exponential(size=500)
+        bonus[rng.random(500) < 0.1] = 0.0
+        scheme = PprRefund()
+        scalar = [scheme.share(float(a), float(b), float(c)) for a, b, c in zip(x, bonus, total)]
+        assert (total == 0.0).any() and (x == total).any()
+        assert scheme.share(x, bonus, total).tobytes() == np.array(scalar).tobytes()
+
 
 class TestCertifyCm:
     def test_ppr_passes(self):
