@@ -23,8 +23,6 @@ from .model import TOL, ContributionProfile, Instance, _require_finite, evaluate
 from .refunds import RefundScheme, threshold_general
 from .welfare import solve_subset_bruteforce
 
-#: A project counts as funded once the shortfall is within this.
-FUND_TOL = 1e-9
 #: Utility gaps at most this wide count as ties for tie-breaking.
 UTILITY_TIE_TOL = 1e-12
 #: Guard on the number of budget grid units.
@@ -130,7 +128,7 @@ def _grid_layout(view: ResidualView, delta: float) -> tuple[int, list[int]]:
             f"budget {view.budget} spans {budget_units:.0f} grid units at delta {delta}, "
             f"exceeding the guard of {UNIT_GUARD}"
         )
-    fund = [r / delta - 1e-9 if r > FUND_TOL else 0.0 for r in view.remaining.tolist()]
+    fund = [r / delta - 1e-9 if r > TOL else 0.0 for r in view.remaining.tolist()]
     for j, units in enumerate(fund):
         if not math.isfinite(units):
             raise SolverError(f"project {j}'s shortfall {view.remaining[j]} spans more "
@@ -409,7 +407,7 @@ def response_utility(view: ResidualView, contributions) -> float:
         raise ValueError(f"contributions {x.sum():.12g} exceed budget {view.budget:.12g}")
     total = 0.0
     for j in range(view.n_projects):
-        if x[j] >= view.remaining[j] - FUND_TOL:
+        if x[j] >= view.remaining[j] - TOL:
             total += view.valuations[j] - x[j]
         else:
             pool_total = view.others_totals[j] + x[j]
@@ -468,7 +466,7 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
     reached = response_utility(view, response.contributions)
     if abs(reached - utility) > 1e-9:
         off_grid = {j: float(r[j]) for j in range(view.n_projects)
-                    if abs(fund_units[j] * delta - r[j]) > FUND_TOL}
+                    if abs(fund_units[j] * delta - r[j]) > TOL}
         raise SolverError(
             f"the knapsack optimum {utility:.12g} is not reached on the delta={delta:g} grid "
             f"(its contributions earn {reached:.12g}); shortfalls off the grid: {off_grid}, "

@@ -5,8 +5,8 @@ fixture with its certificate), ``solve-pstar`` (optimal subset), ``play``
 (heuristic play-out), ``best-response`` (exact discretized best response),
 ``experiment`` (Monte-Carlo runs to CSV), and ``verify`` (run a fixture's
 certificate checks). Exit codes: 0 success, 1 verification failure, 2 usage
-error (bad flags, a missing file, or a file that is not a valid instance,
-profile, config or assignment), 3 numeric or solver error.
+error (bad flags, a missing or unusable file, or a file that is not a valid
+instance, profile, config or assignment), 3 numeric or solver error.
 """
 
 from __future__ import annotations
@@ -60,6 +60,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and seeds: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 
 
@@ -345,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="sample instances to a directory")
     gen.add_argument("--config", required=True, help="sampler config JSON")
-    gen.add_argument("--count", type=int, required=True)
+    gen.add_argument("--count", type=_non_negative_int, required=True)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
+    gen.add_argument("--seed", type=_non_negative_int, help="override the config seed")
     gen.set_defaults(func=cmd_gen)
 
     # the refund options shared by ``fixture`` and ``verify``
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--heuristic", choices=HEURISTIC_NAMES)
     group.add_argument("--assignment", help="JSON list with one heuristic name per agent")
     play_cmd.add_argument("--order", choices=PLAY_ORDERS, default="ascending")
-    play_cmd.add_argument("--seed", type=int, default=0)
+    play_cmd.add_argument("--seed", type=_non_negative_int, default=0)
     play_cmd.set_defaults(func=cmd_play)
 
     exp = sub.add_parser("experiment", help="Monte-Carlo experiment to CSV")
@@ -404,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, InputError) as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, SolverError, KeyError) as exc:

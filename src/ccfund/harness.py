@@ -30,9 +30,6 @@ from .refunds import PprRefund, thresholds
 
 logger = logging.getLogger(__name__)
 
-#: Metric denominators at or below this are undefined and excluded from means.
-METRIC_TOL = 1e-9
-
 CSV_HEADER = (
     "heuristic,alpha,instances,sw_n_mean,sw_n_se,au_n_mean,au_n_se,"
     "au_n_dev_mean,au_n_nondev_mean,excluded_cells,seed"
@@ -212,7 +209,7 @@ def sw_n(
 
     A float for one profile, an array for a stacked outcome.
     """
-    if pstar_welfare <= METRIC_TOL:
+    if pstar_welfare <= TOL:
         logger.info("undefined normalized welfare: optimal welfare %.3g", pstar_welfare)
         return None
     return outcome.social_welfare / pstar_welfare
@@ -226,7 +223,7 @@ def au_n(instance: Instance, outcome: Outcome, threshold_matrix: np.ndarray) -> 
     summed over projects. A stacked outcome gives one row per profile.
     """
     baseline = (instance.valuations - threshold_matrix).sum(axis=1)
-    defined = baseline > METRIC_TOL
+    defined = baseline > TOL
     if not defined.all():
         logger.info("excluding %d agents with zero utility baseline", int((~defined).sum()))
     safe = np.where(defined, baseline, 1.0)
@@ -487,7 +484,7 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
             instances.append(instance)
             solutions.append(solution)
             for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics):
-                plays.append(_intent_rows(rule, instance, np.arange(n), solution.subset, thr))
+                plays.append(_intent_rows(rule, instance, solution.subset, thr))
             if shuffled:
                 seed = (cfg.seed, _PLAY_ORDER_SALT, ks[b])
                 orders.append(PlayOrder("random", seed=seed).permutation(n))
@@ -497,7 +494,7 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
             index = index[slots[:, None], orders]
         intents = np.take(np.concatenate(plays), index.transpose(1, 0, 2), axis=0)
         targets = np.stack([instance.targets for instance in instances])[:, None]
-        realized = np.moveaxis(clamp_play(np.moveaxis(intents, 0, -2), targets), -2, 0)
+        realized = clamp_play(intents, targets)
         if shuffled:
             played, realized = realized, np.empty(realized.shape)
             realized[orders.T, slots] = played

@@ -85,12 +85,11 @@ def _prefix_capped(caps: np.ndarray, budgets: np.ndarray) -> np.ndarray:
 def _intent_rows(
     heuristic: Heuristic,
     instance: Instance,
-    agents: np.ndarray,
     pstar: tuple[int, ...] | None,
     thresholds: np.ndarray | None,
 ) -> np.ndarray:
-    theta = instance.valuations[agents]
-    budgets = instance.budgets[agents]
+    """Every agent's (n, p) intent rows under one rule; a row reads only its own agent's."""
+    theta, budgets = instance.valuations, instance.budgets
     p = instance.n_projects
 
     if heuristic in _NEEDS_THRESHOLDS and thresholds is None:
@@ -106,11 +105,9 @@ def _intent_rows(
         rows[row_sums <= 0.0] = 0.0
         return rows
 
-    caps_full = thresholds[agents]
-
     if heuristic == Heuristic.GREEDY_THETA:
         order = np.argsort(-theta, axis=1, kind="stable")
-        sorted_caps = np.take_along_axis(caps_full, order, axis=1)
+        sorted_caps = np.take_along_axis(thresholds, order, axis=1)
         alloc = _prefix_capped(sorted_caps, budgets)
         rows = np.empty_like(alloc)
         np.put_along_axis(rows, order, alloc, axis=1)
@@ -119,7 +116,7 @@ def _intent_rows(
     if heuristic == Heuristic.GREEDY_VARTHETA:
         ratio = instance.vartheta / instance.targets
         order = np.argsort(-ratio, kind="stable")
-        sorted_caps = caps_full[:, order]
+        sorted_caps = thresholds[:, order]
         alloc = _prefix_capped(sorted_caps, budgets)
         rows = np.empty_like(alloc)
         rows[:, order] = alloc
@@ -128,10 +125,10 @@ def _intent_rows(
     if heuristic == Heuristic.OPT_WELFARE:
         if pstar is None:
             raise ValueError("opt-welfare needs the welfare-optimal subset")
-        rows = np.zeros((len(agents), p))
+        rows = np.zeros((instance.n_agents, p))
         chosen = list(pstar)
         if chosen:
-            alloc = _prefix_capped(caps_full[:, chosen], budgets)
+            alloc = _prefix_capped(thresholds[:, chosen], budgets)
             rows[:, chosen] = alloc
         leftover = np.maximum(budgets - rows.sum(axis=1), 0.0)
         rest = [j for j in range(p) if j not in set(chosen)]
@@ -148,21 +145,20 @@ def intent_matrix(
     pstar: tuple[int, ...] | None = None,
     thresholds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Stack every agent's intent row according to the assignment."""
-    if len(assignment.heuristics) != instance.n_agents:
+    """Stack every agent's intent row according to the assignment.
+
+    Agent ``i`` of the rule at ``rule_index`` takes row ``rule_index * n + i``
+    of the assigned rules' rows laid end to end, in :class:`Heuristic` order.
+    """
+    n = instance.n_agents
+    if len(assignment.heuristics) != n:
         raise ValueError(
-            f"assignment covers {len(assignment.heuristics)} agents, instance has "
-            f"{instance.n_agents}"
+            f"assignment covers {len(assignment.heuristics)} agents, instance has {n}"
         )
-    groups: dict[Heuristic, list[int]] = {}
-    for i, heuristic in enumerate(assignment.heuristics):
-        groups.setdefault(heuristic, []).append(i)
-    out = np.zeros_like(instance.valuations)
-    for heuristic in Heuristic:
-        if heuristic in groups:
-            agents = np.array(groups[heuristic])
-            out[agents] = _intent_rows(heuristic, instance, agents, pstar, thresholds)
-    return out
+    rules = [h for h in Heuristic if h in assignment.heuristics]
+    laid = np.concatenate([_intent_rows(h, instance, pstar, thresholds) for h in rules])
+    picks = np.array([rules.index(h) for h in assignment.heuristics]) * n + np.arange(n)
+    return laid[picks]
 
 
 #: Values per agent (leading entries times projects) from which the play-out
@@ -173,52 +169,41 @@ def intent_matrix(
 _CUMSUM_MAX_WIDTH = 384
 
 
-def clamp_play(
-    intents: np.ndarray, targets: np.ndarray, permutation: np.ndarray | None = None
-) -> np.ndarray:
+def clamp_play(intents: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Realize intents in agent order, never contributing past a target.
 
-    Each agent's realized amount on a project is the minimum of its intent and
-    the amount still missing, so per-project totals stop exactly at the target.
-    Leading axes of ``intents`` stack independent play-outs (agents on the
-    second-to-last axis), each realized as it would be alone; ``targets``
-    broadcasts against the leading axes plus the project axis, so each
-    play-out may have targets of its own. Non-finite targets are refused;
-    intents are not scanned, as they come from the package's own rules on
-    the play-out's hot path.
+    ``intents`` is (n, ..., p): agents first, in play order. Each agent's
+    realized amount on a project is the minimum of its intent and the amount
+    still missing, so per-project totals stop exactly at the target. Axes
+    between the agents and the projects stack independent play-outs, each
+    realized as it would be alone; ``targets`` broadcasts against them plus
+    the project axis, so each play-out may have targets of its own. The
+    result has the shape of ``intents``, in C order. Non-finite targets are
+    refused; intents are not scanned, as they come from the package's own
+    rules on the play-out's hot path.
 
-    The result has the shape of ``intents`` and agent-major memory:
-    ``np.moveaxis(result, -2, 0)`` is C-contiguous, and so is that view of
-    ``intents`` when the caller lays it out agents first. What each project
-    still misses when an agent's turn comes is the running sum of the
-    earlier agents' intents, a left fold over agents either way: one
-    ``np.cumsum`` over narrow stacks, one wide add per agent over stacks of
-    at least :data:`_CUMSUM_MAX_WIDTH` values per agent. Both add in the
+    What each project still misses when an agent's turn comes is the running
+    sum of the earlier agents' intents, a left fold over agents either way:
+    one ``np.cumsum`` over narrow stacks, one wide add per agent over stacks
+    of at least :data:`_CUMSUM_MAX_WIDTH` values per agent. Both add in the
     same order, so the bits do not depend on the width (Higham 2002, §4.2).
     """
     _require_finite("targets", np.asarray(targets))
-    ordered = np.moveaxis(intents, -2, 0)
-    if permutation is not None:
-        ordered = ordered[permutation]
-    missing = np.empty(ordered.shape)
+    missing = np.empty(intents.shape)
     missing[:1] = 0.0
-    n = len(ordered)
+    n = len(intents)
     # targets laid out like one agent's intents, so that no pass runs a
     # p-long inner loop per leading index
     targets = np.ascontiguousarray(np.broadcast_to(targets, missing.shape[1:]))
-    if n > 1 and ordered[0].size >= _CUMSUM_MAX_WIDTH:
-        missing[1] = ordered[0]
+    if n > 1 and intents[0].size >= _CUMSUM_MAX_WIDTH:
+        missing[1] = intents[0]
         for i in range(2, n):
-            np.add(missing[i - 1], ordered[i - 1], out=missing[i])
+            np.add(missing[i - 1], intents[i - 1], out=missing[i])
     else:
-        np.cumsum(ordered[:-1], axis=0, out=missing[1:])
+        np.cumsum(intents[:-1], axis=0, out=missing[1:])
     np.subtract(targets, missing, out=missing)
     np.maximum(missing, 0.0, out=missing)
-    realized = np.minimum(ordered, missing, out=missing)
-    if permutation is not None:
-        realized = np.empty(realized.shape)
-        realized[permutation] = missing
-    return np.moveaxis(realized, 0, -2)
+    return np.minimum(intents, missing, out=missing)
 
 
 def play(
@@ -230,8 +215,7 @@ def play(
 ) -> ContributionProfile:
     """Play intents out into a feasible, never-overfunding profile."""
     intents = intent_matrix(instance, assignment, pstar, thresholds)
-    permutation = None if order is None else order.permutation(instance.n_agents)
-    if permutation is not None and (permutation == np.arange(instance.n_agents)).all():
-        permutation = None
-    realized = clamp_play(intents, instance.targets, permutation)
+    perm = (order or PlayOrder()).permutation(instance.n_agents)
+    realized = np.empty(intents.shape)
+    realized[perm] = clamp_play(intents[perm], instance.targets)
     return ContributionProfile(realized)

@@ -1,4 +1,4 @@
-"""Shared test helpers: small random instance and view factories.
+"""Shared test helpers: small random instance and view factories, stacked play-outs.
 
 ``HYPOTHESIS_PROFILE=ci`` selects a derandomized hypothesis profile, so a
 property failure seen in CI reproduces on any machine.
@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import settings
 
 from ccfund import Instance, LinearAdditiveRefund, PprRefund, ResidualView
+from ccfund.heuristics import clamp_play
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -43,6 +44,22 @@ def random_intents(rng, instance, batch=()):
     row_sums = weights.sum(axis=-1, keepdims=True)
     safe = np.where(row_sums > 0.0, row_sums, 1.0)
     return np.where(row_sums > 0.0, weights / safe, 0.0) * spend
+
+
+def clamp_stacked(intents, targets, permutation=None):
+    """``clamp_play`` on (..., n, p) intents, agents played in ``permutation`` order.
+
+    The agents move to the front as a view, as a caller laying them out
+    agents first would, and the result moves them back; a permutation orders
+    them by a gather before the play-out and a scatter after it, as ``play``
+    does.
+    """
+    agents_first = np.moveaxis(intents, -2, 0)
+    if permutation is None:
+        return np.moveaxis(clamp_play(agents_first, targets), 0, -2)
+    realized = np.empty(agents_first.shape)
+    realized[permutation] = clamp_play(agents_first[permutation], targets)
+    return np.moveaxis(realized, 0, -2)
 
 
 def random_view(rng, scheme=None, p=None, max_units=30, delta=1.0, grid_aligned=False):

@@ -1,13 +1,13 @@
 """Stacked play-outs and evaluations against one profile at a time.
 
-``clamp_play`` and ``evaluate`` take leading axes that stack independent
-profiles of one instance. Every stacked row must be bit-identical to the
+``clamp_play`` takes axes between its agents and projects, and ``evaluate``
+leading axes, that stack independent profiles of one instance. Every stacked row must be bit-identical to the
 2-D call on that row, whatever the refund scheme, play order or stack
 shape, and the game's invariants must hold row by row.
 """
 
 import numpy as np
-from conftest import random_instance, random_intents
+from conftest import clamp_stacked, random_instance, random_intents
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from ccfund import (
     solve_pstar_bruteforce,
     sw_n,
 )
-from ccfund.heuristics import clamp_play
 
 
 @st.composite
@@ -42,10 +41,10 @@ def stacked_games(draw):
 @given(stacked_games())
 def test_stacked_rows_equal_single_profile_calls(game):
     instance, intents, permutation = game
-    realized = clamp_play(intents, instance.targets, permutation)
+    realized = clamp_stacked(intents, instance.targets, permutation)
     stacked = evaluate(instance, ContributionProfile(realized))
     for index in np.ndindex(intents.shape[:-2]):
-        alone = clamp_play(intents[index], instance.targets, permutation)
+        alone = clamp_stacked(intents[index], instance.targets, permutation)
         assert np.array_equal(realized[index], alone)
         one = evaluate(instance, ContributionProfile(alone))
         assert np.array_equal(stacked.funded[index], one.funded)
@@ -59,7 +58,7 @@ def test_stacked_rows_equal_single_profile_calls(game):
 @given(stacked_games())
 def test_stacked_play_keeps_the_invariants(game):
     instance, intents, permutation = game
-    realized = clamp_play(intents, instance.targets, permutation)
+    realized = clamp_stacked(intents, instance.targets, permutation)
     outcome = evaluate(instance, ContributionProfile(realized))
     assert np.all(outcome.totals <= instance.targets + TOL), "a project was overfunded"
     assert np.all(realized.sum(axis=-1) <= instance.budgets + TOL), "an agent overspent"

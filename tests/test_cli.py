@@ -246,6 +246,45 @@ class TestExitCodes:
     def test_missing_file_is_usage_error(self):
         assert main(["solve-pstar", "--instance", "/nonexistent/file.json"]) == 2
 
+    def test_gen_into_an_existing_file_is_usage_error(self, tmp_path, sampler_config, capsys):
+        # used to exit 1 with a traceback, the code verify keeps for failed checks
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["gen", "--config", str(sampler_config), "--count", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and str(out) in err
+
+    def test_experiment_report_into_a_directory_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and str(tmp_path) in err
+
+    def test_series_into_an_existing_file_is_usage_error(self, tmp_path, capsys):
+        cfg, taken = tmp_path / "exp.json", tmp_path / "taken"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        taken.write_text("")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--emit-series", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and str(taken) in err
+
+    @pytest.mark.parametrize("value", ["-1", "2.5", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--config", "x.json", "--out", "y", "--count"],
+        ["gen", "--config", "x.json", "--out", "y", "--count", "1", "--seed"],
+        ["play", "--instance", "x.json", "--heuristic", "symmetric", "--order", "random",
+         "--seed"],
+    ], ids=["gen-count", "gen-seed", "play-seed"])
+    def test_counts_and_seeds_must_be_non_negative_integers(self, argv, value, capsys):
+        # gen --count -3 used to exit 0; a negative seed exited 3, naming no flag under play
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        assert f"argument {argv[-1]}: " in capsys.readouterr().err
+
     def test_bad_instance_content_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"agents": [], "projects": [], "refund": "ppr"}))

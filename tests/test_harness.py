@@ -278,9 +278,9 @@ class TestRunExperiment:
         # the second instance's stack alone, as when each instance played alone
         real = harness.clamp_play
 
-        def corrupt(intents, targets, permutation=None):
-            realized = real(intents, targets, permutation)
-            realized[1, 2, 3, 1] = value  # instance 1 of the group: row 2, agent 3, project 1
+        def corrupt(intents, targets):
+            realized = real(intents, targets)
+            realized[3, 1, 2, 1] = value  # agent 3 of instance 1 of the group: row 2, project 1
             return realized
 
         monkeypatch.setattr(harness, "clamp_play", corrupt)

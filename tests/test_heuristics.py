@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import clamp_stacked, random_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from ccfund import (
     BudgetStatus,
     Heuristic,
     Instance,
+    LinearAdditiveRefund,
     PlayOrder,
     PprRefund,
     SamplerConfig,
@@ -99,16 +100,22 @@ class TestIntent:
                 assert row.sum() <= inst.budgets[0] + 1e-9
                 assert np.all(row >= 0)
 
-    def test_matrix_matches_per_agent(self):
-        rng = np.random.default_rng(5)
-        inst = random_instance(rng, n=6, p=4)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.one_of(st.integers(1, 5), st.sampled_from([8, 9, 16, 17])), st.booleans())
+    def test_matrix_matches_per_agent(self, seed, n, p, linear):
+        # a mixed assignment's rows carry the bits of each rule's uniform rows,
+        # whichever agents share a rule; from 8 projects numpy sums a row pairwise
+        rng = np.random.default_rng(seed)
+        scheme = LinearAdditiveRefund(float(rng.uniform(0.05, 0.5))) if linear else PprRefund()
+        inst = random_instance(rng, n=n, p=p, scheme=scheme)
         thr = thresholds(inst)
-        rules = [Heuristic.SYMMETRIC, Heuristic.WEIGHTED, Heuristic.GREEDY_THETA,
-                 Heuristic.GREEDY_VARTHETA, Heuristic.OPT_WELFARE, Heuristic.SYMMETRIC]
-        assignment = Assignment(tuple(rules))
-        matrix = intent_matrix(inst, assignment, (0, 2), thr)
-        for i, h in enumerate(rules):
-            assert matrix[i] == pytest.approx(intent_row(h, inst, i, (0, 2), thr))
+        pstar = tuple(np.flatnonzero(rng.random(p) < 0.5).tolist())
+        rules = list(Heuristic)
+        assignment = Assignment(tuple(rules[k] for k in rng.integers(0, len(rules), n)))
+        matrix = intent_matrix(inst, assignment, pstar, thr)
+        for i, h in enumerate(assignment.heuristics):
+            assert matrix[i].tobytes() == intent_row(h, inst, i, pstar, thr).tobytes()
 
     def test_assignment_must_cover_every_agent(self):
         inst = Instance([[6.0], [6.0]], [5.0, 5.0], [3.0], [3.0], PprRefund())
@@ -233,8 +240,6 @@ class TestClampReference:
         return realized
 
     def test_vectorized_clamp_matches_sequential_loop(self):
-        from ccfund.heuristics import clamp_play
-
         rng = np.random.default_rng(51)
         for _ in range(200):
             n = int(rng.integers(1, 12))
@@ -242,7 +247,7 @@ class TestClampReference:
             intents = rng.uniform(0.0, 3.0, size=(n, p))
             targets = rng.uniform(0.5, 10.0, size=p)
             perm = rng.permutation(n)
-            fast = clamp_play(intents, targets, perm)
+            fast = clamp_stacked(intents, targets, perm)
             slow = self._sequential_clamp(intents, targets, perm)
             assert np.allclose(fast, slow, atol=1e-12)
 
@@ -257,10 +262,8 @@ class TestClampReference:
     @settings(max_examples=300, deadline=None)
     @given(clamp_cases())
     def test_same_bytes_as_one_cumsum(self, case):
-        from ccfund.heuristics import clamp_play
-
         intents, targets, permutation = case
-        realized = clamp_play(intents, targets, permutation)
+        realized = clamp_stacked(intents, targets, permutation)
         expected = _cumsum_clamp(intents, targets, permutation)
         assert realized.shape == expected.shape
         assert realized.tobytes() == expected.tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_instance, random_intents
+from conftest import clamp_stacked, random_instance, random_intents
 from evaluate_reference import evaluate_reference, validate_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,6 @@ from ccfund import (
     evaluate,
     thresholds,
 )
-from ccfund.heuristics import clamp_play
 from ccfund.model import TOL, _project_sum
 
 
@@ -126,7 +125,7 @@ def stacked_profiles(draw):
     batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
     scheme = draw(st.one_of(st.just(PprRefund()), st.floats(0.05, 0.5).map(LinearAdditiveRefund)))
     instance = random_instance(rng, n=n, p=p, scheme=scheme)
-    realized = clamp_play(random_intents(rng, instance, batch), instance.targets)
+    realized = clamp_stacked(random_intents(rng, instance, batch), instance.targets)
     realized[(realized == 0.0) & (rng.random(realized.shape) < 0.5)] = -0.0
     return instance, ContributionProfile(realized)
 
