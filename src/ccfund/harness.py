@@ -426,14 +426,14 @@ def _check_group(instances: list[Instance], realized: np.ndarray) -> None:
     """Refuse realized play as :class:`ContributionProfile` and ``validate_against`` would.
 
     ``realized`` is (n, instance, row, p), in agent order. One pass finds
-    whether anything is wrong: the least entry is NaN if any is, and below
-    zero if any is negative, so ``min``, ``max`` and the budget test cover
-    the profile's checks. Only then is each instance's stack checked as a
+    whether anything is wrong: ``min`` is NaN or below zero if any entry is
+    NaN, negative or -inf, and a +inf entry makes its agent's spending fail
+    the budget test. Only then is each instance's stack checked as a
     profile of its own, in instance order, for the message it would raise.
     """
     budgets = np.stack([instance.budgets for instance in instances], axis=1)[..., None]
     spent = _project_sum(np.moveaxis(realized, -1, 0))
-    if realized.min() >= 0.0 and realized.max() < np.inf and (spent <= budgets + TOL).all():
+    if realized.min() >= 0.0 and (spent <= budgets + TOL).all():
         return
     for instance, stack in zip(instances, np.moveaxis(realized, 0, -2)):
         ContributionProfile(stack).validate_against(instance)

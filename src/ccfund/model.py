@@ -131,22 +131,22 @@ class Instance:
             ("bonuses", bonuses),
         ):
             _require_finite(name, arr)
-        if np.any(valuations < 0):
+        if (valuations < 0).any():
             raise ValueError("valuations must be non-negative")
-        if np.any(budgets < 0):
+        if (budgets < 0).any():
             raise ValueError("budgets must be non-negative")
-        if np.any(targets <= 0):
+        if (targets <= 0).any():
             raise ValueError("targets must be positive")
-        if np.any(bonuses <= 0):
+        if (bonuses <= 0).any():
             raise ValueError("bonuses must be positive")
         vartheta = valuations.sum(axis=0)
-        if np.any(vartheta <= targets):
+        if (vartheta <= targets).any():
             j = int(np.argmax(vartheta <= targets))
             raise ValueError(
                 f"project {j} has total valuation {vartheta[j]:.12g} not above its "
                 f"target {targets[j]:.12g}"
             )
-        if np.any(bonuses > vartheta - targets + TOL):
+        if (bonuses > vartheta - targets + TOL).any():
             j = int(np.argmax(bonuses > vartheta - targets + TOL))
             raise ValueError(
                 f"project {j} bonus {bonuses[j]:.12g} exceeds welfare headroom "

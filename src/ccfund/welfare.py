@@ -9,7 +9,6 @@ projects, then lexicographically smallest index list.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,9 +42,9 @@ class WelfareSolution:
     unique: bool
 
 
-def _subset_stats(values: np.ndarray, costs: np.ndarray, subset: tuple[int, ...]):
-    idx = list(subset)
-    return float(values[idx].sum()), float(costs[idx].sum())
+def _subset_stats(items: np.ndarray, subset: Sequence[int]) -> list[float]:
+    """The (2, p) items' value and cost sums over ``subset``, each as ``ndarray.sum`` adds it."""
+    return np.add.reduce(items.take(subset, axis=1), axis=1).tolist()
 
 
 def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
@@ -55,7 +54,7 @@ def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
     value = rows[:, 0]
     # complex keys sort by cost, then by minus value
     keys = rows[:, 1] - 1j * value
-    order = np.argsort(keys)
+    order = keys.argsort(kind="stable")
     value = value.take(order)
     order = order[value >= np.maximum.accumulate(value) - margin]
     rows, keys = rows.take(order, axis=0), keys.take(order)
@@ -64,15 +63,14 @@ def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
         # each run of equal rows puts its lowest key first, which takes the run's count
         first = np.append(True, ~same)
         rows = rows.take(np.lexsort((*rows[:, :2:-1].T, np.cumsum(first))), axis=0)
-        starts = np.flatnonzero(first)
+        starts = first.nonzero()[0]
         counts = np.minimum(np.add.reduceat(rows[:, 2], starts), 2)
         rows = rows.take(starts, axis=0)
         rows[:, 2] = counts
     return rows
 
 
-@functools.lru_cache(maxsize=1)
-def _pareto_list(value_bytes: bytes, cost_bytes: bytes,
+def _pareto_list(values: np.ndarray, costs: np.ndarray,
                  cutoff: float = math.inf) -> tuple[np.ndarray, ...]:
     """The columns of the near-Pareto subsets of one item set.
 
@@ -86,8 +84,6 @@ def _pareto_list(value_bytes: bytes, cost_bytes: bytes,
     ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK``. Nothing is
     pruned when sum|v| overflows: a row's value may then be infinite, and
     its running maximum minus an infinite M is NaN, which would drop it.
-    Cached for the last item set, which the sampler's lift loop re-solves at
-    new capacities; the arrays are read-only, since every caller shares them.
 
     A finite ``cutoff`` also drops the rows that cost more. The DP passes
     its capacity in units, where every cost is at least one unit, so such a
@@ -98,18 +94,18 @@ def _pareto_list(value_bytes: bytes, cost_bytes: bytes,
     as the itertools oracle sums them, and pruning changes no answer:
 
     - each fold rounds by at most B = p·eps·sum|v| (Higham 2002, §4.2);
-    - a shared extension keeps the cost order, because float addition is
-      monotone. So if t, no costlier than s, beats s by more than M, t plus
-      any extension fits where s plus it does and beats it by more than
-      M - 4B = TIE_TOL + 4B, which also covers the rounding of M and of the
-      tie window: s plus it is neither optimal nor tied at any capacity;
+    - a shared extension keeps the cost order, as float addition is monotone,
+      so each doubling adds a run in cost order that the stable sort (timsort)
+      merges in about linear time. If t, no costlier than s, beats s by more
+      than M, t plus any extension fits where s plus it does and beats it by
+      more than M - 4B = TIE_TOL + 4B, which covers the rounding of M and of
+      the tie window: s plus it is never optimal or tied;
     - rows of equal value and cost stay equal under every extension, and
       a shared extension keeps the key order.
     """
-    values = np.frombuffer(value_bytes)
     p = len(values)
     items = np.zeros((p, 4 + -(-p // _MASK_BITS)))
-    items[:, 0], items[:, 1], items[:, 3] = values, np.frombuffer(cost_bytes), 1.0
+    items[:, 0], items[:, 1], items[:, 3] = values, costs, 1.0
     bit = np.arange(p)
     items[bit, 4 + bit // _MASK_BITS] = -np.exp2(_MASK_BITS - 1 - bit % _MASK_BITS)
     magnitude = sum(map(abs, values.tolist()))
@@ -131,52 +127,62 @@ def _pareto_list(value_bytes: bytes, cost_bytes: bytes,
         if n > guard:
             raise SolverError(f"{n} subsets after {j + 1} of {p} projects "
                               f"exceed the list guard of {guard} rows")
-    columns = table[:n].T.copy()
-    columns.setflags(write=False)
-    return tuple(columns)
+    return tuple(table[:n].T.copy())
 
 
-def _items(values, costs) -> tuple[np.ndarray, np.ndarray]:
-    """The solvers' item arrays, refused when not finite or not of one length."""
-    values = np.asarray(values, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    if len(costs) != len(values):
-        raise ValueError(f"costs must have one entry per value, got {len(costs)} for {len(values)}")
-    _require_finite("values", values)
-    _require_finite("costs", costs)
-    return values, costs
+class _ParetoReader:
+    """One item set's answers at any capacity, from one Pareto list.
 
+    Checks the items when made and builds their list (``columns``) at the first
+    read, unless the DP has set its own. A row fits when its cost is at most
+    ``capacity + TOL``, a monotone test on one column, so fitting sets are
+    nested and two of one size are the same set. The answer depends on nothing
+    else: a read that fits as many rows as the last returns its answer.
+    """
 
-def _read_list(columns, capacity: float, values: np.ndarray, costs: np.ndarray) -> WelfareSolution:
-    """The answer in a Pareto list's columns: the least key among the fitting
-    rows within ``TIE_TOL`` of the best, with its value and cost over ``costs``."""
-    value, cost, count, *key = columns
-    fits = cost <= capacity + TOL
-    if not fits.any():
-        raise SolverError(f"no subset fits within capacity {capacity!r}")
-    tied = np.flatnonzero(fits & (value >= value.max(where=fits, initial=-np.inf) - TIE_TOL))
-    row = tied[np.lexsort([k[tied] for k in key[::-1]])[0]] if len(tied) > 1 else tied[0]
-    # mask bits read left to right are the items in index order
-    bits = "".join(format(int(-mask[row]), f"0{_MASK_BITS}b") for mask in key[1:])
-    subset = tuple(j for j, bit in enumerate(bits) if bit == "1")
-    unique = bool(len(tied) == 1 and count[row] == 1)
-    return WelfareSolution(subset, *_subset_stats(values, costs, subset), unique)
+    def __init__(self, values, costs):
+        values, costs = np.asarray(values, dtype=float), np.asarray(costs, dtype=float)
+        if len(costs) != len(values):
+            raise ValueError(
+                f"costs must have one entry per value, got {len(costs)} for {len(values)}")
+        _require_finite("values", values)
+        _require_finite("costs", costs)
+        self.items, self.columns, self.fitting = np.stack((values, costs)), None, -1
+
+    def read(self, capacity: float) -> WelfareSolution:
+        """The least key among the fitting rows within ``TIE_TOL`` of the best."""
+        if math.isnan(capacity):
+            raise ValueError("capacity must be a number, got nan")
+        value, cost, count, *key = self.columns = self.columns or _pareto_list(*self.items)
+        fits = cost <= capacity + TOL
+        fitting = np.count_nonzero(fits)
+        if fitting == self.fitting:
+            return self.answer
+        if not fitting:
+            raise SolverError(f"no subset fits within capacity {capacity!r}")
+        tied = (fits & (value >= value.max(where=fits, initial=-np.inf) - TIE_TOL)).nonzero()[0]
+        row = tied[np.lexsort([k[tied] for k in key[::-1]])[0]] if len(tied) > 1 else tied[0]
+        # bit 47 - i, that is ~i % 48, of mask column k is item 48k + i
+        masks = [int(-mask[row]) for mask in key[1:]]
+        subset = [j for j in range(self.items.shape[1])
+                  if masks[j // _MASK_BITS] >> ~j % _MASK_BITS & 1]
+        unique = bool(len(tied) == 1 and count[row] == 1)
+        self.fitting, self.answer = fitting, WelfareSolution(
+            tuple(subset), *_subset_stats(self.items, subset), unique)
+        return self.answer
 
 
 def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
     """Exact argmax of subset value subject to subset cost <= capacity.
 
-    Reads the item set's Pareto list (Nemhauser & Ullmann 1969; see
-    ``_pareto_list``): a row fits when its cost is at most ``capacity + TOL``,
-    the fitting rows within ``TIE_TOL`` of the best tie, and the least key
-    among them is the answer. The list is short for perturbed inputs such as
-    the sampler's (Beier & Vöcking 2003); one longer than ``_ROW_GUARD`` rows,
-    as superincreasing inputs give, raises ``SolverError``.
+    One read of the item set's Pareto list (Nemhauser & Ullmann 1969; see
+    ``_pareto_list`` and ``_ParetoReader``): a row fits when its cost is at
+    most ``capacity + TOL``, the fitting rows within ``TIE_TOL`` of the best
+    tie, and the least key among them is the answer. The list is short for
+    perturbed inputs such as the sampler's (Beier & Vöcking 2003); one longer
+    than ``_ROW_GUARD`` rows, as superincreasing inputs give, raises ``SolverError``.
     """
-    values, costs = _items(values, costs)
-    if math.isnan(capacity):
-        raise ValueError("capacity must be a number, got nan")
-    return _read_list(_pareto_list(values.tobytes(), costs.tobytes()), capacity, values, costs)
+    return _ParetoReader(values, costs).read(capacity)
 
 
 def solve_subset_dp(values, costs, capacity: float, resolution: float) -> WelfareSolution:
@@ -201,8 +207,8 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     if not math.isfinite(capacity):
         raise ValueError(f"capacity must be finite, got {capacity!r}")
-    values, costs = _items(values, costs)
-    p = len(values)
+    reader = _ParetoReader(values, costs)
+    p = reader.items.shape[1]
     # a float until the guard passes it: past float range the quotient is infinite
     cap_q = max(np.floor(capacity / resolution + 1e-9), 0.0)
     cells = (p + 1) * (cap_q + 1)
@@ -213,9 +219,9 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
         )
     cap_q = int(cap_q)
     with np.errstate(over="ignore"):  # an infinite cost never fits
-        costs_q = np.maximum(np.ceil(costs / resolution - 1e-9), 1.0)
-    columns = _pareto_list(values.tobytes(), costs_q.tobytes(), cap_q)
-    return _read_list(columns, cap_q, values, costs)
+        costs_q = np.maximum(np.ceil(reader.items[1] / resolution - 1e-9), 1.0)
+    reader.columns = _pareto_list(reader.items[0], costs_q, cap_q)
+    return reader.read(cap_q)
 
 
 def _objective_values(instance: Instance, objective: str) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ccfund.errors import SolverError
 from ccfund.model import TOL
-from ccfund.welfare import TIE_TOL, WelfareSolution, _subset_stats
+from ccfund.welfare import TIE_TOL, WelfareSolution
 
 #: Exhaustive enumeration refuses more projects than this.
 ENUM_GUARD_P = 25
@@ -181,5 +181,5 @@ def solve_subset_bruteforce(values, costs, capacity: float) -> WelfareSolution:
         ties, mask = tie_pass(best - TIE_TOL)
 
     subset = tuple(j for j in range(p) if mask >> j & 1)
-    welfare, cost = _subset_stats(values, costs, subset)
+    welfare, cost = (float(side[list(subset)].sum()) for side in (values, costs))
     return WelfareSolution(subset, welfare, cost, ties == 1)

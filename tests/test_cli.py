@@ -19,6 +19,7 @@ from ccfund import (
     ValuationDist,
     sample_instance,
 )
+from ccfund import cli
 from ccfund.cli import main
 from ccfund.heuristics import PLAY_ORDERS
 from ccfund.io import (
@@ -270,6 +271,21 @@ class TestExitCodes:
                      "--emit-series", str(taken)]) == 2
         err = capsys.readouterr().err
         assert err.count("error: ") == 1 and str(taken) in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unusable_paths_are_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def run(*args, **kwargs):
+            pytest.fail("run_experiment started")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        cfg, taken = tmp_path / "exp.json", tmp_path / "taken"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        taken.write_text("")
+        for paths in (["--out", str(tmp_path)],
+                      ["--out", str(tmp_path / "r.csv"), "--emit-series", str(taken)]):
+            assert main(["experiment", "--config", str(cfg), *paths]) == 2
+            assert capsys.readouterr().err.count("error: ") == 1
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("value", ["-1", "2.5", "abc"])
     @pytest.mark.parametrize("argv", [

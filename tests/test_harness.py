@@ -269,6 +269,7 @@ class TestRunExperiment:
         [
             (np.nan, "contributions must be finite, got nan at index (2, 3, 1)"),
             (np.inf, "contributions must be finite, got inf at index (2, 3, 1)"),
+            (-np.inf, "contributions must be finite, got -inf at index (2, 3, 1)"),
             (-1.0, "contribution by agent 3 to project 1 in profile (2,) is negative (-1)"),
             (1e6, "agent 3 in profile (2,) spends 1000002.89595, exceeding its budget 3.86127277171"),
         ],

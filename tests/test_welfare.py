@@ -21,11 +21,13 @@ from ccfund import (
     solve_subset_dp,
     welfare_of,
 )
-from ccfund import welfare
+from ccfund import generators, welfare
+from ccfund.generators import SamplerConfig, ValuationDist, sample_instance
 from ccfund.welfare import (
     _MASK_BITS,
     _PRUNE_SLACK,
     TIE_TOL,
+    _ParetoReader,
     _pareto_list,
     _subset_stats,
 )
@@ -192,7 +194,6 @@ class TestBruteforce:
         # every subset of the capacity's size ties; equal rows merge, so the
         # peak stays far below one array over all 2^p subsets (32 MB at p=22)
         for p, capacity in ((22, 11), (25, 12)):
-            _pareto_list.cache_clear()
             tracemalloc.start()
             try:
                 sol = solve_subset_bruteforce(np.ones(p), np.ones(p), float(capacity))
@@ -225,13 +226,12 @@ class TestTableMemo:
     @settings(max_examples=200, deadline=None)
     @given(item_sets(), item_sets(), st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6))
     def test_interleaved_solves_match_fresh_ones(self, first, second, capacities):
-        # the lift loop re-solves one item set at new capacities; alternating
-        # two sets replaces the memoised tables at every call
+        # two item sets solved in turn answer as each set's solves alone:
+        # no solve keeps state for the next
         sets = [tuple(np.array(side) for side in items) for items in (first, second)]
         fresh = []
         for capacity in capacities:
             for values, costs in sets:
-                _pareto_list.cache_clear()
                 fresh.append(solve_subset_bruteforce(values, costs, capacity))
         interleaved = [
             solve_subset_bruteforce(values, costs, capacity)
@@ -240,14 +240,73 @@ class TestTableMemo:
         ]
         assert interleaved == fresh
 
-    def test_memoised_tables_are_read_only(self):
-        values, costs = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 4.0])
-        solve_subset_bruteforce(values, costs, 5.0)
-        tables = _pareto_list(values.tobytes(), costs.tobytes())
-        assert _pareto_list.cache_info().hits >= 1
-        for table in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
+    @settings(max_examples=200, deadline=None)
+    @given(item_sets(), st.lists(st.one_of(st.floats(-5.0, 60.0), st.sampled_from(
+        [math.inf, -math.inf])), min_size=1, max_size=6))
+    def test_reader_answers_as_fresh_solves(self, items, capacities):
+        # one reader, read at rising, falling, repeated and infinite capacities
+        values, costs = (np.array(side) for side in items)
+        reader = _ParetoReader(values, costs)
+        for capacity in [*sorted(capacities), *sorted(capacities, reverse=True), *capacities * 2]:
+            try:
+                fresh = solve_subset_bruteforce(values, costs, capacity)
+            except SolverError:
+                with pytest.raises(SolverError, match="no subset fits"):
+                    reader.read(capacity)
+                continue
+            read = reader.read(capacity)
+            assert (read.subset, read.welfare.hex(), read.cost.hex(), read.unique) == (
+                fresh.subset, fresh.welfare.hex(), fresh.cost.hex(), fresh.unique)
+        with pytest.raises(ValueError, match="capacity"):
+            reader.read(math.nan)
+
+    def test_one_list_per_reader_and_per_sampler_attempt(self, monkeypatch):
+        builds, draws = [], []
+        for module, name, seen in ((welfare, "_pareto_list", builds),
+                                   (generators, "_draw_game", draws)):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real, seen=seen: seen.append(1) or real(*args))
+        reader = _ParetoReader(np.array([3.0, -1.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+        assert not builds
+        assert [reader.read(c).subset for c in (5.0, 2.0, 5.0, 10.0, 9.5)] == [
+            (0, 3), (0,), (0, 3), (0, 2, 3), (0, 2, 3)]
+        assert len(builds) == 1
+        builds.clear()
+        for k in range(20):
+            sample_instance(SamplerConfig(n=20, p=6), seed=(3, k))
+        # valuations this small break the deficit at every lift, so each
+        # attempt draws again with a list of its own
+        tiny = SamplerConfig(n=6, p=3, valuation_dist=ValuationDist(hi=1e-10), max_rejections=5)
+        with pytest.raises(SolverError, match="the lift broke the deficit: 5"):
+            sample_instance(tiny)
+        assert len(builds) == len(draws) == 25
+
+    def test_lift_reads_the_list_at_most_1_6_times_per_sample(self, monkeypatch):
+        # the lift loop's capacities mostly fit no new row: n=100, p=18 took
+        # 2.55 reads per sample when each round re-read the list. Each read
+        # sums its answer's items once
+        reads = []
+        real = welfare._subset_stats
+        monkeypatch.setattr(welfare, "_subset_stats", lambda *args: reads.append(1) or real(*args))
+        cfg = SamplerConfig(n=100, p=18)
+        for k in range(40):
+            sample_instance(cfg, seed=(11, k))
+        assert len(reads) <= 1.6 * 40
+
+    @pytest.mark.parametrize("size", [0, 3, 8, 9, 31])
+    def test_subset_stats_sum_as_numpy_sums_each_side(self, size):
+        # numpy sums 8 items or more in eight interleaved partial sums, not as a left fold
+        rng = np.random.default_rng(size)
+        values, costs = rng.normal(0.0, 1e3, 40), rng.uniform(0.0, 1e3, 40)
+        folds_differ = False
+        for _ in range(20):
+            subset = tuple(sorted(rng.choice(40, size, replace=False).tolist()))
+            got = _subset_stats(np.stack((values, costs)), subset)
+            want = [float(side[list(subset)].sum()) for side in (values, costs)]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            folds_differ |= got[0] != sum(values[j] for j in subset)
+        assert folds_differ == (size >= 8)
 
 
 def pruning_margin(values):
@@ -345,9 +404,8 @@ class TestParetoList:
         sums, best_within, classes = near_pareto_reference(values, costs)
         margin = pruning_margin(values)[1]
         for cap in CAPS:
-            _pareto_list.cache_clear()
             with mock.patch.object(welfare, "_ROW_CAP", cap):
-                columns = _pareto_list(np.array(values).tobytes(), np.array(costs).tobytes())
+                columns = _pareto_list(np.array(values), np.array(costs))
             value, cost, count, size, *masks = (column.tolist() for column in columns)
             rows = {}
             for r in range(len(value)):
@@ -375,7 +433,6 @@ class TestParetoList:
     def test_margin_edges_match_reference(self, items, capacity):
         values, costs = items
         for cap in CAPS:
-            _pareto_list.cache_clear()
             with mock.patch.object(welfare, "_ROW_CAP", cap):
                 assert_matches_reference(np.array(values), np.array(costs), capacity)
 
@@ -509,7 +566,7 @@ class TestDp:
             values, *quantized(costs, capacity, resolution))
         assert sol.subset == subset
         assert sol.unique == (ties == 1)
-        welfare, cost = _subset_stats(values, costs, subset)
+        welfare, cost = (float(side[list(subset)].sum()) for side in (values, costs))
         assert np.float64(sol.welfare).tobytes() == np.float64(welfare).tobytes()
         assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
 
@@ -540,18 +597,16 @@ class TestDp:
         costs = rng.integers(1, 100_000, size=18).astype(float)
         capacity = float(np.floor(costs.sum() / 2))
         assert capacity > 1 << 16
-        _pareto_list.cache_clear()
         with pytest.raises(SolverError, match="list guard of 65536 rows"):
             solve_subset_bruteforce(costs, costs, capacity)
         assert solve_subset_dp(costs, costs, capacity, 1.0) == (
             mitm_reference.solve_subset_bruteforce(costs, costs, capacity))
         # the DP's cut list holds no row that costs more than the capacity
-        assert _pareto_list(costs.tobytes(), costs.tobytes(), int(capacity))[1].max() <= capacity
+        assert _pareto_list(costs, costs, int(capacity))[1].max() <= capacity
 
     def test_cut_list_guard_names_its_size(self):
         # equal rows merge only at a prune, so the fourth row trips a guard
         # of max(2, cap_q + 1) = 3 rows
-        _pareto_list.cache_clear()
         with mock.patch.object(welfare, "_ROW_GUARD", 2), pytest.raises(
                 SolverError, match=r"^4 subsets after 2 of 3 projects exceed the list guard of 3 rows$"):
             solve_subset_dp(np.ones(3), np.ones(3), 2.0, 1.0)
