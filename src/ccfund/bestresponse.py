@@ -159,15 +159,14 @@ def _value_tables(
     return tables
 
 
-def _assemble(view, delta, chosen_units, fund_units, utility, optimal) -> BestResponse:
+def _assemble(delta, chosen_units, fund_units, utility) -> BestResponse:
+    """The response spending ``chosen_units`` grid units per project; every solver's is optimal."""
     chosen = np.asarray(chosen_units, dtype=np.int64)
     contributions = chosen * delta
-    funded = np.array(
-        [chosen[j] == fund_units[j] for j in range(len(fund_units))], dtype=bool
-    )
+    funded = chosen == np.array(fund_units, dtype=np.int64)
     contributions.setflags(write=False)
     funded.setflags(write=False)
-    return BestResponse(contributions, funded, float(utility), optimal)
+    return BestResponse(contributions, funded, float(utility), True)
 
 
 @functools.lru_cache(maxsize=1)
@@ -361,7 +360,7 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
         k -= pick
     # summed in project order, as response_utility and the oracle sum
     utility = sum(t[pick] for t, pick in zip(tables, chosen))
-    return _assemble(view, delta, chosen, fund_units, utility, True)
+    return _assemble(delta, chosen, fund_units, utility)
 
 
 def best_response_bruteforce(view: ResidualView, delta: float) -> BestResponse:
@@ -390,7 +389,7 @@ def best_response_bruteforce(view: ResidualView, delta: float) -> BestResponse:
     cand &= spent == min_spent
     idx = int(np.flatnonzero(cand)[-1])
     chosen = np.unravel_index(idx, sizes)
-    return _assemble(view, delta, list(chosen), fund_units, util[idx], True)
+    return _assemble(delta, list(chosen), fund_units, util[idx])
 
 
 def response_utility(view: ResidualView, contributions) -> float:
@@ -462,7 +461,7 @@ def knapsack_form_oracle(view: ResidualView, delta: float = 0.01) -> BestRespons
     utility = solution.welfare + view.scheme.share(
         view.budget, view.bonuses[0], view.budget
     )
-    response = _assemble(view, delta, chosen_units, fund_units, utility, True)
+    response = _assemble(delta, chosen_units, fund_units, utility)
     reached = response_utility(view, response.contributions)
     if abs(reached - utility) > 1e-9:
         off_grid = {j: float(r[j]) for j in range(view.n_projects)

@@ -24,7 +24,7 @@ import numpy as np
 from .generators import SamplerConfig, sample_instance
 # intent_matrix and evaluate are not called here; the benchmark's tracer rebinds them by name
 from .heuristics import Heuristic, PlayOrder, _intent_rows, clamp_play, intent_matrix  # noqa: F401
-from .model import TOL, ContributionProfile, Instance, Outcome, _evaluate, _project_sum
+from .model import TOL, ContributionProfile, Instance, Outcome, _evaluate
 from .model import evaluate  # noqa: F401
 from .refunds import PprRefund, thresholds
 
@@ -422,31 +422,16 @@ def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
     return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
-def _check_group(instances: list[Instance], realized: np.ndarray) -> None:
-    """Refuse realized play as :class:`ContributionProfile` and ``validate_against`` would.
-
-    ``realized`` is (n, instance, row, p), in agent order. One pass finds
-    whether anything is wrong: ``min`` is NaN or below zero if any entry is
-    NaN, negative or -inf, and a +inf entry makes its agent's spending fail
-    the budget test. Only then is each instance's stack checked as a
-    profile of its own, in instance order, for the message it would raise.
-    """
-    budgets = np.stack([instance.budgets for instance in instances], axis=1)[..., None]
-    spent = _project_sum(np.moveaxis(realized, -1, 0))
-    if realized.min() >= 0.0 and (spent <= budgets + TOL).all():
-        return
-    for instance, stack in zip(instances, np.moveaxis(realized, 0, -2)):
-        ContributionProfile(stack).validate_against(instance)
-
-
 def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     """Moment sums each instance of a block adds to each cell.
 
     (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
     ``start``, a multiple of it, or those up to ``count``. Every deviant
     cell's play of an instance is one row of a stacked intent tensor; the
-    control cells all play the baseline, so they share one last row. The
-    block plays out in groups of instances holding at most
+    control cells all play the baseline, so they share one last row. Each
+    instance's rule rows are checked as one stacked profile: play only
+    lowers an entry toward zero, so it cannot break a budget its rows keep.
+    The block plays out in groups of instances holding at most
     :data:`_PLAY_VALUES` intents: one gather from the rules' intents lays a
     group's stacks agents outermost, (n, instance, row, p), each instance's
     agents in its play order, and one :func:`clamp_play` call realizes them,
@@ -483,8 +468,10 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
                 baselines.append(thresholds(instance, scheme=PprRefund()))
             instances.append(instance)
             solutions.append(solution)
-            for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics):
-                plays.append(_intent_rows(rule, instance, solution.subset, thr))
+            rule_rows = [_intent_rows(rule, instance, solution.subset, thr)
+                         for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)]
+            ContributionProfile(rule_rows).validate_against(instance)
+            plays += rule_rows
             if shuffled:
                 seed = (cfg.seed, _PLAY_ORDER_SALT, ks[b])
                 orders.append(PlayOrder("random", seed=seed).permutation(n))
@@ -498,7 +485,6 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
         if shuffled:
             played, realized = realized, np.empty(realized.shape)
             realized[orders.T, slots] = played
-        _check_group(instances, realized)
 
         au = np.empty((len(group), rows, n))
         for slot, b in enumerate(group):

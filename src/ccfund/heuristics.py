@@ -3,7 +3,7 @@
 Five rules turn an agent's budget into intended contributions; the play-out
 engine then walks agents in order and lets each contribute the minimum of its
 intent and whatever the project still needs, so no project is ever overfunded
-and every realized row stays within budget.
+and every realized row stays within budget whenever its intent row does.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def clamp_play(intents: np.ndarray, targets: np.ndarray) -> np.ndarray:
     realized as it would be alone; ``targets`` broadcasts against them plus
     the project axis, so each play-out may have targets of its own. The
     result has the shape of ``intents``, in C order. Non-finite targets are
-    refused; intents are not scanned, as they come from the package's own
-    rules on the play-out's hot path.
+    refused; intents are not scanned: a finite, non-negative intent bounds
+    its realized entry to [0, intent], and as float addition is monotone, a
+    row of intents within budget keeps its play within budget.
 
     What each project still misses when an agent's turn comes is the running
     sum of the earlier agents' intents, a left fold over agents either way:

@@ -246,8 +246,8 @@ def _evaluate(instance: Instance, x: np.ndarray) -> Outcome:
     """:func:`evaluate` on agent-major contributions ``x`` of shape (n, ..., p).
 
     ``x`` is not checked; the caller vouches that it is finite, non-negative
-    and within budget, as :class:`ContributionProfile` and its
-    ``validate_against`` would. The project axis must be innermost in
+    and within budget, as a checked profile is and as play of checked intents
+    is (see :func:`clamp_play`). The project axis must be innermost in
     memory. Then the totals ``x.sum(axis=0)`` add one agent to every total a
     pass, the left fold over agents that ``sum(axis=-2)`` runs one short row
     at a time over the (..., n, p) layout, and need no copy; the play-out's

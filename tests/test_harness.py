@@ -271,22 +271,59 @@ class TestRunExperiment:
             (np.inf, "contributions must be finite, got inf at index (2, 3, 1)"),
             (-np.inf, "contributions must be finite, got -inf at index (2, 3, 1)"),
             (-1.0, "contribution by agent 3 to project 1 in profile (2,) is negative (-1)"),
-            (1e6, "agent 3 in profile (2,) spends 1000002.89595, exceeding its budget 3.86127277171"),
+            (1e6, "agent 3 in profile (2,) spends 1000003.69915, exceeding its budget 3.86127277171"),
         ],
     )
     def test_bad_play_is_refused_as_a_profile_would_be(self, monkeypatch, value, message):
-        # the text ContributionProfile(stack).validate_against(instance) gives
-        # the second instance's stack alone, as when each instance played alone
-        real = harness.clamp_play
+        # the second instance's weighted rows, position 2 of its rule stack
+        # (opt-welfare, then the deviant rules), are refused with the text
+        # ContributionProfile(stack).validate_against(instance) gives, before
+        # the group plays out
+        real_rows, real_play = harness._intent_rows, harness.clamp_play
+        opt_calls, played = [], []
 
-        def corrupt(intents, targets):
-            realized = real(intents, targets)
-            realized[3, 1, 2, 1] = value  # agent 3 of instance 1 of the group: row 2, project 1
-            return realized
+        def corrupt(rule, instance, pstar, thr):
+            rows = real_rows(rule, instance, pstar, thr)
+            opt_calls.append(rule == Heuristic.OPT_WELFARE)
+            if sum(opt_calls) == 2 and rule == Heuristic.WEIGHTED:
+                rows[3, 1] = value  # agent 3, project 1
+            return rows
 
-        monkeypatch.setattr(harness, "clamp_play", corrupt)
+        def spy(intents, targets):
+            played.append(intents.shape)
+            return real_play(intents, targets)
+
+        monkeypatch.setattr(harness, "_intent_rows", corrupt)
+        monkeypatch.setattr(harness, "clamp_play", spy)
+        cfg = small_config()
+        rows = len(cfg.deviant_heuristics) * len(cfg.alphas) + 1
+        # instances 0 and 1 share the first group, so nothing has played yet
+        assert harness._PLAY_VALUES // (rows * cfg.sampler.n * cfg.sampler.p) >= 2
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_experiment(small_config(), workers=1)
+            run_experiment(cfg, workers=1)
+        assert played == []
+
+    def test_over_budget_row_nobody_plays_is_refused(self, monkeypatch):
+        # the first deviant rule's row for an agent who is not among the
+        # first instance's deviators is never played, and is refused all the same
+        cfg = small_config(alphas=(0.2,), instances_per_cell=1)
+        rule = cfg.deviant_heuristics[0]
+        deviators = harness._deviator_masks(cfg, cfg.sampler.n, [0])[0, 0]
+        agent = int(np.flatnonzero(~deviators)[0])
+        real_rows = harness._intent_rows
+        seen = []
+
+        def corrupt(heuristic, instance, pstar, thr):
+            rows = real_rows(heuristic, instance, pstar, thr)
+            if heuristic == rule and not seen:
+                seen.append(heuristic)
+                rows[agent, 1] = 1e6
+            return rows
+
+        monkeypatch.setattr(harness, "_intent_rows", corrupt)
+        message = rf"agent {agent} in profile \(1,\) spends [0-9.]+, exceeding its budget"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg, workers=1)
 
     def test_ascending_order_draws_no_permutation(self, monkeypatch):
         cfg = small_config(instances_per_cell=2)

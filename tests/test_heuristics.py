@@ -24,6 +24,7 @@ from ccfund import (
     thresholds,
 )
 from ccfund.heuristics import _CUMSUM_MAX_WIDTH
+from ccfund.model import _project_sum
 
 
 def intent_row(heuristic, inst, agent, pstar=None, thresholds=None):
@@ -268,6 +269,13 @@ class TestClampReference:
         assert realized.shape == expected.shape
         assert realized.tobytes() == expected.tobytes()
         assert np.all(realized.sum(axis=-2) <= targets + 1e-9), "a project was overfunded"
+        # the experiment checks the rules' rows and not the play, which holds
+        # only while each realized entry lies in [0, its intent]; additions
+        # being monotone, no agent's spending then exceeds its row's
+        assert np.all(realized >= 0.0)
+        assert np.all(realized <= intents)
+        spent = _project_sum(np.moveaxis(realized, -1, 0))
+        assert np.all(spent <= _project_sum(np.moveaxis(intents, -1, 0)))
 
     def test_greedy_allocation_matches_scalar_loop(self):
         rng = np.random.default_rng(53)
