@@ -100,7 +100,7 @@ def make_view(instance: Instance, profile, agent: int) -> ResidualView:
     rest = x.copy()
     rest[agent] = 0.0
     ContributionProfile(rest).validate_against(instance)
-    others = x.sum(axis=0) - x[agent]
+    others = rest.sum(axis=0)
     remaining = np.clip(instance.targets - others, 0.0, None)
     return ResidualView(
         agent=agent,

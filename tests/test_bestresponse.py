@@ -630,6 +630,19 @@ class TestMakeView:
         assert view.remaining == pytest.approx([4.0, 2.5])
         assert view.budget == 5.0
 
+    @pytest.mark.parametrize("own", [[4.9, 0.0], [0.3, 2.2], [2.7, 3.1]])
+    def test_own_row_leaves_no_trace(self, own):
+        # summing every row and subtracting the agent's own cancels badly:
+        # 0.3 came back as 0.3 minus several ulps with the own row at 4.9
+        inst = Instance(
+            [[6.0, 4.0], [3.0, 2.0], [1.0, 5.0]], [5.0, 1.0, 1.0], [4.0, 4.0], [2.0, 1.0],
+            PprRefund(),
+        )
+        others = [[0.1, 0.3], [0.2, 0.7]]
+        zero, played = (make_view(inst, [row, *others], 0) for row in ([0.0, 0.0], own))
+        for name in ("others_totals", "remaining"):
+            assert getattr(played, name).tobytes() == getattr(zero, name).tobytes()
+
     def test_other_rows_must_keep_within_budget(self):
         inst = Instance(
             [[6.0, 4.0], [6.0, 4.0]], [5.0, 5.0], [5.0, 3.0], [2.0, 1.0], PprRefund()

@@ -78,7 +78,7 @@ GOLDEN = {
         '0x1.35cd8473c3f8bp+7'),
     ('ppr', 1, 0, 0.01): (
         'd552658eddef0d6e5dfdde7d76db68d374a2710e00665086007fa4fc453b1061',
-        '0x1.c3b20a483c492p+6'),
+        '0x1.c3b20a483c493p+6'),
     ('ppr', 1, 1, 0.01): (
         '14c11f16f2bf0b94fe494731768c6f0123c82165e6676261c3c9c98cbde9ca27',
         '0x1.92bd33f30a538p+6'),
@@ -96,10 +96,10 @@ GOLDEN = {
         '0x1.d472a4f8da192p+5'),
     ('ppr', 3, 0, 0.01): (
         'ed9eb8cb86900da75bd37c0f9a3df61731eeed1ea925361af7b1b1a365b070ee',
-        '0x1.90b00445f9fb9p+5'),
+        '0x1.90b00445f9fbap+5'),
     ('ppr', 3, 1, 0.01): (
         'ddac986cefd8bad991a4bdea44fbd99661a42067e2e7b8ea6d6102b8510a75a1',
-        '0x1.0ffd199e9c787p+6'),
+        '0x1.0ffd199e9c788p+6'),
     ('ppr', 3, 2, 0.01): (
         '62dfbacba1e035498e2a8d49b41a5b9abdb13c662d0416310176bd52917586d1',
         '0x1.f6abbebaf70fbp+5'),
