@@ -36,7 +36,7 @@ from .generators import (
     build_theorem2_witness,
     sample_instance,
 )
-from .harness import run_experiment, worker_count
+from .harness import FULL_SCALE_INSTANCES, run_experiment, worker_count
 from .heuristics import HEURISTIC_NAMES, PLAY_ORDERS, Assignment, Heuristic, PlayOrder, play
 from .model import evaluate
 from .refunds import LINEAR_ADDITIVE_TAG, PPR_TAG, scheme_from_tag, thresholds
@@ -334,11 +334,13 @@ def cmd_experiment(args) -> int:
             "workers": workers,
         },
     )
+    if args.full_scale:
+        cfg = dataclasses.replace(cfg, instances_per_cell=FULL_SCALE_INSTANCES)
     # unusable paths exit 2 before the run, and a failed run leaves an old report as it was
     if args.emit_series is not None:
         os.makedirs(args.emit_series, exist_ok=True)
     with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
-        report = run_experiment(cfg, full_scale=args.full_scale, workers=workers)
+        report = run_experiment(cfg, workers=workers)
         fh.truncate(0)
         fh.write(report.to_csv_text())
     if args.emit_series is not None:

@@ -308,12 +308,7 @@ def build_procedure1(
     instance = Instance(valuations, budgets, targets, bonuses, scheme)
 
     sol = solve_pstar_bruteforce(instance)
-    thr = np.array(
-        [
-            [x11, threshold_general(scheme, theta12, t2, float(bonuses[1]))],
-            [x21, threshold_general(scheme, theta22, t2, float(bonuses[1]))],
-        ]
-    )
+    thr = threshold_matrix(valuations, targets, bonuses, scheme)
     on_path = theta21 - x21
     deviated = theta22 - t2
     certificate = DeviationCertificate(

@@ -17,7 +17,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -137,34 +138,19 @@ class ExperimentReport:
     cells: tuple[CellStats, ...]
     seed: int
     config_digest: str
-    package_version: str
 
     def to_csv_text(self) -> str:
         from .io import format_float
 
         def fmt(value) -> str:
-            return "" if value is None else format_float(value)
+            if value is None:
+                return ""
+            return format_float(value) if isinstance(value, float) else str(value)
 
-        lines = [CSV_HEADER]
-        for c in self.cells:
-            lines.append(
-                ",".join(
-                    [
-                        c.heuristic,
-                        format_float(c.alpha),
-                        str(c.instances),
-                        fmt(c.sw_mean),
-                        fmt(c.sw_se),
-                        fmt(c.au_mean),
-                        fmt(c.au_se),
-                        fmt(c.au_dev_mean),
-                        fmt(c.au_nondev_mean),
-                        str(c.excluded),
-                        str(c.seed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        # the CSV columns are CellStats' leading fields, in declared order
+        columns = fields(CellStats)[: CSV_HEADER.count(",") + 1]
+        rows = (",".join(fmt(getattr(c, f.name)) for f in columns) for c in self.cells)
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
     def curve(self, heuristic: str, metric: str) -> tuple[list[float], list]:
         """Alpha grid and per-alpha values for one heuristic and metric."""
@@ -536,19 +522,16 @@ def worker_count() -> int:
     return wanted
 
 
-def run_experiment(
-    cfg: ExperimentConfig, full_scale: bool = False, workers: int | None = None
-) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
     """Run every cell and aggregate; byte-stable for a fixed (config, seed).
 
     Partial results merge in instance order no matter how many workers run,
     so parallel and sequential runs emit identical reports. ``workers``
     defaults to :func:`worker_count`.
     """
-    from . import __version__
     from .io import dumps_canonical, experiment_config_to_jsonable
 
-    count = FULL_SCALE_INSTANCES if full_scale else cfg.instances_per_cell
+    count = cfg.instances_per_cell
     keys = cfg.cell_keys
     # one accumulator for every cell: (cells, metric, [total, square, count])
     acc = np.zeros((len(keys), len(_METRICS), 3))
@@ -556,17 +539,15 @@ def run_experiment(
     if workers is None:
         workers = worker_count()
     block_moments = functools.partial(_block_moments, cfg, count)
-    starts = range(0, count, _BLOCK)
+    pool = nullcontext()
     if workers > 1 and count > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            for block in pool.imap(block_moments, starts):
-                for moments in block:
-                    acc += moments
-    else:
-        for start in starts:
-            for moments in block_moments(start):
+        pool = multiprocessing.Pool(workers)
+    with pool as running:
+        imap = map if running is None else running.imap
+        for block in imap(block_moments, range(0, count, _BLOCK)):
+            for moments in block:
                 acc += moments
 
     cells = []
@@ -592,4 +573,4 @@ def run_experiment(
     digest = hashlib.sha256(
         dumps_canonical(experiment_config_to_jsonable(cfg)).encode()
     ).hexdigest()
-    return ExperimentReport(tuple(cells), cfg.seed, digest, __version__)
+    return ExperimentReport(tuple(cells), cfg.seed, digest)

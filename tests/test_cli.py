@@ -198,6 +198,20 @@ class TestSubcommands:
         assert len(lines) == 11  # 5 heuristics x 2 alphas
         assert len(list(series.glob("*.json"))) == 20
 
+    def test_full_scale_flag_raises_instance_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "FULL_SCALE_INSTANCES", 7)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"sampler": {"n": 10, "p": 3, "seed": 5},
+                                   "alphas": [0.5, 1.0], "instances_per_cell": 2}))
+        report = tmp_path / "report.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(report),
+                     "--full-scale"]) == 0
+        rows = report.read_text().splitlines()[1:]
+        assert len(rows) == 10 and all(row.split(",")[2] == "7" for row in rows)
+        # the echo shows the config as written, with the flag beside it
+        echo = capsys.readouterr().err.splitlines()[0]
+        assert '"instances_per_cell":2,' in echo and '"full_scale":true' in echo
+
     def test_legacy_delta_key_still_loads(self, tmp_path, capsys):
         # configs written while ExperimentConfig carried an unread delta field
         base = {"sampler": {"n": 10, "p": 3, "seed": 5}, "alphas": [0.5, 1.0],

@@ -334,13 +334,6 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "PlayOrder", no_order)
         run_experiment(cfg, workers=1)
 
-    def test_full_scale_flag_raises_instance_count(self, monkeypatch):
-        import ccfund.harness as harness
-
-        monkeypatch.setattr(harness, "FULL_SCALE_INSTANCES", 7)
-        report = run_experiment(small_config(), full_scale=True)
-        assert all(cell.instances == 7 for cell in report.cells)
-
 
 def _mean_and_se(values):
     mean = float(np.mean(values)) if len(values) else None
