@@ -125,8 +125,8 @@ class CellStats:
     au_nondev_mean: float | None
     excluded: int
     seed: int
-    # split-class standard errors ride along for series emission only; the
-    # CSV schema stays fixed
+    # split-class standard errors ride along for series emission only: the
+    # CSV reads the fields up to seed, so these stay after it
     au_dev_se: float | None = None
     au_nondev_se: float | None = None
 

@@ -633,7 +633,7 @@ class TestMakeView:
     @pytest.mark.parametrize("own", [[4.9, 0.0], [0.3, 2.2], [2.7, 3.1]])
     def test_own_row_leaves_no_trace(self, own):
         # summing every row and subtracting the agent's own cancels badly:
-        # 0.3 came back as 0.3 minus several ulps with the own row at 4.9
+        # the others' 0.1 + 0.2 came back four ulps low with the own row at 4.9
         inst = Instance(
             [[6.0, 4.0], [3.0, 2.0], [1.0, 5.0]], [5.0, 1.0, 1.0], [4.0, 4.0], [2.0, 1.0],
             PprRefund(),
