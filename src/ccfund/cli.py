@@ -336,11 +336,17 @@ def cmd_experiment(args) -> int:
     )
     if args.full_scale:
         cfg = dataclasses.replace(cfg, instances_per_cell=FULL_SCALE_INSTANCES)
-    # unusable paths exit 2 before the run, and a failed run leaves an old report as it was
+    # unusable paths exit 2 before the run; a failed run keeps an old report and leaves no new one
     if args.emit_series is not None:
         os.makedirs(args.emit_series, exist_ok=True)
+    created = not os.path.exists(args.out)
     with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
-        report = run_experiment(cfg, workers=workers)
+        try:
+            report = run_experiment(cfg, workers=workers)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
         fh.truncate(0)
         fh.write(report.to_csv_text())
     if args.emit_series is not None:

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
@@ -408,23 +409,74 @@ def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
     return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
+_Draw = namedtuple("_Draw", "instance solution baseline rows order")
+
+
+def _draw_instance(cfg: ExperimentConfig, k: int) -> _Draw:
+    """Instance ``k``, its optimum, utility baseline, rule rows, and any random play order.
+
+    The rows, the baseline rule's (n, p) intents and then each deviant
+    rule's, are checked as one stacked profile: play only lowers an entry
+    toward zero, so it cannot break a budget its rows keep.
+    """
+    n, p = cfg.sampler.n, cfg.sampler.p
+    instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
+    thr = baseline = thresholds(instance)
+    if not (cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund)):
+        baseline = thresholds(instance, scheme=PprRefund())
+    stack = ContributionProfile([_intent_rows(rule, instance, solution.subset, thr)
+                                 for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)])
+    stack.validate_against(instance)
+    order = (PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
+             if cfg.play_order == "random" else None)
+    return _Draw(instance, solution, baseline, stack.contributions.reshape(-1, p), order)
+
+
+def _play_group(draws: list[_Draw], picks: np.ndarray) -> np.ndarray:
+    """Realized (n, instance, row, p) stacks; agent i of stack row r plays rule row picks[., i, r].
+
+    One gather lays the stacks agents outermost, in each instance's play
+    order, and one :func:`clamp_play` call realizes them, adding one agent to
+    every running total of the group at a time; in random order one scatter
+    puts the agents back.
+    """
+    plays = np.concatenate([draw.rows for draw in draws])
+    slots = np.arange(len(draws))
+    index = (picks + slots[:, None, None] * len(draws[0].rows)).transpose(1, 0, 2)
+    targets = np.stack([draw.instance.targets for draw in draws])[:, None]
+    if draws[0].order is None:
+        return clamp_play(np.take(plays, index, axis=0), targets)
+    orders = np.array([draw.order for draw in draws]).T
+    realized = np.empty(index.shape + plays.shape[1:])
+    realized[orders, slots] = clamp_play(np.take(plays, index[orders, slots], axis=0), targets)
+    return realized
+
+
+def _score_group(draws: list[_Draw], realized: np.ndarray, deviators: np.ndarray) -> np.ndarray:
+    """A group's (instance, row, metric, moment) sums: each instance evaluated, one moment pass."""
+    moments = np.zeros(deviators.shape[:2] + (len(_METRICS), 3))
+    au = np.empty(deviators.shape)
+    for slot, draw in enumerate(draws):
+        outcome = _evaluate(draw.instance, realized[:, slot])
+        sw = sw_n(draw.instance, outcome, draw.solution.welfare)
+        au[slot] = au_n(draw.instance, outcome, draw.baseline)
+        if sw is not None:
+            moments[slot, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
+    defined = ~np.isnan(au)
+    keep = np.stack([defined, defined & deviators, defined & ~deviators])
+    moments[:, :, 1:] = _row_moments(au, keep).transpose(1, 2, 0, 3)
+    return moments
+
+
 def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     """Moment sums each instance of a block adds to each cell.
 
     (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
-    ``start``, a multiple of it, or those up to ``count``. Every deviant
-    cell's play of an instance is one row of a stacked intent tensor; the
-    control cells all play the baseline, so they share one last row. Each
-    instance's rule rows are checked as one stacked profile: play only
-    lowers an entry toward zero, so it cannot break a budget its rows keep.
-    The block plays out in groups of instances holding at most
-    :data:`_PLAY_VALUES` intents: one gather from the rules' intents lays a
-    group's stacks agents outermost, (n, instance, row, p), each instance's
-    agents in its play order, and one :func:`clamp_play` call realizes them,
-    adding one agent to every running total of the group at a time. Each
-    instance is then evaluated straight from its slice, in agent order, and
-    one :func:`_row_moments` call sums the group's utilities; the block's
-    deviator draws are one batch.
+    ``start``, a multiple of it, or those up to ``count``. Each deviant cell
+    plays an instance as one stack row; the control cells all play the
+    baseline, so they share one last row. One batch draws the deviators, then
+    groups of at most :data:`_PLAY_VALUES` intents run the stages in order:
+    :func:`_draw_instance` per instance, :func:`_play_group`, :func:`_score_group`.
     """
     ks = range(start, min(start + _BLOCK, count))
     n, p = cfg.sampler.n, cfg.sampler.p
@@ -436,54 +488,12 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     # agent i of stack row r plays the one at row picks[., i, r]
     rule_of_row = np.append(np.repeat(np.arange(1, rules + 1), alphas), 0)
     picks = (deviators * rule_of_row[:, None] * n + np.arange(n)).transpose(0, 2, 1)
-    moments = np.zeros((len(ks), rows, len(_METRICS), 3))
-    # instance slot g of a group lays its rules' intents from row g * laid
-    laid = (rules + 1) * n
-    shuffled = cfg.play_order == "random"
+    moments = np.empty((len(ks), rows, len(_METRICS), 3))
     per_group = max(1, _PLAY_VALUES // (rows * n * p))
     for first in range(0, len(ks), per_group):
-        group = range(first, min(first + per_group, len(ks)))
-        slots = np.arange(len(group))
-        instances, solutions, baselines, plays, orders = [], [], [], [], []
-        for b in group:
-            instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, ks[b]))
-            thr = thresholds(instance)
-            if cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund):
-                baselines.append(thr)
-            else:
-                baselines.append(thresholds(instance, scheme=PprRefund()))
-            instances.append(instance)
-            solutions.append(solution)
-            rule_rows = [_intent_rows(rule, instance, solution.subset, thr)
-                         for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)]
-            ContributionProfile(rule_rows).validate_against(instance)
-            plays += rule_rows
-            if shuffled:
-                seed = (cfg.seed, _PLAY_ORDER_SALT, ks[b])
-                orders.append(PlayOrder("random", seed=seed).permutation(n))
-        index = picks[first : group.stop] + slots[:, None, None] * laid
-        if shuffled:
-            orders = np.array(orders)
-            index = index[slots[:, None], orders]
-        intents = np.take(np.concatenate(plays), index.transpose(1, 0, 2), axis=0)
-        targets = np.stack([instance.targets for instance in instances])[:, None]
-        realized = clamp_play(intents, targets)
-        if shuffled:
-            played, realized = realized, np.empty(realized.shape)
-            realized[orders.T, slots] = played
-
-        au = np.empty((len(group), rows, n))
-        for slot, b in enumerate(group):
-            instance = instances[slot]
-            outcome = _evaluate(instance, realized[:, slot])
-            sw = sw_n(instance, outcome, solutions[slot].welfare)
-            au[slot] = au_n(instance, outcome, baselines[slot])
-            if sw is not None:
-                moments[b, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
-        done = slice(first, group.stop)
-        defined = ~np.isnan(au)
-        keep = np.stack([defined, defined & deviators[done], defined & ~deviators[done]])
-        moments[done, :, 1:] = _row_moments(au, keep).transpose(1, 2, 0, 3)
+        group = slice(first, first + per_group)
+        draws = [_draw_instance(cfg, k) for k in ks[group]]
+        moments[group] = _score_group(draws, _play_group(draws, picks[group]), deviators[group])
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]
@@ -536,17 +546,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     # one accumulator for every cell: (cells, metric, [total, square, count])
     acc = np.zeros((len(keys), len(_METRICS), 3))
 
-    if workers is None:
-        workers = worker_count()
+    # one pool task a block, so no more workers than blocks
+    starts = range(0, count, _BLOCK)
+    workers = min(worker_count() if workers is None else workers, len(starts))
     block_moments = functools.partial(_block_moments, cfg, count)
     pool = nullcontext()
-    if workers > 1 and count > 1:
+    if workers > 1:
         import multiprocessing
 
         pool = multiprocessing.Pool(workers)
     with pool as running:
         imap = map if running is None else running.imap
-        for block in imap(block_moments, range(0, count, _BLOCK)):
+        for block in imap(block_moments, starts):
             for moments in block:
                 acc += moments
 

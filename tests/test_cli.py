@@ -21,6 +21,7 @@ from ccfund import (
 )
 from ccfund import cli
 from ccfund.cli import main
+from ccfund.errors import SolverError
 from ccfund.heuristics import PLAY_ORDERS
 from ccfund.io import (
     dumps_canonical,
@@ -300,6 +301,30 @@ class TestExitCodes:
             assert main(["experiment", "--config", str(cfg), *paths]) == 2
             assert capsys.readouterr().err.count("error: ") == 1
         assert not (tmp_path / "r.csv").exists()
+
+    def test_failed_run_leaves_no_new_report_and_keeps_an_old_one(self, tmp_path, monkeypatch):
+        def run(*args, **kwargs):
+            raise SolverError("sampler gave up")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        cfg, fresh, old = tmp_path / "exp.json", tmp_path / "fresh.csv", tmp_path / "old.csv"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        old.write_bytes(b"an earlier report\n")
+        for out in (fresh, old):
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not fresh.exists()
+        assert old.read_bytes() == b"an earlier report\n"
+
+    def test_interrupted_run_leaves_no_new_report(self, tmp_path, monkeypatch):
+        def run(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        cfg, out = tmp_path / "exp.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        with pytest.raises(KeyboardInterrupt):
+            main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "2.5", "abc"])
     @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from ccfund import (
     ExperimentConfig,
     Heuristic,
     Instance,
+    LinearAdditiveRefund,
     PlayOrder,
     PprRefund,
     SamplerConfig,
@@ -207,11 +209,24 @@ class TestRunExperiment:
         assert len(payload["mean"]) == 3
 
     def test_parallel_worker_matches_sequential(self, monkeypatch):
-        cfg = small_config()
+        # two blocks, so two workers start a pool
+        cfg = small_config(instances_per_cell=_BLOCK + 1)
         sequential = run_experiment(cfg).to_csv_text()
         monkeypatch.setenv("CCFUND_THREADS", "2")
         parallel = run_experiment(cfg).to_csv_text()
         assert parallel == sequential
+
+    @pytest.mark.parametrize("count, workers, pools", [(_BLOCK, 2, []), (_BLOCK + 1, 4, [2])])
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, count, workers, pools):
+        real, started = multiprocessing.Pool, []
+
+        def spy(processes):
+            started.append(processes)
+            return real(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        run_experiment(small_config(instances_per_cell=count), workers=workers)
+        assert started == pools
 
     # each example starts one pool of two workers
     @settings(max_examples=4, deadline=None)
@@ -351,7 +366,9 @@ def reference_cells(cfg):
     masks = [[] for _ in keys]
     for k in range(cfg.instances_per_cell):
         instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
-        thr = thresholds(instance)
+        thr = baseline = thresholds(instance)
+        if not cfg.matched_baseline:
+            baseline = thresholds(instance, scheme=PprRefund())
         order = PlayOrder(cfg.play_order, seed=(cfg.seed, harness._PLAY_ORDER_SALT, k))
         for ci, (rule, alpha) in enumerate(keys):
             mask = np.zeros(n, dtype=bool)
@@ -363,7 +380,7 @@ def reference_cells(cfg):
             sw = sw_n(instance, outcome, solution.welfare)
             if sw is not None:
                 welfare[ci].append(sw)
-            utilities[ci].append(harness.au_n(instance, outcome, thr))
+            utilities[ci].append(harness.au_n(instance, outcome, baseline))
             masks[ci].append(mask)
     cells = []
     for ci in range(len(keys)):
@@ -378,14 +395,15 @@ class TestProtocolReference:
     """The harness's batched cells against the public per-profile API."""
 
     @staticmethod
-    def tiny_config(play_order):
+    def tiny_config(play_order, refund=PprRefund(), matched_baseline=False):
         return ExperimentConfig(
-            sampler=SamplerConfig(n=9, p=3, bonus_fraction=0.9),
+            sampler=SamplerConfig(n=9, p=3, bonus_fraction=0.9, refund=refund),
             alphas=(0.3, 1.0),
             deviant_heuristics=(Heuristic.WEIGHTED, Heuristic.GREEDY_THETA),
             instances_per_cell=5,
             seed=13,
             play_order=play_order,
+            matched_baseline=matched_baseline,
         )
 
     @staticmethod
@@ -397,6 +415,13 @@ class TestProtocolReference:
     @pytest.mark.parametrize("play_order", ["ascending", "random"])
     def test_cells_match_per_profile_reference(self, play_order):
         cfg = self.tiny_config(play_order)
+        assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
+
+    @pytest.mark.parametrize("matched", [False, True])
+    @pytest.mark.parametrize("play_order", ["ascending", "random"])
+    def test_linear_refund_cells_match_reference(self, play_order, matched):
+        # an unmatched utility baseline is the proportional refund's thresholds
+        cfg = self.tiny_config(play_order, LinearAdditiveRefund(0.5), matched_baseline=matched)
         assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
 
     def test_excluded_agents_match_reference(self, monkeypatch):
