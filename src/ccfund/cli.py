@@ -36,7 +36,7 @@ from .generators import (
     build_theorem2_witness,
     sample_instance,
 )
-from .harness import FULL_SCALE_INSTANCES, run_experiment, worker_count
+from .harness import FULL_SCALE_INSTANCES, run_experiment, run_workers
 from .heuristics import HEURISTIC_NAMES, PLAY_ORDERS, Assignment, Heuristic, PlayOrder, play
 from .model import evaluate
 from .refunds import LINEAR_ADDITIVE_TAG, PPR_TAG, scheme_from_tag, thresholds
@@ -104,31 +104,24 @@ def cmd_gen(args) -> int:
 
 
 # -- fixtures ------------------------------------------------------------------
-# Each entry builds one fixture under a refund scheme and returns the instance,
-# the certificate part of ``fixture``'s JSON and the (passed, text) lines that
-# ``verify`` prints.
+# Each FIXTURES entry builds one fixture under a refund scheme and returns the
+# instance, the certificate part of ``fixture``'s JSON and the (passed, text)
+# lines that ``verify`` prints: a generator's certificate carries its own, and
+# example1 and example2, which have no certificate, get theirs written here.
 
 
 def _fields(obj, *names) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def _procedure1(scheme):
-    instance, cert = build_procedure1(scheme)
-    shown = _fields(cert, "threshold_11", "threshold_21", "theta_21", "theta_22", "target_2",
-                    "on_path_utility", "deviation_utility", "pstar", "all_pass")
-    checks = [
-        (cert.pstar_is_first and cert.pstar_unique,
-         f"optimal subset is uniquely the first project: pstar={cert.pstar}, "
-         f"unique={cert.pstar_unique}"),
-        (cert.subset_feasible, "both agents afford their thresholds on the optimum"),
-        (cert.budget_deficit,
-         f"budget deficit holds: pool={float(instance.budgets.sum()):.6g} < "
-         f"targets={float(instance.targets.sum()):.6g}"),
-        (cert.deviation_profitable,
-         f"deviation pays: {cert.deviation_utility:.6g} > {cert.on_path_utility:.6g}"),
-    ]
-    return instance, {"certificate": shown}, checks
+def _certified(build, key: str, *names: str):
+    """An entry for ``build``, whose certificate is shown under ``key`` by ``names``."""
+
+    def fixture(scheme):
+        instance, cert = build(scheme)
+        return instance, {key: _fields(cert, *names)}, cert.checks
+
+    return fixture
 
 
 def _example1(scheme):
@@ -169,53 +162,21 @@ def _example2(scheme):
     return instance, {"certificate": shown}, checks
 
 
-def _theorem2(scheme):
-    instance, cert = build_theorem2_witness(scheme)
-    shown = _fields(cert, "budget_surplus", "poor_block_budget", "min_target",
-                    "subset_feasible_all", "rich_block_threshold_capacity",
-                    "rich_block_required", "all_pass")
-    checks = [
-        (cert.budget_surplus, "the pooled budget covers every target"),
-        (cert.poor_block_below_min_target,
-         f"the poor block ({cert.poor_block_budget:.6g}) cannot fund even the cheapest "
-         f"project ({cert.min_target:.6g})"),
-        (not cert.subset_feasible_all, "threshold feasibility fails for the full set"),
-        (cert.forces_above_threshold,
-         f"funding everything forces the rich block past its thresholds "
-         f"({cert.rich_block_threshold_capacity:.6g} < {cert.rich_block_required:.6g})"),
-    ]
-    return instance, {"certificate": shown}, checks
-
-
-def _appendix_b(scheme):
-    instance, report = build_appendix_b()
-    shown = _fields(report, "threshold_11", "threshold_21", "remainder_after_11",
-                    "split_consistent", "pstar", "welfare_first", "welfare_second",
-                    "expected_findings_hold")
-    checks = [
-        (report.threshold_11_rounds_to_9_91,
-         f"first threshold {report.threshold_11:.6g} rounds to the expected 9.91"),
-        (report.threshold_21_is_0_99,
-         f"second threshold formula gives the expected 0.99 ({report.threshold_21:.6g})"),
-        (not report.split_consistent,
-         f"expected inconsistency confirmed: carried 0.99 vs remainder "
-         f"{report.remainder_after_11:.6g} (documented, not repaired)"),
-        (report.pstar == (0,) and report.welfare_values_match,
-         f"optimum and welfare values match: {report.welfare_first:.6g}, "
-         f"{report.welfare_second:.6g}"),
-        (report.budget_deficit, "the fixture's budgets run a deficit"),
-    ]
-    return instance, {"report": shown}, checks
-
-
 # name -> (builder, whether it takes a refund scheme); example1 and appendixB
 # are fixed proportional-refund games
 FIXTURES = {
-    "procedure1": (_procedure1, True),
+    "procedure1": (_certified(build_procedure1, "certificate", "threshold_11", "threshold_21",
+                              "theta_21", "theta_22", "target_2", "on_path_utility",
+                              "deviation_utility", "pstar", "all_pass"), True),
     "example1": (_example1, False),
     "example2": (_example2, True),
-    "theorem2": (_theorem2, True),
-    "appendixB": (_appendix_b, False),
+    "theorem2": (_certified(build_theorem2_witness, "certificate", "budget_surplus",
+                            "poor_block_budget", "min_target", "subset_feasible_all",
+                            "rich_block_threshold_capacity", "rich_block_required",
+                            "all_pass"), True),
+    "appendixB": (_certified(lambda _: build_appendix_b(), "report", "threshold_11",
+                             "threshold_21", "remainder_after_11", "split_consistent", "pstar",
+                             "welfare_first", "welfare_second", "expected_findings_hold"), False),
 }
 
 
@@ -311,31 +272,31 @@ def cmd_play(args) -> int:
     order = PlayOrder(args.order, seed=args.seed)
     profile = play(instance, assignment, solution.subset, thr, order)
     outcome = evaluate(instance, profile)
-    payload = {
-        "contributions": [[float(v) for v in row] for row in profile.contributions],
-        "funded": [bool(z) for z in outcome.funded],
-        "totals": [float(t) for t in outcome.totals],
-        "agent_utilities": [float(u) for u in outcome.agent_utilities],
+    print(io.dumps_canonical({
+        "contributions": profile.contributions,
+        "funded": outcome.funded,
+        "totals": outcome.totals,
+        "agent_utilities": outcome.agent_utilities,
         "social_welfare": outcome.social_welfare,
-        "pstar": list(solution.subset),
-    }
-    print(io.dumps_canonical(payload))
+        "pstar": solution.subset,
+    }))
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
     cfg = io.load_experiment_config(args.config)
-    workers = worker_count()
+    shown = io.experiment_config_to_jsonable(cfg)  # as read: --full-scale changes only the run
+    if args.full_scale:
+        cfg = dataclasses.replace(cfg, instances_per_cell=FULL_SCALE_INSTANCES)
+    workers = run_workers(cfg)
     _echo(
         "experiment",
         {
-            "config": io.experiment_config_to_jsonable(cfg),
+            "config": shown,
             "full_scale": args.full_scale,
             "workers": workers,
         },
     )
-    if args.full_scale:
-        cfg = dataclasses.replace(cfg, instances_per_cell=FULL_SCALE_INSTANCES)
     # unusable paths exit 2 before the run; a failed run keeps an old report and leaves no new one
     if args.emit_series is not None:
         os.makedirs(args.emit_series, exist_ok=True)

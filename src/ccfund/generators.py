@@ -203,7 +203,18 @@ def sample_surplus_sf_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance,
 
 
 @dataclass(frozen=True)
-class DeviationCertificate:
+class _Certified:
+    """A fixture's claims, each a (passed, text) line that ``verify`` prints."""
+
+    checks: tuple[tuple[bool, str], ...]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(passed for passed, _ in self.checks)
+
+
+@dataclass(frozen=True)
+class DeviationCertificate(_Certified):
     """Checks that the two-agent construction undermines the optimal subset.
 
     The first project alone is the unique optimum, both agents can afford
@@ -219,21 +230,9 @@ class DeviationCertificate:
     on_path_utility: float
     deviation_utility: float
     pstar: tuple[int, ...]
-    pstar_is_first: bool
     pstar_unique: bool
     subset_feasible: bool
     budget_deficit: bool
-    deviation_profitable: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.pstar_is_first
-            and self.pstar_unique
-            and self.subset_feasible
-            and self.budget_deficit
-            and self.deviation_profitable
-        )
 
 
 def _invert_threshold(
@@ -311,6 +310,8 @@ def build_procedure1(
     thr = threshold_matrix(valuations, targets, bonuses, scheme)
     on_path = theta21 - x21
     deviated = theta22 - t2
+    feasible = check_subset_feasibility(instance, sol.subset, thr)
+    deficit = check_budget_surplus(instance) == BudgetStatus.DEFICIT
     certificate = DeviationCertificate(
         threshold_11=x11,
         threshold_21=x21,
@@ -320,11 +321,19 @@ def build_procedure1(
         on_path_utility=on_path,
         deviation_utility=deviated,
         pstar=sol.subset,
-        pstar_is_first=sol.subset == (0,),
         pstar_unique=sol.unique,
-        subset_feasible=check_subset_feasibility(instance, sol.subset, thr),
-        budget_deficit=check_budget_surplus(instance) == BudgetStatus.DEFICIT,
-        deviation_profitable=deviated > on_path,
+        subset_feasible=feasible,
+        budget_deficit=deficit,
+        checks=(
+            (sol.subset == (0,) and sol.unique,
+             f"optimal subset is uniquely the first project: pstar={sol.subset}, "
+             f"unique={sol.unique}"),
+            (feasible, "both agents afford their thresholds on the optimum"),
+            (deficit,
+             f"budget deficit holds: pool={float(instance.budgets.sum()):.6g} < "
+             f"targets={float(instance.targets.sum()):.6g}"),
+            (deviated > on_path, f"deviation pays: {deviated:.6g} > {on_path:.6g}"),
+        ),
     )
     return instance, certificate
 
@@ -370,7 +379,7 @@ def build_example2(
 
 
 @dataclass(frozen=True)
-class SurplusWitnessCertificate:
+class SurplusWitnessCertificate(_Certified):
     """Checks for the surplus game with no equilibrium.
 
     The pool covers everything, yet the poor block cannot fund any single
@@ -386,15 +395,6 @@ class SurplusWitnessCertificate:
     rich_block_threshold_capacity: float
     rich_block_required: float
     forces_above_threshold: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.budget_surplus
-            and self.poor_block_below_min_target
-            and not self.subset_feasible_all
-            and self.forces_above_threshold
-        )
 
 
 def build_theorem2_witness(
@@ -431,22 +431,34 @@ def build_theorem2_witness(
     instance = Instance(valuations, budgets, targets, bonuses, scheme)
 
     capacity = n2 * row_need
-    required = float(targets.sum()) - poor_total
+    surplus = check_budget_surplus(instance) == BudgetStatus.SURPLUS
+    min_target = float(targets.min())
+    feasible_all = check_subset_feasibility(instance, tuple(range(p)), thr)
     certificate = SurplusWitnessCertificate(
-        budget_surplus=check_budget_surplus(instance) == BudgetStatus.SURPLUS,
+        budget_surplus=surplus,
         poor_block_budget=poor_total,
-        min_target=float(targets.min()),
-        poor_block_below_min_target=poor_total < float(targets.min()),
-        subset_feasible_all=check_subset_feasibility(instance, tuple(range(p)), thr),
+        min_target=min_target,
+        poor_block_below_min_target=poor_total < min_target,
+        subset_feasible_all=feasible_all,
         rich_block_threshold_capacity=capacity,
-        rich_block_required=required,
-        forces_above_threshold=capacity < required,
+        rich_block_required=rich_total,
+        forces_above_threshold=capacity < rich_total,
+        checks=(
+            (surplus, "the pooled budget covers every target"),
+            (poor_total < min_target,
+             f"the poor block ({poor_total:.6g}) cannot fund even the cheapest "
+             f"project ({min_target:.6g})"),
+            (not feasible_all, "threshold feasibility fails for the full set"),
+            (capacity < rich_total,
+             f"funding everything forces the rich block past its thresholds "
+             f"({capacity:.6g} < {rich_total:.6g})"),
+        ),
     )
     return instance, certificate
 
 
 @dataclass(frozen=True)
-class LiteralNumbersReport:
+class LiteralNumbersReport(_Certified):
     """Spot checks on the worked-example numbers this fixture carries.
 
     The two threshold formulas reproduce the carried values, the optimum and
@@ -467,16 +479,7 @@ class LiteralNumbersReport:
     welfare_values_match: bool
     budget_deficit: bool
 
-    @property
-    def expected_findings_hold(self) -> bool:
-        return (
-            self.threshold_11_rounds_to_9_91
-            and self.threshold_21_is_0_99
-            and not self.split_consistent
-            and self.pstar == (0,)
-            and self.welfare_values_match
-            and self.budget_deficit
-        )
+    expected_findings_hold = _Certified.all_pass
 
 
 def build_appendix_b() -> tuple[Instance, LiteralNumbersReport]:
@@ -497,19 +500,32 @@ def build_appendix_b() -> tuple[Instance, LiteralNumbersReport]:
     sol = solve_pstar_bruteforce(instance)
     welfare_first = 10.9 + 1.089 - 10.0
     welfare_second = 0.0 + 1.9 - 0.99
+    rounds_to_9_91 = round(x11, 2) == 9.91
+    is_0_99 = abs(x21 - 0.99) <= 1e-9
+    consistent = abs(remainder - x21) <= 1e-6
+    welfare_match = abs(welfare_first - 1.989) <= 1e-9 and abs(welfare_second - 0.91) <= 1e-9
+    deficit = check_budget_surplus(instance) == BudgetStatus.DEFICIT
     report = LiteralNumbersReport(
         threshold_11=x11,
-        threshold_11_rounds_to_9_91=round(x11, 2) == 9.91,
+        threshold_11_rounds_to_9_91=rounds_to_9_91,
         threshold_21=x21,
-        threshold_21_is_0_99=abs(x21 - 0.99) <= 1e-9,
+        threshold_21_is_0_99=is_0_99,
         remainder_after_11=remainder,
-        split_consistent=abs(remainder - x21) <= 1e-6,
+        split_consistent=consistent,
         pstar=sol.subset,
         welfare_first=welfare_first,
         welfare_second=welfare_second,
-        welfare_values_match=(
-            abs(welfare_first - 1.989) <= 1e-9 and abs(welfare_second - 0.91) <= 1e-9
+        welfare_values_match=welfare_match,
+        budget_deficit=deficit,
+        checks=(
+            (rounds_to_9_91, f"first threshold {x11:.6g} rounds to the expected 9.91"),
+            (is_0_99, f"second threshold formula gives the expected 0.99 ({x21:.6g})"),
+            (not consistent,
+             f"expected inconsistency confirmed: carried 0.99 vs remainder "
+             f"{remainder:.6g} (documented, not repaired)"),
+            (sol.subset == (0,) and welfare_match,
+             f"optimum and welfare values match: {welfare_first:.6g}, {welfare_second:.6g}"),
+            (deficit, "the fixture's budgets run a deficit"),
         ),
-        budget_deficit=check_budget_surplus(instance) == BudgetStatus.DEFICIT,
     )
     return instance, report

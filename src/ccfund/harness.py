@@ -532,12 +532,17 @@ def worker_count() -> int:
     return wanted
 
 
+def run_workers(cfg: ExperimentConfig, cap: int | None = None) -> int:
+    """Workers a run of ``cfg`` uses: ``cap`` or :func:`worker_count`, but one a block at most."""
+    return min(worker_count() if cap is None else cap, -(-cfg.instances_per_cell // _BLOCK))
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
     """Run every cell and aggregate; byte-stable for a fixed (config, seed).
 
     Partial results merge in instance order no matter how many workers run,
-    so parallel and sequential runs emit identical reports. ``workers``
-    defaults to :func:`worker_count`.
+    so parallel and sequential runs emit identical reports. ``workers`` caps
+    the pool as in :func:`run_workers`.
     """
     from .io import dumps_canonical, experiment_config_to_jsonable
 
@@ -546,9 +551,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     # one accumulator for every cell: (cells, metric, [total, square, count])
     acc = np.zeros((len(keys), len(_METRICS), 3))
 
-    # one pool task a block, so no more workers than blocks
-    starts = range(0, count, _BLOCK)
-    workers = min(worker_count() if workers is None else workers, len(starts))
+    workers = run_workers(cfg, workers)
     block_moments = functools.partial(_block_moments, cfg, count)
     pool = nullcontext()
     if workers > 1:
@@ -557,7 +560,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         pool = multiprocessing.Pool(workers)
     with pool as running:
         imap = map if running is None else running.imap
-        for block in imap(block_moments, starts):
+        for block in imap(block_moments, range(0, count, _BLOCK)):
             for moments in block:
                 acc += moments
 

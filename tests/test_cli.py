@@ -1,5 +1,7 @@
 import copy
 import json
+import multiprocessing
+import os
 import re
 import warnings
 from pathlib import Path
@@ -213,6 +215,28 @@ class TestSubcommands:
         echo = capsys.readouterr().err.splitlines()[0]
         assert '"instances_per_cell":2,' in echo and '"full_scale":true' in echo
 
+    @pytest.mark.parametrize("count, workers, pools", [
+        (20, 1, []),
+        pytest.param(33, 2, [2], marks=pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                                           reason="needs two cores")),
+    ])
+    def test_echo_names_the_workers_the_run_starts(self, tmp_path, monkeypatch, capsys,
+                                                   count, workers, pools):
+        # one pool task a block of 32 instances: 20 instances run in-process
+        real, started = multiprocessing.Pool, []
+
+        def spy(processes):
+            started.append(processes)
+            return real(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        monkeypatch.setenv("CCFUND_THREADS", "2")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"sampler": {"n": 12, "p": 4}, "instances_per_cell": count}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        assert f'"workers":{workers}' in capsys.readouterr().err
+        assert started == pools
+
     def test_legacy_delta_key_still_loads(self, tmp_path, capsys):
         # configs written while ExperimentConfig carried an unread delta field
         base = {"sampler": {"n": 10, "p": 3, "seed": 5}, "alphas": [0.5, 1.0],
@@ -251,6 +275,18 @@ class TestVerify:
     def test_procedure1_verifies_for_linear_scheme(self, capsys):
         assert main(["verify", "procedure1", "--refund", "linear-additive",
                      "--linear-slope", "0.1"]) == 0
+
+    @pytest.mark.parametrize("name, refund, key, flag", [
+        ("procedure1", "ppr", "certificate", "all_pass"),
+        ("procedure1", "linear-additive", "certificate", "all_pass"),
+        ("theorem2", "ppr", "certificate", "all_pass"),
+        ("theorem2", "linear-additive", "certificate", "all_pass"),
+        ("appendixB", "ppr", "report", "expected_findings_hold"),
+    ])
+    def test_fixture_flag_agrees_with_verify_exit(self, name, refund, key, flag, capsys):
+        assert main(["fixture", "--name", name, "--refund", refund]) == 0
+        shown = json.loads(capsys.readouterr().out)[key]
+        assert shown[flag] == (main(["verify", name, "--refund", refund]) == 0)
 
 
 class TestExitCodes:

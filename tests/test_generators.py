@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,19 @@ class TestSampler:
         inst, sol = sample_instance(cfg)
         assert isinstance(inst.refund, LinearAdditiveRefund)
         assert check_subset_feasibility(inst, sol.subset, thresholds(inst))
+
+
+@pytest.mark.parametrize("build, flag", [
+    (lambda: build_procedure1(PprRefund()), "all_pass"),
+    (lambda: build_theorem2_witness(LinearAdditiveRefund(0.2)), "all_pass"),
+    (build_appendix_b, "expected_findings_hold"),
+])
+def test_any_failing_check_fails_the_certificate(build, flag):
+    _, cert = build()
+    assert getattr(cert, flag)
+    for k, (_, text) in enumerate(cert.checks):
+        checks = cert.checks[:k] + ((False, text),) + cert.checks[k + 1:]
+        assert not getattr(dataclasses.replace(cert, checks=checks), flag)
 
 
 class TestProcedure1:
