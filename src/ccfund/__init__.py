@@ -56,7 +56,6 @@ from .model import (
 )
 from .refunds import (
     CmReport,
-    GridSpec,
     LinearAdditiveRefund,
     PprRefund,
     RefundScheme,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -210,14 +211,12 @@ def cmd_verify(args) -> int:
 
 def cmd_solve_pstar(args) -> int:
     instance = io.load_instance(args.instance)
-    _echo(
-        "solve-pstar",
-        {"instance": args.instance, "resolution": args.resolution, "objective": args.objective},
-    )
+    _echo("solve-pstar",
+          {"instance": args.instance, "resolution": args.resolution, "method": args.method})
     if args.method == "bruteforce":
-        solution = solve_pstar_bruteforce(instance, objective=args.objective)
+        solution = solve_pstar_bruteforce(instance)
     else:
-        solution = solve_pstar_dp(instance, resolution=args.resolution, objective=args.objective)
+        solution = solve_pstar_dp(instance, resolution=args.resolution)
     print(io.dumps_canonical(solution))
     return EXIT_OK
 
@@ -297,19 +296,25 @@ def cmd_experiment(args) -> int:
             "workers": workers,
         },
     )
-    # unusable paths exit 2 before the run; a failed run keeps an old report and leaves no new one
+    # unusable paths exit 2 before the run; a failed run keeps an old report and leaves no new path
+    made = None  # the outermost series directory this run makes
     if args.emit_series is not None:
+        path = os.path.abspath(args.emit_series)
+        while not os.path.exists(path):
+            made, path = path, os.path.dirname(path)
         os.makedirs(args.emit_series, exist_ok=True)
     created = not os.path.exists(args.out)
-    with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
-        try:
+    try:
+        with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
             report = run_experiment(cfg, workers=workers)
-        except BaseException:
-            if created:
-                os.remove(args.out)
-            raise
-        fh.truncate(0)
-        fh.write(report.to_csv_text())
+            fh.truncate(0)
+            fh.write(report.to_csv_text())
+    except BaseException:
+        if created and os.path.isfile(args.out):
+            os.remove(args.out)
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     if args.emit_series is not None:
         written = report.write_series(args.emit_series)
         print(f"wrote {len(written)} series files to {args.emit_series}", file=sys.stderr)
@@ -348,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve-pstar", help="welfare-optimal subset")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--resolution", type=_positive_float, default=0.01)
-    solve.add_argument("--objective", choices=("welfare", "valuation"), default="welfare")
     solve.add_argument("--method", choices=("dp", "bruteforce"), default="dp")
     solve.set_defaults(func=cmd_solve_pstar)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import SolverError
 from .model import TOL, BudgetStatus, Instance, check_budget_surplus, check_subset_feasibility
 from .refunds import (
-    GridSpec,
     PprRefund,
     RefundScheme,
     certify_cm,
@@ -365,7 +364,7 @@ def build_example2(
         raise ValueError(
             f"need total valuation above the target: 2*{theta!r} <= {target!r}"
         )
-    report = certify_cm(scheme, GridSpec(x_max=max(theta, 1.0)))
+    report = certify_cm(scheme, max(theta, 1.0))
     if not report.passed:
         raise ValueError(f"scheme {scheme.tag!r} failed monotonicity certification")
     vartheta = 2.0 * theta

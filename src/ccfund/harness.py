@@ -19,7 +19,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,18 +60,14 @@ _PLAY_VALUES = 3 << 16
 FULL_SCALE_INSTANCES = 100_000
 
 
-def _default_sampler() -> SamplerConfig:
-    # Bonuses strictly inside the headroom leave thresholds over-provisioned,
-    # which is what lets the welfare curves decline smoothly instead of
-    # collapsing at the first deviator.
-    return SamplerConfig(bonus_fraction=0.9)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Protocol parameters for one experiment run."""
 
-    sampler: SamplerConfig = field(default_factory=_default_sampler)
+    # Bonuses strictly inside the headroom leave thresholds over-provisioned,
+    # which is what lets the welfare curves decline smoothly instead of
+    # collapsing at the first deviator.
+    sampler: SamplerConfig = SamplerConfig(bonus_fraction=0.9)
     alphas: tuple[float, ...] = _DEFAULT_ALPHAS
     deviant_heuristics: tuple[Heuristic, ...] = _DEFAULT_DEVIANTS
     instances_per_cell: int = 1000

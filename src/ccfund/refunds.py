@@ -114,19 +114,13 @@ def scheme_from_tag(tag: str, linear_slope: float | None = None) -> RefundScheme
     raise ValueError(f"unknown refund scheme {tag!r}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Probe grid for numeric monotonicity certification.
-
-    Co-contributions stay positive: a sole contributor already holds the whole
-    proportional pool, so along that degenerate boundary no scheme of that
-    family can grow.
-    """
-
-    x_max: float = 10.0
-    points: int = 256
-    pool_sizes: tuple[float, ...] = (0.5, 1.0, 2.0)
-    others_totals: tuple[float, ...] = (0.5, 2.0, 5.0)
+#: ``certify_cm`` probes this many contributions at each (pool, others' total)
+#: pair. Co-contributions stay positive: a sole contributor already holds the
+#: whole proportional pool, so along that degenerate boundary no scheme of that
+#: family can grow.
+_CM_POINTS = 256
+_CM_POOLS = (0.5, 1.0, 2.0)
+_CM_OTHERS = (0.5, 2.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -141,33 +135,26 @@ class CmReport:
     first_violation: tuple[float, float, float] | None = None  # (x, bonus, others)
 
 
-def certify_cm(scheme: RefundScheme, grid: GridSpec = GridSpec()) -> CmReport:
-    """Check strict refund growth on a dense contribution grid.
+def certify_cm(scheme: RefundScheme, x_max: float = 10.0) -> CmReport:
+    """Check strict refund growth on a dense contribution grid up to ``x_max``.
 
     The project total tracks the probe (others' fixed total plus own x),
     matching how an agent actually moves along the refund curve. The report
     carries the minimum forward difference observed and the first grid point,
-    if any, where the refund failed to increase.
+    if any, where the refund failed to increase; a NaN difference is such a
+    point, as it is not an increase.
     """
-    if grid.points < 2 or grid.x_max <= 0.0:
-        raise ValueError(f"degenerate grid: x_max={grid.x_max}, points={grid.points}")
-    xs = np.linspace(grid.x_max / grid.points, grid.x_max, grid.points)
-    step = float(xs[1] - xs[0])
-    min_diff = np.inf
-    first = None
-    pairs = 0
-    for bonus in grid.pool_sizes:
-        for others in grid.others_totals:
-            pairs += 1
-            shares = np.asarray(scheme.share(xs, bonus, others + xs), dtype=float)
-            diffs = np.diff(shares)
-            low = float(diffs.min())
-            if low < min_diff:
-                min_diff = low
-            if first is None and np.any(diffs <= 0.0):
-                k = int(np.argmax(diffs <= 0.0))
-                first = (float(xs[k]), float(bonus), float(others))
-    return CmReport(scheme.tag, first is None and min_diff > 0.0, min_diff, step, pairs, first)
+    if not (x_max > 0.0 and math.isfinite(x_max)):
+        raise ValueError(f"degenerate grid: x_max={x_max!r}")
+    xs = np.linspace(x_max / _CM_POINTS, x_max, _CM_POINTS)
+    pools, others = (axis[..., None] for axis in np.ix_(_CM_POOLS, _CM_OTHERS))
+    shape = (len(_CM_POOLS), len(_CM_OTHERS), _CM_POINTS)
+    diffs = np.diff(np.broadcast_to(scheme.share(xs, pools, others + xs), shape))
+    failed = ~(diffs > 0.0)
+    b, o, k = np.unravel_index(int(np.argmax(failed)), shape)
+    first = (float(xs[k]), _CM_POOLS[b], _CM_OTHERS[o]) if failed[b, o, k] else None
+    return CmReport(scheme.tag, first is None, float(diffs.min()), float(xs[1] - xs[0]),
+                    shape[0] * shape[1], first)
 
 
 def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: float) -> float:

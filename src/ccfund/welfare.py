@@ -224,30 +224,19 @@ def solve_subset_dp(values, costs, capacity: float, resolution: float) -> Welfar
     return reader.read(cap_q)
 
 
-def _objective_values(instance: Instance, objective: str) -> np.ndarray:
-    if objective == "welfare":
-        return instance.vartheta - instance.targets
-    if objective == "valuation":
-        return instance.vartheta.copy()
-    raise ValueError(f"unknown objective {objective!r}; expected 'welfare' or 'valuation'")
-
-
-def solve_pstar_bruteforce(instance: Instance, objective: str = "welfare") -> WelfareSolution:
+def solve_pstar_bruteforce(instance: Instance) -> WelfareSolution:
     """Optimal subset from the exact Pareto list of subsets (see ``solve_subset_bruteforce``)."""
-    values = _objective_values(instance, objective)
+    values = instance.vartheta - instance.targets
     return solve_subset_bruteforce(values, instance.targets, float(instance.budgets.sum()))
 
 
-def solve_pstar_dp(
-    instance: Instance, resolution: float = 0.01, objective: str = "welfare"
-) -> WelfareSolution:
+def solve_pstar_dp(instance: Instance, resolution: float = 0.01) -> WelfareSolution:
     """Optimal subset by exact knapsack DP at the given cost resolution."""
-    values = _objective_values(instance, objective)
+    values = instance.vartheta - instance.targets
     return solve_subset_dp(values, instance.targets, float(instance.budgets.sum()), resolution)
 
 
-def welfare_of(instance: Instance, subset: Sequence[int], objective: str = "welfare") -> float:
-    """Objective value of a subset (welfare headroom by default)."""
+def welfare_of(instance: Instance, subset: Sequence[int]) -> float:
+    """Welfare headroom of a subset: its summed valuation minus its summed target."""
     subset = _subset_indices(instance, subset)
-    values = _objective_values(instance, objective)
-    return float(values[list(subset)].sum())
+    return float((instance.vartheta - instance.targets)[list(subset)].sum())

@@ -138,6 +138,16 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"subset", "welfare", "cost", "unique"}
 
+    @pytest.mark.parametrize("method", ["dp", "bruteforce"])
+    def test_solve_pstar_echo_names_the_method(self, tmp_path, sampler_config, capsys, method):
+        out = tmp_path / "instances"
+        main(["gen", "--config", str(sampler_config), "--count", "1", "--out", str(out)])
+        capsys.readouterr()
+        path = str(out / "instance_00000.json")
+        assert main(["solve-pstar", "--instance", path, "--method", method]) == 0
+        assert capsys.readouterr().err == (
+            f'# solve-pstar: {{"instance":"{path}","method":"{method}","resolution":0.01}}\n')
+
     def test_best_response_methods_agree(self, tmp_path, sampler_config, capsys):
         out = tmp_path / "instances"
         main(["gen", "--config", str(sampler_config), "--count", "1", "--out", str(out)])
@@ -350,6 +360,23 @@ class TestExitCodes:
             assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
         assert not fresh.exists()
         assert old.read_bytes() == b"an earlier report\n"
+
+    def test_failed_run_leaves_no_new_series_directory(self, tmp_path, monkeypatch):
+        def run(*args, **kwargs):
+            raise SolverError("sampler gave up")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        cfg, old = tmp_path / "exp.json", tmp_path / "old"
+        cfg.write_text(json.dumps(EXPERIMENT_BASE))
+        old.mkdir()
+        for series in (tmp_path / "new" / "nested", old):
+            assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                         "--emit-series", str(series)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "old"]
+        # a report path refused after the series directory was made takes it away too
+        assert main(["experiment", "--config", str(cfg), "--out", str(old),
+                     "--emit-series", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
 
     def test_interrupted_run_leaves_no_new_report(self, tmp_path, monkeypatch):
         def run(*args, **kwargs):

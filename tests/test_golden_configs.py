@@ -19,7 +19,7 @@ from ccfund.io import load_experiment_config
 
 CONFIGS = {
     "empty": {},
-    # SamplerConfig's bonus_fraction default (1.0), not _default_sampler's 0.9
+    # SamplerConfig's bonus_fraction default (1.0), not ExperimentConfig's 0.9
     "sampler-without-bonus": {"sampler": {"n": 12, "p": 4, "seed": 3}, "instances_per_cell": 5},
     "exponential-linear-random": {
         "sampler": {"n": 12, "p": 4, "seed": 3, "bonus_fraction": 0.8,

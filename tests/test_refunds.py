@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
-    GridSpec,
     LinearAdditiveRefund,
     PprRefund,
     RefundScheme,
@@ -71,8 +70,7 @@ class TestCertifyCm:
         assert report.first_violation is None
 
     def test_linear_passes_with_slope_step_difference(self):
-        grid = GridSpec()
-        report = certify_cm(LinearAdditiveRefund(0.1), grid)
+        report = certify_cm(LinearAdditiveRefund(0.1))
         assert report.passed
         assert report.min_forward_difference == pytest.approx(0.1 * report.step)
 
@@ -81,9 +79,16 @@ class TestCertifyCm:
         assert not report.passed
         assert report.first_violation is not None
 
+    def test_nan_scheme_fails(self):
+        # a NaN difference is not an increase; it used to pass with no violation
+        report = certify_cm(_ConstantRefund(math.nan))
+        assert not report.passed
+        assert report.first_violation == (10.0 / 256, 0.5, 0.5)
+
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            certify_cm(PprRefund(), GridSpec(points=1))
+        for x_max in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="degenerate"):
+                certify_cm(PprRefund(), x_max)
 
 
 class TestThresholdPpr:

@@ -718,12 +718,6 @@ class TestWelfareOf:
         full = welfare_of(inst, range(inst.n_projects))
         assert full == pytest.approx(float((inst.vartheta - inst.targets).sum()))
 
-    def test_valuation_objective(self):
-        inst = random_instance(np.random.default_rng(29))
-        assert welfare_of(inst, (0,), objective="valuation") == pytest.approx(
-            float(inst.vartheta[0])
-        )
-
     def test_bad_index(self):
         inst = random_instance(np.random.default_rng(31))
         with pytest.raises(ValueError, match="out of range"):
