@@ -29,6 +29,7 @@ UTILITY_TIE_TOL = 1e-12
 UNIT_GUARD = 1_000_000
 #: Guard on the number of enumerated grid profiles.
 ENUM_GUARD = 10_000_000
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +108,8 @@ def make_view(instance: Instance, profile, agent: int) -> ResidualView:
         others_totals=others,
         remaining=remaining,
         budget=float(instance.budgets[agent]),
-        valuations=instance.valuations[agent].copy(),
-        bonuses=instance.bonuses.copy(),
+        valuations=instance.valuations[agent],
+        bonuses=instance.bonuses,
         scheme=instance.refund,
     )
 
@@ -146,10 +147,11 @@ def _value_tables(
     project total. Spending beyond the funding amount is dominated and is not
     tabulated.
     """
+    caps = [min(units, budget_units) for units in fund_units]
+    grid = np.arange(max(caps, default=0) + 1, dtype=float) * delta
     tables = []
     for j, units in enumerate(fund_units):
-        cap = min(units, budget_units)
-        x = np.arange(cap + 1, dtype=float) * delta
+        x = grid[: caps[j] + 1]
         vals = np.asarray(
             view.scheme.share(x, view.bonuses[j], view.others_totals[j] + x), dtype=float
         )
@@ -215,10 +217,10 @@ def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     that is not finite).
 
     Otherwise, when both computed increment sequences ``dt`` and ``du`` are
-    non-increasing and the margin ``M`` is finite, the slopes merge in O(U).
-    Moving row k's split from b to b + 1 changes its sum by dt[b] - du[k-1-b]
-    (in the real increments). Let lo(k) count the b < min(k, len(t) - 1)
-    with dt[b] > fl(du[k-1-b] + M), and hi(k) those with
+    non-increasing and the margin ``M`` and every increment are finite, the
+    slopes merge in O(U). Moving row k's split from b to b + 1 changes its
+    sum by dt[b] - du[k-1-b] (in the real increments). Let lo(k) count the
+    b < min(k, len(t) - 1) with dt[b] > fl(du[k-1-b] + M), and hi(k) those with
     dt[b] > fl(du[k-1-b] - M). Each test is true, then false, as b grows
     (dt falls, du[k-1-b] rises, rounding is monotone), so lo(k) and hi(k)
     are how many of dt's entries come among the first k of a descending
@@ -232,31 +234,36 @@ def _concave_maxplus(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     instead, as it does for steps whose computed increments are not
     monotone: tables past a funding jump, rounded linear tables, ulp dips.
     """
-    dt, du = np.diff(t), np.diff(u)
+    dt, du = t[1:] - t[:-1], u[1:] - u[:-1]
     t_lo, t_hi = dt.min(initial=np.inf), dt.max(initial=-np.inf)
     u_lo, u_hi = du.min(initial=np.inf), du.max(initial=-np.inf)
-    margin = 2.0**-50 * np.max([t_hi, -t_lo, u_hi, -u_lo, 0.0]) + np.finfo(float).tiny
+    # max drops a NaN unless it comes first: a NaN increment of t makes the
+    # margin NaN, and the merge's check adds u_lo to catch one of u
+    margin = 2.0**-50 * max(t_hi, -t_lo, u_hi, -u_lo, 0.0) + _TINY
     if t_hi + margin < u_lo:
         return t[0] + u
     n = len(u)
-    k = np.arange(n)
     if u_hi + margin < t_lo:
-        b = np.minimum(k, len(t) - 1)
-        return t[b] + u[k - b]
-    if not (np.isfinite(margin) and (dt[1:] <= dt[:-1]).all() and (du[1:] <= du[:-1]).all()):
+        m = min(len(t), n) - 1
+        return np.concatenate([t[:m] + u[0], t[m] + u[: n - m]])
+    if not (math.isfinite(margin + u_lo) and (dt[1:] <= dt[:-1]).all()
+            and (du[1:] <= du[:-1]).all()):
         return _monotone_search(t, u)
 
     def taken(shift):
         order = np.argsort(np.concatenate([-(du + shift), -dt]), kind="stable")
-        return np.concatenate([[0], (order[: n - 1] >= n - 1).cumsum()])
+        count = np.zeros(n, dtype=np.int64)
+        np.cumsum(order[: n - 1] >= n - 1, out=count[1:])
+        return count
 
     lo, hi = taken(margin), taken(-margin)
     lengths = hi - lo + 1
-    if lengths.sum() > 2 * n:
+    total = lengths.sum()
+    if total > 2 * n:
         return _monotone_search(t, u)
-    w = t[lo] + u[k - lo]
-    wide = np.flatnonzero(lengths > 1)
-    if wide.size:
+    w = t[lo] + u[np.arange(n) - lo]
+    if total > n:
+        wide = np.flatnonzero(lengths > 1)
         cols, starts = _spans(lo[wide], lengths[wide])
         w[wide] = np.maximum.reduceat(t[cols] + u[wide.repeat(lengths[wide]) - cols], starts)
     return w
@@ -342,7 +349,7 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
         after = best[-1]
         cur = _concave_maxplus(t[:f], after) if f else np.full(width, -np.inf)
         if f <= budget_units:
-            cur[f:] = np.maximum(cur[f:], t[f] + after[: width - f])
+            np.maximum(cur[f:], t[f] + after[: width - f], out=cur[f:])
         best.append(cur)
     best.reverse()
 
@@ -350,11 +357,11 @@ def best_response_exact(view: ResidualView, delta: float) -> BestResponse:
     k = int(np.argmax(best[0] >= need))
     chosen = []
     for t, after in zip(tables, best[1:]):
-        b = np.arange(min(len(t) - 1, k) + 1)
-        cand = t[b] + after[k - b]
+        m = min(len(t) - 1, k)
+        cand = t[: m + 1] + after[k - m : k + 1][::-1]
         # rounding in the running need can leave it an ulp above the best
         # continuation, which always ties
-        pick = int(np.flatnonzero(cand >= min(need, cand.max()))[-1])
+        pick = m - int((cand[::-1] >= min(need, cand.max())).argmax())
         chosen.append(pick)
         need -= t[pick]
         k -= pick

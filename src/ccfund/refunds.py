@@ -131,7 +131,6 @@ class CmReport:
     passed: bool
     min_forward_difference: float
     step: float
-    pairs_checked: int
     first_violation: tuple[float, float, float] | None = None  # (x, bonus, others)
 
 
@@ -153,8 +152,7 @@ def certify_cm(scheme: RefundScheme, x_max: float = 10.0) -> CmReport:
     failed = ~(diffs > 0.0)
     b, o, k = np.unravel_index(int(np.argmax(failed)), shape)
     first = (float(xs[k]), _CM_POOLS[b], _CM_OTHERS[o]) if failed[b, o, k] else None
-    return CmReport(scheme.tag, first is None, float(diffs.min()), float(xs[1] - xs[0]),
-                    shape[0] * shape[1], first)
+    return CmReport(scheme.tag, first is None, float(diffs.min()), float(xs[1] - xs[0]), first)
 
 
 def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: float) -> float:

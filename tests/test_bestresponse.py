@@ -230,6 +230,25 @@ def test_below_fund_tables_are_concave(scheme, bonus, others, delta, units):
     assert np.all(np.diff(table, 2) <= 1e-12)
 
 
+@pytest.mark.parametrize("scheme", [PprRefund(), LinearAdditiveRefund(0.6)], ids=["ppr", "linear"])
+@pytest.mark.parametrize("budget", [0.0, 2.5])
+@pytest.mark.parametrize("delta", [0.1, 0.01, 0.003])
+def test_value_tables_share_one_grid(scheme, budget, delta):
+    # slicing one grid gives the bits of building each project's own grid;
+    # shortfalls of zero, inside the budget and past it
+    view = ResidualView(0, [0.0, 1.3, 0.4, 0.9], [0.0, 0.7, 4.0, 2.5], budget,
+                        [1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.0, 0.8], scheme)
+    budget_units, fund_units = bestresponse._grid_layout(view, delta)
+    tables = _value_tables(view, delta, budget_units, fund_units)
+    assert len(tables) == len(fund_units)
+    for j, (units, table) in enumerate(zip(fund_units, tables)):
+        x = np.arange(min(units, budget_units) + 1, dtype=float) * delta
+        own = np.asarray(scheme.share(x, view.bonuses[j], view.others_totals[j] + x), dtype=float)
+        if units <= budget_units:
+            own[units] = view.valuations[j] - units * delta
+        assert np.array_equal(table.view(np.int64), own.view(np.int64))
+
+
 @st.composite
 def maxplus_inputs(draw):
     """A refund table and a non-decreasing continuation, as one solver step sees them.
@@ -378,6 +397,21 @@ class TestSearchSkips:
         assert steps["searches"] == 0
         assert np.array_equal(w, bruteforce_maxplus(t, u))
         assert w[1] == 1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("t, u", [
+        ([-1.7e308, 1.7e308], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [-1.7e308, 1.7e308]),
+        ([np.inf, np.inf], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0], [np.inf, np.inf]),
+    ], ids=["overflow-in-t", "overflow-in-u", "nan-in-t", "nan-in-u"])
+    def test_non_finite_increments_call_the_search(self, steps, t, u):
+        # an infinite increment makes the margin infinite; a NaN one must not
+        # slip past the merge's checks from either side
+        t, u = np.array(t), np.array(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = bestresponse._concave_maxplus(t, u)
+            assert np.array_equal(w, bruteforce_maxplus(t, u))
+        assert steps["searches"] == 1
 
     @pytest.mark.parametrize("t, u, w", [
         ([0.0, 1.0, 1.5], [0.0, 2.0, 4.0, 6.0], [0.0, 2.0, 4.0, 6.0]),
@@ -642,6 +676,17 @@ class TestMakeView:
         zero, played = (make_view(inst, [row, *others], 0) for row in ([0.0, 0.0], own))
         for name in ("others_totals", "remaining"):
             assert getattr(played, name).tobytes() == getattr(zero, name).tobytes()
+
+    def test_view_owns_its_arrays(self):
+        inst = Instance(
+            [[6.0, 4.0], [6.0, 4.0]], [5.0, 5.0], [5.0, 3.0], [2.0, 1.0], PprRefund()
+        )
+        profile = ContributionProfile([[1.0, 0.5], [9.0, 9.0]])
+        view = make_view(inst, profile, 1)
+        sources = (inst.valuations, inst.budgets, inst.targets, inst.bonuses,
+                   profile.contributions)
+        for name in ("others_totals", "remaining", "valuations", "bonuses"):
+            assert not any(np.shares_memory(getattr(view, name), s) for s in sources), name
 
     def test_other_rows_must_keep_within_budget(self):
         inst = Instance(
