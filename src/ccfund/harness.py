@@ -54,7 +54,8 @@ _PLAY_ORDER_SALT = 0x0DE5
 _BLOCK = 32
 #: Intents one play group takes at most: four instances' at the acceptance
 #: configuration, a whole block's for small games, one instance's for
-#: large crowds. Each group is played out and scored in one pass.
+#: large crowds. Each group is played out and scored in one pass. It also
+#: caps the rule rows of the instances a block draws before playing them.
 _PLAY_VALUES = 3 << 16
 #: Instance count under the full-scale flag.
 FULL_SCALE_INSTANCES = 100_000
@@ -428,24 +429,30 @@ def _draw_instance(cfg: ExperimentConfig, k: int) -> _Draw:
     return _Draw(instance, solution, baseline, stack.contributions.reshape(-1, p), order)
 
 
-def _play_group(draws: list[_Draw], picks: np.ndarray) -> np.ndarray:
+def _play_group(draws: list[_Draw], picks: np.ndarray, buffers: np.ndarray) -> np.ndarray:
     """Realized (n, instance, row, p) stacks; agent i of stack row r plays rule row picks[., i, r].
 
     One gather lays the stacks agents outermost, in each instance's play
     order, and one :func:`clamp_play` call realizes them, adding one agent to
     every running total of the group at a time; in random order one scatter
-    puts the agents back.
+    puts the agents back. The gather and the play-out write into views of
+    the two rows of ``buffers``, and the result is one of those views.
     """
     plays = np.concatenate([draw.rows for draw in draws])
     slots = np.arange(len(draws))
     index = (picks + slots[:, None, None] * len(draws[0].rows)).transpose(1, 0, 2)
     targets = np.stack([draw.instance.targets for draw in draws])[:, None]
+    shape = index.shape + plays.shape[1:]
+    gathered, realized = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
+    # every index is in range; under mode="raise" numpy would buffer the output
     if draws[0].order is None:
-        return clamp_play(np.take(plays, index, axis=0), targets)
+        np.take(plays, index, axis=0, out=gathered, mode="clip")
+        return clamp_play(gathered, targets, out=realized)
     orders = np.array([draw.order for draw in draws]).T
-    realized = np.empty(index.shape + plays.shape[1:])
-    realized[orders, slots] = clamp_play(np.take(plays, index[orders, slots], axis=0), targets)
-    return realized
+    np.take(plays, index[orders, slots], axis=0, out=gathered, mode="clip")
+    # the intents are spent once played, so their buffer takes the scatter
+    gathered[orders, slots] = clamp_play(gathered, targets, out=realized)
+    return gathered
 
 
 def _score_group(draws: list[_Draw], realized: np.ndarray, deviators: np.ndarray) -> np.ndarray:
@@ -470,9 +477,12 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     (instance, cell, metric, moment) for the :data:`_BLOCK` instances from
     ``start``, a multiple of it, or those up to ``count``. Each deviant cell
     plays an instance as one stack row; the control cells all play the
-    baseline, so they share one last row. One batch draws the deviators, then
-    groups of at most :data:`_PLAY_VALUES` intents run the stages in order:
-    :func:`_draw_instance` per instance, :func:`_play_group`, :func:`_score_group`.
+    baseline, so they share one last row. One batch draws the deviators;
+    :func:`_draw_instance` then draws the instances in batches of whole play
+    groups whose rule rows hold at most :data:`_PLAY_VALUES` intents, each
+    before any of its groups plays. Each group, of at most as many stacked
+    intents, runs :func:`_play_group` in the block's two buffers, then
+    :func:`_score_group`.
     """
     ks = range(start, min(start + _BLOCK, count))
     n, p = cfg.sampler.n, cfg.sampler.p
@@ -486,10 +496,16 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     picks = (deviators * rule_of_row[:, None] * n + np.arange(n)).transpose(0, 2, 1)
     moments = np.empty((len(ks), rows, len(_METRICS), 3))
     per_group = max(1, _PLAY_VALUES // (rows * n * p))
-    for first in range(0, len(ks), per_group):
-        group = slice(first, first + per_group)
-        draws = [_draw_instance(cfg, k) for k in ks[group]]
-        moments[group] = _score_group(draws, _play_group(draws, picks[group]), deviators[group])
+    per_batch = max(1, _PLAY_VALUES // ((rules + 1) * n * p) // per_group) * per_group
+    size = min(per_group, len(ks)) * rows * n * p
+    buffers = np.empty((2, size))
+    for batch in range(0, len(ks), per_batch):
+        drawn = [_draw_instance(cfg, k) for k in ks[batch : batch + per_batch]]
+        for first in range(0, len(drawn), per_group):
+            draws = drawn[first : first + per_group]
+            group = slice(batch + first, batch + first + per_group)
+            realized = _play_group(draws, picks[group], buffers)
+            moments[group] = _score_group(draws, realized, deviators[group])
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]

@@ -169,7 +169,9 @@ def intent_matrix(
 _CUMSUM_MAX_WIDTH = 384
 
 
-def clamp_play(intents: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def clamp_play(
+    intents: np.ndarray, targets: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Realize intents in agent order, never contributing past a target.
 
     ``intents`` is (n, ..., p): agents first, in play order. Each agent's
@@ -188,9 +190,21 @@ def clamp_play(intents: np.ndarray, targets: np.ndarray) -> np.ndarray:
     one ``np.cumsum`` over narrow stacks, one wide add per agent over stacks
     of at least :data:`_CUMSUM_MAX_WIDTH` values per agent. Both add in the
     same order, so the bits do not depend on the width (Higham 2002, §4.2).
+
+    ``out``, a float array of the intents' shape, takes the result in place
+    of a new array. It must not overlap ``intents``: the running sums it
+    holds would overwrite intents not yet read.
     """
     _require_finite("targets", np.asarray(targets))
-    missing = np.empty(intents.shape)
+    if out is None:
+        missing = np.empty(intents.shape)
+    elif out.shape != intents.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of the intents' shape {intents.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif np.may_share_memory(out, intents):
+        raise ValueError("out must not overlap intents")
+    else:
+        missing = out
     missing[:1] = 0.0
     n = len(intents)
     # targets laid out like one agent's intents, so that no pass runs a

@@ -279,6 +279,32 @@ class TestRunExperiment:
         assert len(orders) == 4
         assert not np.array_equal(orders[1], orders[2])
 
+    @staticmethod
+    def _refused_before_play(monkeypatch, instance, value, message):
+        # the weighted rows of one instance, position 2 of its rule stack
+        # (opt-welfare, then the deviant rules), are refused with the text
+        # ContributionProfile(stack).validate_against(instance) gives, before
+        # any group plays out
+        real_rows, real_play = harness._intent_rows, harness.clamp_play
+        opt_calls, played = [], []
+
+        def corrupt(rule, inst, pstar, thr):
+            rows = real_rows(rule, inst, pstar, thr)
+            opt_calls.append(rule == Heuristic.OPT_WELFARE)
+            if sum(opt_calls) == instance + 1 and rule == Heuristic.WEIGHTED:
+                rows[3, 1] = value  # agent 3, project 1
+            return rows
+
+        def spy(intents, targets, **kwargs):
+            played.append(intents.shape)
+            return real_play(intents, targets, **kwargs)
+
+        monkeypatch.setattr(harness, "_intent_rows", corrupt)
+        monkeypatch.setattr(harness, "clamp_play", spy)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(small_config(), workers=1)
+        assert played == []
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -290,33 +316,29 @@ class TestRunExperiment:
         ],
     )
     def test_bad_play_is_refused_as_a_profile_would_be(self, monkeypatch, value, message):
-        # the second instance's weighted rows, position 2 of its rule stack
-        # (opt-welfare, then the deviant rules), are refused with the text
-        # ContributionProfile(stack).validate_against(instance) gives, before
-        # the group plays out
-        real_rows, real_play = harness._intent_rows, harness.clamp_play
-        opt_calls, played = [], []
-
-        def corrupt(rule, instance, pstar, thr):
-            rows = real_rows(rule, instance, pstar, thr)
-            opt_calls.append(rule == Heuristic.OPT_WELFARE)
-            if sum(opt_calls) == 2 and rule == Heuristic.WEIGHTED:
-                rows[3, 1] = value  # agent 3, project 1
-            return rows
-
-        def spy(intents, targets):
-            played.append(intents.shape)
-            return real_play(intents, targets)
-
-        monkeypatch.setattr(harness, "_intent_rows", corrupt)
-        monkeypatch.setattr(harness, "clamp_play", spy)
         cfg = small_config()
         rows = len(cfg.deviant_heuristics) * len(cfg.alphas) + 1
         # instances 0 and 1 share the first group, so nothing has played yet
         assert harness._PLAY_VALUES // (rows * cfg.sampler.n * cfg.sampler.p) >= 2
-        with pytest.raises(ValueError, match=re.escape(message)):
-            run_experiment(cfg, workers=1)
-        assert played == []
+        self._refused_before_play(monkeypatch, 1, value, message)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "contributions must be finite, got nan at index (2, 3, 1)"),
+            (1e6, "agent 3 in profile (2,) spends 1000001.72999, exceeding its budget 3.40544023067"),
+        ],
+    )
+    def test_bad_last_instance_is_refused_before_any_play(self, monkeypatch, value, message):
+        # play groups of five instances, but the block's last instance is
+        # drawn, and its rows checked, before the first group plays
+        monkeypatch.setattr(harness, "_PLAY_VALUES", 6000)
+        cfg = small_config()
+        n, p = cfg.sampler.n, cfg.sampler.p
+        rows = len(cfg.deviant_heuristics) * len(cfg.alphas) + 1
+        assert harness._PLAY_VALUES // (rows * n * p) == 5
+        assert harness._PLAY_VALUES // ((len(cfg.deviant_heuristics) + 1) * n * p) == 15
+        self._refused_before_play(monkeypatch, cfg.instances_per_cell - 1, value, message)
 
     def test_over_budget_row_nobody_plays_is_refused(self, monkeypatch):
         # the first deviant rule's row for an agent who is not among the
@@ -441,10 +463,13 @@ class TestPlayGroups:
     @pytest.mark.parametrize("play_order", ["ascending", "random"])
     @pytest.mark.parametrize("count", [_BLOCK + 5, 2 * _BLOCK])
     def test_group_size_leaves_no_trace(self, monkeypatch, play_order, count):
-        # the acceptance configuration plays four instances a group
+        # the acceptance configuration plays four instances a group and
+        # draws the whole block first; at 15,000 it plays one instance a
+        # group and draws three at a time, so a block of 32 ends with a
+        # partial draw; at 1 << 40 every group is the whole block
         cfg = ExperimentConfig(seed=3, play_order=play_order)
         default = harness._block_moments(cfg, count, _BLOCK).tobytes()
-        for per_group in (1, 1 << 40):
+        for per_group in (1, 15_000, 1 << 40):
             monkeypatch.setattr(harness, "_PLAY_VALUES", per_group)
             assert harness._block_moments(cfg, count, _BLOCK).tobytes() == default
 

@@ -260,6 +260,34 @@ class TestClampReference:
         with pytest.raises(ValueError, match="targets must be finite"):
             clamp_play(np.ones((3, 2)), np.array([1.0, target]))
 
+    @pytest.mark.parametrize("stack", [1, _CUMSUM_MAX_WIDTH])  # np.cumsum, then one add per agent
+    def test_out_takes_the_fresh_bits(self, stack):
+        from ccfund.heuristics import clamp_play
+
+        rng = np.random.default_rng(57)
+        intents = rng.uniform(0.0, 3.0, size=(30, stack, 4))
+        targets = rng.uniform(0.5, 60.0, size=(stack, 4))
+        buf = np.full(intents.shape, np.nan)
+        assert clamp_play(intents, targets, out=buf) is buf
+        fresh = clamp_play(intents, targets)
+        assert np.array_equal(buf.view(np.int64), fresh.view(np.int64))
+
+    def test_out_of_another_shape_is_named(self):
+        from ccfund.heuristics import clamp_play
+
+        with pytest.raises(ValueError, match=r"out must be a float64 array of the intents' shape"):
+            clamp_play(np.ones((3, 2)), np.ones(2), out=np.empty((2, 3)))
+
+    def test_out_overlapping_intents_is_named(self):
+        # the running sums would overwrite intents not yet read
+        from ccfund.heuristics import clamp_play
+
+        buf = np.ones((2, 3, 2))
+        with pytest.raises(ValueError, match="out must not overlap intents"):
+            clamp_play(buf[0], np.ones(2), out=buf[0])
+        with pytest.raises(ValueError, match="out must not overlap intents"):
+            clamp_play(buf.reshape(6, 2)[:3], np.ones(2), out=buf.reshape(6, 2)[1:4])
+
     @settings(max_examples=300, deadline=None)
     @given(clamp_cases())
     def test_same_bytes_as_one_cumsum(self, case):
