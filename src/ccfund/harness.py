@@ -24,11 +24,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .generators import SamplerConfig, sample_instance
-# intent_matrix and evaluate are not called here; the benchmark's tracer rebinds them by name
+# intent_matrix, evaluate and thresholds are not called here; the benchmark's tracer rebinds them
 from .heuristics import Heuristic, PlayOrder, _intent_rows, clamp_play, intent_matrix  # noqa: F401
 from .model import TOL, ContributionProfile, Instance, Outcome, _evaluate
 from .model import evaluate  # noqa: F401
-from .refunds import PprRefund, thresholds
+from .refunds import PprRefund, threshold_matrix, thresholds  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -207,11 +207,15 @@ def au_n(instance: Instance, outcome: Outcome, threshold_matrix: np.ndarray) -> 
     summed over projects. A stacked outcome gives one row per profile.
     """
     baseline = (instance.valuations - threshold_matrix).sum(axis=1)
-    defined = baseline > TOL
-    if not defined.all():
-        logger.info("excluding %d agents with zero utility baseline", int((~defined).sum()))
-    safe = np.where(defined, baseline, 1.0)
-    return np.where(defined, outcome.agent_utilities / safe, np.nan)
+    if not (baseline > TOL).all():
+        logger.info("excluding %d agents with zero utility baseline", int((baseline <= TOL).sum()))
+    return _normalized(outcome.agent_utilities, baseline)
+
+
+def _normalized(values: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``values / base`` where ``base`` exceeds :data:`TOL`, NaN elsewhere; the two broadcast."""
+    defined = base > TOL
+    return np.where(defined, values / np.where(defined, base, 1.0), np.nan)
 
 
 def deviation_split(values: np.ndarray, deviator_mask: np.ndarray):
@@ -406,68 +410,89 @@ def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
     return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
-_Draw = namedtuple("_Draw", "instance solution baseline rows order")
+_Batch = namedtuple("_Batch", "instances targets bases rows orders")
 
 
-def _draw_instance(cfg: ExperimentConfig, k: int) -> _Draw:
-    """Instance ``k``, its optimum, utility baseline, rule rows, and any random play order.
+def _draw_batch(cfg: ExperimentConfig, ks: range) -> _Batch:
+    """Instances ``ks``, their (instance, rule, n, p) rows, score ``bases`` and any play orders.
 
-    The rows, the baseline rule's (n, p) intents and then each deviant
-    rule's, are checked as one stacked profile: play only lowers an entry
-    toward zero, so it cannot break a budget its rows keep.
+    Each rule, the baseline's and then each deviant's, runs once over the
+    batch. Each instance's rows are checked in order as one stacked profile
+    (play only lowers an entry, so it keeps any budget its rows keep), and
+    before a failed draw, whose earlier instances are drawn again to check.
+    ``bases`` are the agents' utility baselines, then the optimal welfare.
     """
+    drawn = []
+    for k in ks:
+        try:
+            drawn.append(sample_instance(cfg.sampler, seed=(cfg.seed, k)))
+        except Exception:  # raised once the instances before it pass, as one at a time
+            if drawn:
+                _draw_batch(cfg, ks[: len(drawn)])
+            raise
+    instances, solutions = zip(*drawn)
     n, p = cfg.sampler.n, cfg.sampler.p
-    instance, solution = sample_instance(cfg.sampler, seed=(cfg.seed, k))
-    thr = baseline = thresholds(instance)
+    valuations, budgets, vartheta, targets, bonuses = (
+        np.stack([getattr(instance, name) for instance in instances])
+        for name in ("valuations", "budgets", "vartheta", "targets", "bonuses"))
+    games = (valuations, targets[:, None], bonuses[:, None])
+    thr = base_thr = threshold_matrix(*games, cfg.sampler.refund)
     if not (cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund)):
-        baseline = thresholds(instance, scheme=PprRefund())
-    stack = ContributionProfile([_intent_rows(rule, instance, solution.subset, thr)
-                                 for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)])
-    stack.validate_against(instance)
-    order = (PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n)
-             if cfg.play_order == "random" else None)
-    return _Draw(instance, solution, baseline, stack.contributions.reshape(-1, p), order)
+        base_thr = threshold_matrix(*games, PprRefund())
+    chosen = np.array([[j in s.subset for j in range(p)] for s in solutions])
+    rows = np.stack([_intent_rows(rule, valuations, budgets, vartheta / targets, chosen, thr)
+                     for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)], axis=1)
+    for instance, stack in zip(instances, rows):
+        ContributionProfile(stack).validate_against(instance)
+    bases = np.column_stack([(valuations - base_thr).sum(axis=-1), [s.welfare for s in solutions]])
+    orders = ([PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n) for k in ks]
+              if cfg.play_order == "random" else None)
+    return _Batch(instances, targets, bases, rows, orders)
 
 
-def _play_group(draws: list[_Draw], picks: np.ndarray, buffers: np.ndarray) -> np.ndarray:
-    """Realized (n, instance, row, p) stacks; agent i of stack row r plays rule row picks[., i, r].
+def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+    """The realized (n, instance, row, p) ``group``: agent i of row r plays rule picks[., i, r].
 
-    One gather lays the stacks agents outermost, in each instance's play
-    order, and one :func:`clamp_play` call realizes them, adding one agent to
-    every running total of the group at a time; in random order one scatter
-    puts the agents back. The gather and the play-out write into views of
-    the two rows of ``buffers``, and the result is one of those views.
+    One gather from the batch's rows lays the stacks agents outermost, in
+    each instance's play order, and one :func:`clamp_play` call realizes
+    them, adding one agent to every running total of the group at a time; in
+    random order one scatter puts the agents back. The gather and the
+    play-out write into views of the two rows of ``buffers``, and the result
+    is one of those views.
     """
-    plays = np.concatenate([draw.rows for draw in draws])
-    slots = np.arange(len(draws))
-    index = (picks + slots[:, None, None] * len(draws[0].rows)).transpose(1, 0, 2)
-    targets = np.stack([draw.instance.targets for draw in draws])[:, None]
-    shape = index.shape + plays.shape[1:]
+    rules, n, p = batch.rows.shape[1:]
+    slots = np.arange(len(picks))
+    index = (picks + (slots + group.start)[:, None, None] * (rules * n)).transpose(1, 0, 2)
+    plays = batch.rows.reshape(-1, p)
+    targets = batch.targets[group, None]
+    shape = index.shape + (p,)
     gathered, realized = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
     # every index is in range; under mode="raise" numpy would buffer the output
-    if draws[0].order is None:
+    if batch.orders is None:
         np.take(plays, index, axis=0, out=gathered, mode="clip")
         return clamp_play(gathered, targets, out=realized)
-    orders = np.array([draw.order for draw in draws]).T
+    orders = np.array(batch.orders[group]).T
     np.take(plays, index[orders, slots], axis=0, out=gathered, mode="clip")
     # the intents are spent once played, so their buffer takes the scatter
     gathered[orders, slots] = clamp_play(gathered, targets, out=realized)
     return gathered
 
 
-def _score_group(draws: list[_Draw], realized: np.ndarray, deviators: np.ndarray) -> np.ndarray:
-    """A group's (instance, row, metric, moment) sums: each instance evaluated, one moment pass."""
-    moments = np.zeros(deviators.shape[:2] + (len(_METRICS), 3))
-    au = np.empty(deviators.shape)
-    for slot, draw in enumerate(draws):
-        outcome = _evaluate(draw.instance, realized[:, slot])
-        sw = sw_n(draw.instance, outcome, draw.solution.welfare)
-        au[slot] = au_n(draw.instance, outcome, draw.baseline)
-        if sw is not None:
-            moments[slot, :, 0] = np.stack([sw, sw * sw, np.ones_like(sw)], axis=1)
-    defined = ~np.isnan(au)
+def _score_group(batch: _Batch, group: slice, realized: np.ndarray,
+                 deviators: np.ndarray) -> np.ndarray:
+    """A group's (instance, row, metric, moment) sums: each instance evaluated, one scoring pass."""
+    scores = np.empty(deviators.shape[:2] + (deviators.shape[2] + 1,))
+    for slot, instance in enumerate(batch.instances[group]):
+        outcome = _evaluate(instance, realized[:, slot])
+        scores[slot, :, :-1] = outcome.agent_utilities
+        scores[slot, :, -1] = outcome.social_welfare
+    scores = _normalized(scores, batch.bases[group, None])
+    defined, measured = ~np.isnan(scores[..., :-1]), ~np.isnan(scores[..., -1])
+    sw = np.where(measured, scores[..., -1], 0.0)
+    moments = np.empty(deviators.shape[:2] + (len(_METRICS), 3))
+    moments[:, :, 0] = np.stack([sw, sw * sw, measured], axis=-1)
     keep = np.stack([defined, defined & deviators, defined & ~deviators])
-    moments[:, :, 1:] = _row_moments(au, keep).transpose(1, 2, 0, 3)
+    moments[:, :, 1:] = _row_moments(scores[..., :-1], keep).transpose(1, 2, 0, 3)
     return moments
 
 
@@ -478,7 +503,7 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     ``start``, a multiple of it, or those up to ``count``. Each deviant cell
     plays an instance as one stack row; the control cells all play the
     baseline, so they share one last row. One batch draws the deviators;
-    :func:`_draw_instance` then draws the instances in batches of whole play
+    :func:`_draw_batch` then draws the instances in batches of whole play
     groups whose rule rows hold at most :data:`_PLAY_VALUES` intents, each
     before any of its groups plays. Each group, of at most as many stacked
     intents, runs :func:`_play_group` in the block's two buffers, then
@@ -499,13 +524,13 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     per_batch = max(1, _PLAY_VALUES // ((rules + 1) * n * p) // per_group) * per_group
     size = min(per_group, len(ks)) * rows * n * p
     buffers = np.empty((2, size))
-    for batch in range(0, len(ks), per_batch):
-        drawn = [_draw_instance(cfg, k) for k in ks[batch : batch + per_batch]]
-        for first in range(0, len(drawn), per_group):
-            draws = drawn[first : first + per_group]
-            group = slice(batch + first, batch + first + per_group)
-            realized = _play_group(draws, picks[group], buffers)
-            moments[group] = _score_group(draws, realized, deviators[group])
+    for drawn in range(0, len(ks), per_batch):
+        batch = _draw_batch(cfg, ks[drawn : drawn + per_batch])
+        for first in range(0, len(batch.instances), per_group):
+            group = slice(first, first + per_group)
+            slots = slice(drawn + first, drawn + first + per_group)
+            realized = _play_group(batch, group, picks[slots], buffers)
+            moments[slots] = _score_group(batch, group, realized, deviators[slots])
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]

@@ -76,65 +76,53 @@ class PlayOrder:
 
 def _prefix_capped(caps: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Allocate each row's budget left to right, capping entries at ``caps``."""
-    cum_before = np.concatenate(
-        [np.zeros((caps.shape[0], 1)), np.cumsum(caps, axis=1)[:, :-1]], axis=1
-    )
-    return np.clip(budgets[:, None] - cum_before, 0.0, caps)
+    cum_before = np.zeros(caps.shape)
+    np.cumsum(caps[..., :-1], axis=-1, out=cum_before[..., 1:])
+    return np.clip(budgets[..., None] - cum_before, 0.0, caps)
 
 
 def _intent_rows(
     heuristic: Heuristic,
-    instance: Instance,
-    pstar: tuple[int, ...] | None,
+    valuations: np.ndarray,
+    budgets: np.ndarray,
+    ratios: np.ndarray,
+    chosen: np.ndarray,
     thresholds: np.ndarray | None,
 ) -> np.ndarray:
-    """Every agent's (n, p) intent rows under one rule; a row reads only its own agent's."""
-    theta, budgets = instance.valuations, instance.budgets
-    p = instance.n_projects
+    """Every agent's (..., n, p) intent rows under one rule; leading axes stack instances.
 
-    if heuristic in _NEEDS_THRESHOLDS and thresholds is None:
-        raise ValueError(f"{heuristic.value} needs a threshold matrix")
-
+    ``budgets`` is (..., n); ``ratios`` (total valuation over target) and
+    ``chosen`` (the welfare-optimal subset as a mask) are (..., p). A row
+    reads only its own agent's entries: each instance gets its own call's bits.
+    """
     if heuristic == Heuristic.SYMMETRIC:
-        return np.minimum(theta, budgets[:, None] / p)
+        return np.minimum(valuations, budgets[..., None] / valuations.shape[-1])
 
     if heuristic == Heuristic.WEIGHTED:
-        row_sums = theta.sum(axis=1)
+        row_sums = valuations.sum(axis=-1)
         safe = np.where(row_sums > 0.0, row_sums, 1.0)
-        rows = budgets[:, None] * theta / safe[:, None]
+        rows = budgets[..., None] * valuations / safe[..., None]
         rows[row_sums <= 0.0] = 0.0
         return rows
 
-    if heuristic == Heuristic.GREEDY_THETA:
-        order = np.argsort(-theta, axis=1, kind="stable")
-        sorted_caps = np.take_along_axis(thresholds, order, axis=1)
-        alloc = _prefix_capped(sorted_caps, budgets)
-        rows = np.empty_like(alloc)
-        np.put_along_axis(rows, order, alloc, axis=1)
-        return rows
-
-    if heuristic == Heuristic.GREEDY_VARTHETA:
-        ratio = instance.vartheta / instance.targets
-        order = np.argsort(-ratio, kind="stable")
-        sorted_caps = thresholds[:, order]
-        alloc = _prefix_capped(sorted_caps, budgets)
-        rows = np.empty_like(alloc)
-        rows[:, order] = alloc
+    if heuristic in (Heuristic.GREEDY_THETA, Heuristic.GREEDY_VARTHETA):
+        # projects by falling valuation, each agent's own; or by falling
+        # ratio, one order for all of an instance's agents. Ties keep index order
+        key = valuations if heuristic == Heuristic.GREEDY_THETA else ratios[..., None, :]
+        order = np.argsort(-key, axis=-1, kind="stable")
+        alloc = _prefix_capped(np.take_along_axis(thresholds, order, axis=-1), budgets)
+        rows = np.empty(alloc.shape)
+        np.put_along_axis(rows, order, alloc, axis=-1)
         return rows
 
     if heuristic == Heuristic.OPT_WELFARE:
-        if pstar is None:
-            raise ValueError("opt-welfare needs the welfare-optimal subset")
-        rows = np.zeros((instance.n_agents, p))
-        chosen = list(pstar)
-        if chosen:
-            alloc = _prefix_capped(thresholds[:, chosen], budgets)
-            rows[:, chosen] = alloc
-        leftover = np.maximum(budgets - rows.sum(axis=1), 0.0)
-        rest = [j for j in range(p) if j not in set(chosen)]
-        if rest:
-            rows[:, rest] = (leftover / len(rest))[:, None]
-        return rows
+        # thresholds on the chosen projects in index order, capped at +0.0
+        # elsewhere, then what is left spread evenly over the rest
+        picked = chosen[..., None, :]
+        rows = _prefix_capped(np.where(picked, thresholds, 0.0), budgets)
+        leftover = np.maximum(budgets - rows.sum(axis=-1), 0.0)
+        rest = np.maximum(chosen.shape[-1] - chosen.sum(axis=-1), 1)
+        return np.where(picked, rows, (leftover / rest[..., None])[..., None])
 
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
@@ -149,6 +137,7 @@ def intent_matrix(
 
     Agent ``i`` of the rule at ``rule_index`` takes row ``rule_index * n + i``
     of the assigned rules' rows laid end to end, in :class:`Heuristic` order.
+    ``pstar`` is a set of projects: opt-welfare fills them in index order.
     """
     n = instance.n_agents
     if len(assignment.heuristics) != n:
@@ -156,7 +145,16 @@ def intent_matrix(
             f"assignment covers {len(assignment.heuristics)} agents, instance has {n}"
         )
     rules = [h for h in Heuristic if h in assignment.heuristics]
-    laid = np.concatenate([_intent_rows(h, instance, pstar, thresholds) for h in rules])
+    for h in rules:
+        if h in _NEEDS_THRESHOLDS and thresholds is None:
+            raise ValueError(f"{h.value} needs a threshold matrix")
+    if Heuristic.OPT_WELFARE in rules and pstar is None:
+        raise ValueError("opt-welfare needs the welfare-optimal subset")
+    chosen = np.zeros(instance.n_projects, dtype=bool)
+    chosen[list(pstar or ())] = True
+    ratios = instance.vartheta / instance.targets
+    laid = np.concatenate([_intent_rows(h, instance.valuations, instance.budgets, ratios, chosen,
+                                        thresholds) for h in rules])
     picks = np.array([rules.index(h) for h in assignment.heuristics]) * n + np.arange(n)
     return laid[picks]
 

@@ -127,7 +127,6 @@ _CM_OTHERS = (0.5, 2.0, 5.0)
 class CmReport:
     """Outcome of a contribution-monotonicity probe."""
 
-    scheme_tag: str
     passed: bool
     min_forward_difference: float
     step: float
@@ -152,7 +151,7 @@ def certify_cm(scheme: RefundScheme, x_max: float = 10.0) -> CmReport:
     failed = ~(diffs > 0.0)
     b, o, k = np.unravel_index(int(np.argmax(failed)), shape)
     first = (float(xs[k]), _CM_POOLS[b], _CM_OTHERS[o]) if failed[b, o, k] else None
-    return CmReport(scheme.tag, first is None, float(diffs.min()), float(xs[1] - xs[0]), first)
+    return CmReport(first is None, float(diffs.min()), float(xs[1] - xs[0]), first)
 
 
 def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: float) -> float:
@@ -196,6 +195,7 @@ def threshold_general(scheme: RefundScheme, theta: float, target: float, bonus: 
 def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.ndarray:
     """Per-(agent, project) indifference thresholds for one scheme.
 
+    Leading axes of the three arguments, broadcast together, stack games.
     Uses the scheme's closed form over the whole matrix where available,
     bisection per entry elsewhere; both follow the provision-point
     convention. No threshold exceeds its valuation: with a bonus too small to
@@ -209,11 +209,8 @@ def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.n
         _require_finite(name, arr)
     out = scheme.closed_form_threshold(valuations, targets, bonuses)
     if out is None:
-        out = np.array([
-            [threshold_general(scheme, float(t), float(target), float(bonus))
-             for t, target, bonus in zip(row, targets, bonuses)]
-            for row in valuations
-        ])
+        bisect = lambda *entry: threshold_general(scheme, *map(float, entry))  # noqa: E731
+        out = np.vectorize(bisect, otypes=[float])(valuations, targets, bonuses)
     return np.minimum(out, valuations)
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
+    TOL,
     Assignment,
     ExperimentConfig,
     Heuristic,
@@ -37,6 +38,8 @@ from ccfund.harness import (
     _words,
     worker_count,
 )
+from ccfund.errors import SolverError
+from ccfund.generators import ValuationDist
 from ccfund.model import ContributionProfile
 
 
@@ -280,28 +283,31 @@ class TestRunExperiment:
         assert not np.array_equal(orders[1], orders[2])
 
     @staticmethod
-    def _refused_before_play(monkeypatch, instance, value, message):
-        # the weighted rows of one instance, position 2 of its rule stack
-        # (opt-welfare, then the deviant rules), are refused with the text
-        # ContributionProfile(stack).validate_against(instance) gives, before
-        # any group plays out
-        real_rows, real_play = harness._intent_rows, harness.clamp_play
-        opt_calls, played = [], []
+    def _corrupt_weighted(monkeypatch, instance, value):
+        # the weighted rows of one instance of the block's one draw batch,
+        # position 2 of its rule stack (opt-welfare, then the deviant rules)
+        real_rows = harness._intent_rows
 
-        def corrupt(rule, inst, pstar, thr):
-            rows = real_rows(rule, inst, pstar, thr)
-            opt_calls.append(rule == Heuristic.OPT_WELFARE)
-            if sum(opt_calls) == instance + 1 and rule == Heuristic.WEIGHTED:
-                rows[3, 1] = value  # agent 3, project 1
+        def corrupt(rule, valuations, *args):
+            rows = real_rows(rule, valuations, *args)
+            if rule == Heuristic.WEIGHTED:
+                rows[instance, 3, 1] = value  # agent 3, project 1
             return rows
+
+        monkeypatch.setattr(harness, "_intent_rows", corrupt)
+
+    @staticmethod
+    def _refused_before_play(monkeypatch, message, error=ValueError):
+        # refused with the text ContributionProfile(stack).validate_against(instance)
+        # gives, before any group plays out
+        real_play, played = harness.clamp_play, []
 
         def spy(intents, targets, **kwargs):
             played.append(intents.shape)
             return real_play(intents, targets, **kwargs)
 
-        monkeypatch.setattr(harness, "_intent_rows", corrupt)
         monkeypatch.setattr(harness, "clamp_play", spy)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
             run_experiment(small_config(), workers=1)
         assert played == []
 
@@ -318,9 +324,13 @@ class TestRunExperiment:
     def test_bad_play_is_refused_as_a_profile_would_be(self, monkeypatch, value, message):
         cfg = small_config()
         rows = len(cfg.deviant_heuristics) * len(cfg.alphas) + 1
-        # instances 0 and 1 share the first group, so nothing has played yet
+        # instances 0 and 1 share the first group, so nothing has played yet,
+        # and the block's 15 instances are one draw batch
         assert harness._PLAY_VALUES // (rows * cfg.sampler.n * cfg.sampler.p) >= 2
-        self._refused_before_play(monkeypatch, 1, value, message)
+        assert harness._PLAY_VALUES // ((len(cfg.deviant_heuristics) + 1) * cfg.sampler.n
+                                        * cfg.sampler.p) >= cfg.instances_per_cell
+        self._corrupt_weighted(monkeypatch, 1, value)
+        self._refused_before_play(monkeypatch, message)
 
     @pytest.mark.parametrize(
         "value, message",
@@ -338,7 +348,28 @@ class TestRunExperiment:
         rows = len(cfg.deviant_heuristics) * len(cfg.alphas) + 1
         assert harness._PLAY_VALUES // (rows * n * p) == 5
         assert harness._PLAY_VALUES // ((len(cfg.deviant_heuristics) + 1) * n * p) == 15
-        self._refused_before_play(monkeypatch, cfg.instances_per_cell - 1, value, message)
+        self._corrupt_weighted(monkeypatch, cfg.instances_per_cell - 1, value)
+        self._refused_before_play(monkeypatch, message)
+
+    @pytest.mark.parametrize("bad_row", [True, False])
+    def test_failed_draw_waits_for_the_earlier_instances_checks(self, monkeypatch, bad_row):
+        # the sampler fails at instance 4 of the batch; instance 1's bad row
+        # is refused first, as when each instance was checked once drawn,
+        # and with no bad row the sampler's own error comes out
+        real_sample = harness.sample_instance
+
+        def failing(sampler, seed):
+            if seed[1] == 4:
+                raise SolverError("sampler rejected instance 4")
+            return real_sample(sampler, seed=seed)
+
+        monkeypatch.setattr(harness, "sample_instance", failing)
+        if bad_row:
+            self._corrupt_weighted(monkeypatch, 1, np.nan)
+            self._refused_before_play(
+                monkeypatch, "contributions must be finite, got nan at index (2, 3, 1)")
+        else:
+            self._refused_before_play(monkeypatch, "sampler rejected instance 4", SolverError)
 
     def test_over_budget_row_nobody_plays_is_refused(self, monkeypatch):
         # the first deviant rule's row for an agent who is not among the
@@ -348,13 +379,11 @@ class TestRunExperiment:
         deviators = harness._deviator_masks(cfg, cfg.sampler.n, [0])[0, 0]
         agent = int(np.flatnonzero(~deviators)[0])
         real_rows = harness._intent_rows
-        seen = []
 
-        def corrupt(heuristic, instance, pstar, thr):
-            rows = real_rows(heuristic, instance, pstar, thr)
-            if heuristic == rule and not seen:
-                seen.append(heuristic)
-                rows[agent, 1] = 1e6
+        def corrupt(heuristic, valuations, *args):
+            rows = real_rows(heuristic, valuations, *args)
+            if heuristic == rule:
+                rows[0, agent, 1] = 1e6
             return rows
 
         monkeypatch.setattr(harness, "_intent_rows", corrupt)
@@ -378,8 +407,12 @@ def _mean_and_se(values):
     return mean, se
 
 
-def reference_cells(cfg):
-    """Each cell's report fields, in order, from one instance and one profile at a time."""
+def reference_values(cfg):
+    """Each cell's welfare values, pooled utilities and deviator masks, one profile at a time.
+
+    Every profile is checked on the way: no project overfunded, no agent over
+    budget, normalized welfare at most one and every threshold in [0, θ].
+    """
     n = cfg.sampler.n
     keys = cfg.cell_keys
     deviant_cells = len(cfg.deviant_heuristics) * len(cfg.alphas)
@@ -391,6 +424,8 @@ def reference_cells(cfg):
         thr = baseline = thresholds(instance)
         if not cfg.matched_baseline:
             baseline = thresholds(instance, scheme=PprRefund())
+        for matrix in (thr, baseline):
+            assert np.all((matrix >= 0.0) & (matrix <= instance.valuations))
         order = PlayOrder(cfg.play_order, seed=(cfg.seed, harness._PLAY_ORDER_SALT, k))
         for ci, (rule, alpha) in enumerate(keys):
             mask = np.zeros(n, dtype=bool)
@@ -398,19 +433,97 @@ def reference_cells(cfg):
                 rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEVIATOR_SALT, ci, k)))
                 mask[rng.choice(n, math.floor(alpha * n + 1e-9), replace=False)] = True
             assignment = Assignment(tuple(rule if m else Heuristic.OPT_WELFARE for m in mask))
-            outcome = evaluate(instance, play(instance, assignment, solution.subset, thr, order))
+            profile = play(instance, assignment, solution.subset, thr, order)
+            outcome = evaluate(instance, profile)
+            assert np.all(outcome.totals <= instance.targets + TOL)
+            assert np.all(profile.contributions.sum(axis=1) <= instance.budgets + TOL)
             sw = sw_n(instance, outcome, solution.welfare)
             if sw is not None:
+                assert sw <= 1.0 + 1e-9
                 welfare[ci].append(sw)
             utilities[ci].append(harness.au_n(instance, outcome, baseline))
             masks[ci].append(mask)
+    return [(welfare[ci], np.concatenate(utilities[ci]), np.concatenate(masks[ci]))
+            for ci in range(len(keys))]
+
+
+def reference_cells(cfg):
+    """Each cell's report fields, in order, from one instance and one profile at a time."""
     cells = []
-    for ci in range(len(keys)):
-        pooled = np.concatenate(utilities[ci])
-        dev, nondev = deviation_split(pooled, np.concatenate(masks[ci]))
-        cells += [cfg.instances_per_cell - len(welfare[ci]), *_mean_and_se(welfare[ci]),
+    for welfare, pooled, masks in reference_values(cfg):
+        dev, nondev = deviation_split(pooled, masks)
+        cells += [cfg.instances_per_cell - len(welfare), *_mean_and_se(welfare),
                   *_mean_and_se(pooled[~np.isnan(pooled)]), dev, nondev]
     return cells
+
+
+@st.composite
+def experiment_configs(draw, instances=st.integers(1, 5)):
+    """Small random experiment configs over every protocol knob."""
+    deviants = draw(st.lists(st.sampled_from(ExperimentConfig().deviant_heuristics),
+                             max_size=3, unique=True))
+    sampler = SamplerConfig(
+        n=draw(st.integers(1, 9)),
+        p=draw(st.integers(1, 5)),
+        valuation_dist=draw(st.sampled_from([ValuationDist(), ValuationDist("exponential")])),
+        bonus_fraction=draw(st.sampled_from([0.5, 0.9, 1.0])),
+        refund=draw(st.sampled_from([PprRefund(), *map(LinearAdditiveRefund, (0.1, 0.5, 0.9))])),
+    )
+    return ExperimentConfig(
+        sampler=sampler,
+        alphas=draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 1.0]), min_size=1, max_size=3,
+                             unique=True).map(sorted)),
+        deviant_heuristics=deviants,
+        instances_per_cell=draw(instances),
+        seed=draw(st.integers(0, 2**40)),
+        play_order=draw(st.sampled_from(["ascending", "random"])),
+        include_control=draw(st.booleans()) or not deviants,
+        matched_baseline=draw(st.booleans()),
+    )
+
+
+class TestRandomConfigs:
+    """The experiment path against the public API, and its invariants, on random configs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(experiment_configs())
+    def test_cells_match_the_public_api(self, cfg):
+        try:
+            report = run_experiment(cfg, workers=1)
+        except SolverError:
+            # the sampler refuses the same configs on either path
+            with pytest.raises(SolverError):
+                reference_values(cfg)
+            return
+        for cell, (welfare, pooled, masks) in zip(report.cells, reference_values(cfg), strict=True):
+            assert cell.excluded == cfg.instances_per_cell - len(welfare)
+            defined = pooled[~np.isnan(pooled)]
+            for values, mean, se in ((np.array(welfare), cell.sw_mean, cell.sw_se),
+                                     (defined, cell.au_mean, cell.au_se)):
+                expected_mean, expected_se = _mean_and_se(values)
+                rms = math.sqrt(np.square(values).mean()) if len(values) else 0.0
+                assert mean == pytest.approx(expected_mean, rel=1e-9, abs=1e-9 * rms)
+                # the report takes its variance from moment sums, which cancel
+                # to a few ulps of the sum of squares: the SE holds to about
+                # √eps·rms/√(m − 1), nearer 0 than that only by luck
+                floor = 2.0 * math.sqrt(np.finfo(float).eps) * rms / math.sqrt(max(len(values) - 1, 1))
+                assert se == pytest.approx(expected_se, rel=1e-9, abs=floor)
+            for mean, expected in zip((cell.au_dev_mean, cell.au_nondev_mean),
+                                      deviation_split(pooled, masks)):
+                assert mean == pytest.approx(expected, rel=1e-9,
+                                             abs=1e-9 * math.sqrt(np.square(defined).mean()))
+
+    # each example starts one pool of two workers
+    @settings(max_examples=3, deadline=None)
+    @given(experiment_configs(instances=st.integers(_BLOCK + 1, 2 * _BLOCK)))
+    def test_one_and_two_workers_write_the_same_bytes(self, cfg):
+        try:
+            one = run_experiment(cfg, workers=1).to_csv_text()
+        except SolverError:
+            with pytest.raises(SolverError):
+                run_experiment(cfg, workers=2)
+            return
+        assert run_experiment(cfg, workers=2).to_csv_text() == one
 
 
 class TestProtocolReference:
@@ -447,14 +560,16 @@ class TestProtocolReference:
         assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
 
     def test_excluded_agents_match_reference(self, monkeypatch):
-        real = harness.au_n
+        # au_n and the harness's scoring share one normalization; the
+        # harness's carries each row's welfare in a last column
+        real = harness._normalized
 
-        def blank_agent_zero(instance, outcome, threshold_matrix):
-            values = real(instance, outcome, threshold_matrix)
+        def blank_agent_zero(values, base):
+            values = real(values, base)
             values[..., 0] = np.nan
             return values
 
-        monkeypatch.setattr(harness, "au_n", blank_agent_zero)
+        monkeypatch.setattr(harness, "_normalized", blank_agent_zero)
         cfg = self.tiny_config("random")
         assert self.report_cells(cfg) == pytest.approx(reference_cells(cfg))
 

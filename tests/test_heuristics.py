@@ -23,7 +23,7 @@ from ccfund import (
     sample_surplus_sf_instance,
     thresholds,
 )
-from ccfund.heuristics import _CUMSUM_MAX_WIDTH
+from ccfund.heuristics import _CUMSUM_MAX_WIDTH, _intent_rows
 from ccfund.model import _project_sum
 
 
@@ -122,6 +122,93 @@ class TestIntent:
         inst = Instance([[6.0], [6.0]], [5.0, 5.0], [3.0], [3.0], PprRefund())
         with pytest.raises(ValueError, match="assignment covers 3 agents, instance has 2"):
             intent_matrix(inst, Assignment.uniform(Heuristic.SYMMETRIC, 3))
+
+
+def _reference_rows(heuristic, inst, pstar, thresholds):
+    """One instance's (n, p) rows under one rule, one agent at a time."""
+    theta, budgets, p = inst.valuations, inst.budgets, inst.n_projects
+
+    def prefix_capped(caps, budget):
+        before = np.concatenate([[0.0], np.cumsum(caps)[:-1]])
+        return np.clip(budget - before, 0.0, caps)
+
+    rows = np.zeros((inst.n_agents, p))
+    for i, budget in enumerate(budgets):
+        if heuristic == Heuristic.SYMMETRIC:
+            rows[i] = np.minimum(theta[i], budget / p)
+        elif heuristic == Heuristic.WEIGHTED and theta[i].sum() > 0.0:
+            rows[i] = budget * theta[i] / theta[i].sum()
+        elif heuristic == Heuristic.OPT_WELFARE:
+            chosen = sorted(pstar)
+            rest = [j for j in range(p) if j not in chosen]
+            rows[i, chosen] = prefix_capped(thresholds[i, chosen], budget)
+            if rest:
+                rows[i, rest] = max(budget - rows[i].sum(), 0.0) / len(rest)
+        elif heuristic in (Heuristic.GREEDY_THETA, Heuristic.GREEDY_VARTHETA):
+            key = theta[i] if heuristic == Heuristic.GREEDY_THETA else inst.vartheta / inst.targets
+            order = sorted(range(p), key=lambda j: -key[j])  # ties keep index order
+            rows[i, order] = prefix_capped(thresholds[i, order], budget)
+    return rows
+
+
+@st.composite
+def rule_batches(draw):
+    """Instances of one shape, each with a welfare-optimal subset guess and thresholds.
+
+    Copied projects tie every agent's valuations and the projects' ratios
+    and thresholds; whole-number valuations over halved totals tie many
+    valuations and every ratio; one agent may value nothing (the weighted
+    rule's zero-row branch).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p, batch = draw(st.integers(1, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    scheme = draw(st.sampled_from([PprRefund(), LinearAdditiveRefund(0.5)]))
+    exponential = draw(st.booleans())
+    ties = draw(st.sampled_from(["none", "copies", "whole"]))
+    games = []
+    for _ in range(batch):
+        theta = rng.exponential(1.0 / 1.5, (n, p)) if exponential else rng.uniform(0.0, 10.0, (n, p))
+        src = np.arange(p)
+        if ties == "copies":
+            src = np.minimum(src, rng.integers(0, 2, p))
+        elif ties == "whole":
+            theta = np.ceil(theta)
+        theta = theta[:, src]
+        theta[0] += 1.0  # every project valued
+        if n > 1 and draw(st.booleans()):
+            theta[int(rng.integers(1, n))] = 0.0
+        vartheta = theta.sum(axis=0)
+        targets = vartheta / 2.0 if ties == "whole" else rng.uniform(0.3, 0.7, p)[src] * vartheta
+        bonuses = draw(st.sampled_from([0.5, 1.0])) * (vartheta - targets)
+        budgets = rng.uniform(0.0, 1.2, n) * targets.sum() / n
+        inst = Instance(theta, budgets, targets, bonuses, scheme)
+        pstar = draw(st.sampled_from(
+            [(), tuple(range(p)), tuple(np.flatnonzero(rng.random(p) < 0.5).tolist())]))
+        games.append((inst, pstar, thresholds(inst)))
+    return games
+
+
+class TestBatchedRules:
+    @settings(max_examples=300, deadline=None)
+    @given(rule_batches())
+    def test_batch_rows_are_each_instances_own_bits(self, games):
+        # one call over the batch gives each instance the rows of its own
+        # call and of the rule-by-rule reference, as int64 bits
+        insts = [inst for inst, _, _ in games]
+        chosen = np.zeros((len(games), insts[0].n_projects), dtype=bool)
+        for slot, (_, pstar, _) in enumerate(games):
+            chosen[slot, list(pstar)] = True
+        stacked = [np.stack([getattr(inst, name) for inst in insts]) for name in
+                   ("valuations", "budgets", "vartheta", "targets")]
+        thr = np.stack([t for _, _, t in games])
+        ratios = stacked[2] / stacked[3]
+        for rule in Heuristic:
+            batch = _intent_rows(rule, stacked[0], stacked[1], ratios, chosen, thr)
+            for slot, (inst, pstar, t) in enumerate(games):
+                alone = intent_matrix(inst, Assignment.uniform(rule, inst.n_agents), pstar, t)
+                reference = _reference_rows(rule, inst, pstar, t)
+                assert batch[slot].view(np.int64).tolist() == alone.view(np.int64).tolist()
+                assert alone.view(np.int64).tolist() == reference.view(np.int64).tolist(), rule
 
 
 class TestPlay:

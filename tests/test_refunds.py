@@ -154,6 +154,12 @@ class TestThresholdMatrix:
             assert bar == threshold_general(scheme, valuations[i, j], targets[j], bonuses[j])
         # theta - x = 0.2 x has the root theta / 1.2
         assert np.allclose(thr, valuations / 1.2, rtol=0.0, atol=BISECTION_TOL)
+        # leading axes stack games, each bisected as it would be alone
+        games = [(valuations, targets, bonuses), (valuations[::-1], bonuses + 1.0, targets / 4.0)]
+        theta, pools, bonus = (np.stack(arrays) for arrays in zip(*games))
+        stacked = threshold_matrix(theta, pools[:, None], bonus[:, None], scheme)
+        for game, rows in zip(games, stacked):
+            assert rows.tobytes() == threshold_matrix(*game, scheme).tobytes()
 
     @pytest.mark.parametrize("scheme", [PprRefund(), LinearAdditiveRefund(0.3)],
                              ids=["ppr", "linear"])
