@@ -1,8 +1,8 @@
 """Byte-level regression pins for the deficit sampler.
 
 Each digest is the SHA-256 of one ``sample_instance`` draw's final budgets
-(raw float64 bytes), optimal subset and uniqueness flag, captured when the
-digests were committed. The p=18 draws run the lift/re-solve loop over
+(raw float64 bytes), optimal subset, the shipped welfare and cost (as
+``float.hex``) and uniqueness flag, captured when the digests were committed. The p=18 draws run the lift/re-solve loop over
 subsets the experiment goldens (p <= 10) never reach; the p=10 draws cover
 both valuation distributions.
 """
@@ -23,34 +23,34 @@ SEEDS = range(8)
 
 GOLDEN = {
     "exponential": [
-        "43625f79179c0198d8a059b9d8b9c7d83e482a6b4f09f62a4a4fa6346087183d",
-        "a5837eafe2a0fd1b78455a3ce4ef35c10c40c963aa65fb8e1f3924c4d8dd276d",
-        "4389a065d3c3a58814d0ee42ea6f77394477065a37bc81913d0b62ad6fd27e82",
-        "a47571ce9990c5c99fb9de9f96a8ce8f94b0b228e6277f474e24d7a3819b2b9e",
-        "de2802c20be13417ec447e981c26042dced7db3900c3187cd70f480d5299583b",
-        "22d0aa297c44e2b028340ffaf1765533863ffb220d7cadd9a4841fc6f72bd6e0",
-        "0e79958833bf1b86b810f3746991d72297cfe98a3eb2833c29403e2c556b8997",
-        "4b78a759566c8ad55228eeeee21638094e044933c8eb8e5d12957808a3ea26c5",
+        "7d0a954902d9f3dab75f734845d64f9e840251f1ced1d0d0756eb21af5755087",
+        "91ab2fb95acf2db7d13ed5a68fb136f436c4836513a3914dde09f1263b5c33b6",
+        "494c8e769208ae44f129d8246e14d7f2e02a58d0994986e201e64c2af9958ff7",
+        "1ab8f437bb4953832aa15709093263af15e46038b40a25a552321c4709ff0c5c",
+        "7d98c885e87be20ae6178f587f9da643d510c439e05d07c6992f779779da1600",
+        "a5dcf5e06938fef01efb20b21f72762af1b77192c56763ebe8f17685c626cdb5",
+        "296dc55bb5334e7f5a1cd085c231e3f30294645e2b3fa4972bf142c253c482f9",
+        "e1b8450fe17d16aab4e23cfbcfc0c8a10ca58d218e8d9c44d9071d0049f925a6",
     ],
     "uniform": [
-        "585ae33411ce7b2233badbd3ddc1417883e170b1302ddf19a1b9c95c0be7e31c",
-        "7118205c46860713ce5f0c09700707ed7064743e2f6752b0a3c088dd053ad388",
-        "a7d600f23f5ff2df8c30876ec21ba8587a62bfd1351172883230c08975f78b5e",
-        "ae3dccc7d6e26d59c2c8f69fa1c609990d2319c16c12c08a1f2a788f18d4e751",
-        "9a7a244d52f017fd4ad024cdec114192226636aa733caf5fe76ae2e2dfc8ecf4",
-        "e9b69fb5fcf61d758dd6fe9b1fe44491eea3b488bbd6591eed1fab49217544f1",
-        "dbff78cd5ad2dd67809d221e8941a5a864e698ad562d7a71b51a4db08f54863b",
-        "78153e3f283672d3deb27bedc5dc16b015a75813f1710b7f5c217d49419813c9",
+        "37021631739522cca788da146cb2966f5fcaaa6b2c3c20288e98874692865ac3",
+        "eeabd06d08b4be84e6ba3621f36747e3bb4d935135e20c07a90a5b35d972a975",
+        "482c98f76916fd8b1beb96f8ddcda1e5289f622c9a2c410be6947a35bd4e554a",
+        "b54a7b5d8b7c5375bca65fc0f82068e17fc1ff94d582c8666643fa8b0162612c",
+        "502a5b01e4f89ab961ea4d651dc3d2ce2329b9ee2bf751354d6a1db65ab53167",
+        "cf6640059c91e52f40ba42fa2bb8b14bff48c66bf24ceaa59524b773b4c9836a",
+        "3ac01a8e421013581293e9516b9d205541a04ebef7f0b15b48a151ee5140ed2b",
+        "4a4e9d44be33034bf4433a9692ce765b560253142d7563280cecc865eb67a055",
     ],
     "wide": [
-        "c68dae406b6ffb4127d30cca8d2d0a8d8a7347f3dde5d7f1e50ddef29c96fe9c",
-        "ac963d567155b94f825f477b46565105281c29b55333c17cab5785f06cff2aa7",
-        "4f8af58a5a72ca225f481794ddd94d760f6956cce3c835562ad9fdfbef304766",
-        "30b140e75e4b890c7c90ab87e6ce4ccac5d67ee86ff727a7ed054a3d7f6f740a",
-        "3e30f535e80bae30e609a8be9b741614317106a2086f8e87f33b968f0ebd639e",
-        "dfd088da43ff5901a0b1e57ab65f7c66d4c6b2db8f87635a9c1885a1d40fa24e",
-        "b97cb1760ba1216ba3052fe7804f6687db163ca75bd1dd73c119cfa64265bb2d",
-        "15af28a0dda7c645790d294303e47008616b184c15a961dcb318c226a32bc4e7",
+        "8a6e0a45d4edc4146c77fd679a0db54d5dfb3b9c393d4158d0b94e0607b423d8",
+        "20b5abc91d07c63d45231814229d2e4616cd1e031e3602f98a78ad264411f7f3",
+        "ab93dbc330a717feed113cb9927d7520cd0944136a222dac5169154c0a4363d8",
+        "ecc57049f6c119289119519cd31e815ddd1da8c39a8cebc8a63190a56b16dd5a",
+        "4966dc0e6cfc4133800e2b402bbecf413b414ed18892cedd8fdd93e052444a4a",
+        "23b3d089e2e8395db8d8e9f8e9e20312c01d91a31f8bf57c12b1b362170e563a",
+        "4c238adce2e4dc9b44d5897aae04dc00f8c5ef556556f9b7e588072150cef91c",
+        "c4cac7f5f4b19637cdb1c9d55c169bedf73115d530c47db45c359601f49865a3",
     ],
 }
 
@@ -58,7 +58,7 @@ GOLDEN = {
 def sample_digest(cfg: SamplerConfig, seed: int) -> str:
     instance, sol = sample_instance(cfg, seed=(seed,))
     h = hashlib.sha256(instance.budgets.tobytes())
-    h.update(repr((sol.subset, sol.unique)).encode())
+    h.update(repr((sol.subset, sol.welfare.hex(), sol.cost.hex(), sol.unique)).encode())
     return h.hexdigest()
 
 
