@@ -153,7 +153,8 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
                 continue
             theta, vartheta, targets, bonuses, thr = drawn
             rho = rng.uniform(cfg.budget_rho[0], cfg.budget_rho[1])
-            pool = rho * targets.sum()
+            target_total = targets.sum()
+            pool = rho * target_total
 
             mass = thr.sum(axis=1)
             total_mass = mass.sum()
@@ -164,12 +165,14 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
 
         reader = _ParetoReader(vartheta - targets, targets)
         sol = reader.read(pool)
+        deficit_bound = target_total - TOL
         for _ in range(_LIFT_ROUNDS):
             budgets = np.maximum(budgets, thr[:, list(sol.subset)].sum(axis=1))
-            if budgets.sum() >= targets.sum() - TOL:
+            lifted_pool = budgets.sum()
+            if lifted_pool >= deficit_bound:
                 rejected["the lift broke the deficit"] += 1
                 break
-            lifted = reader.read(float(budgets.sum()))
+            lifted = reader.read(float(lifted_pool))
             if lifted.subset == sol.subset:
                 return Instance(theta, budgets, targets, bonuses, cfg.refund), lifted
             sol = lifted

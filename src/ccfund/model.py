@@ -126,20 +126,18 @@ class Instance:
             raise ValueError(
                 f"targets/bonuses shapes {targets.shape}/{bonuses.shape} do not match {p} projects"
             )
-        for name, arr in (
-            ("valuations", valuations),
-            ("budgets", budgets),
-            ("targets", targets),
-            ("bonuses", bonuses),
-        ):
-            _require_finite(name, arr)
-        if (valuations < 0).any():
-            raise ValueError("valuations must be non-negative")
-        if (budgets < 0).any():
-            raise ValueError("budgets must be non-negative")
-        if (targets <= 0).any():
-            raise ValueError("targets must be positive")
-        if (bonuses <= 0).any():
+        # one pass over all four: a NaN makes a minimum NaN, which fails its sign test
+        flat = np.concatenate((valuations, budgets, targets, bonuses), axis=None)
+        if not (flat.max() < np.inf and flat[: -2 * p].min() >= 0 and flat[-2 * p :].min() > 0):
+            for name, arr in zip(("valuations", "budgets", "targets", "bonuses"),
+                                 (valuations, budgets, targets, bonuses)):
+                _require_finite(name, arr)
+            if (valuations < 0).any():
+                raise ValueError("valuations must be non-negative")
+            if (budgets < 0).any():
+                raise ValueError("budgets must be non-negative")
+            if (targets <= 0).any():
+                raise ValueError("targets must be positive")
             raise ValueError("bonuses must be positive")
         vartheta = valuations.sum(axis=0)
         if (vartheta <= targets).any():

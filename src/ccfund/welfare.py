@@ -9,6 +9,7 @@ projects, then lexicographically smallest index list.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,24 +51,39 @@ def _subset_stats(items: np.ndarray, subset: Sequence[int]) -> list[float]:
 def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
     """Sort, merge and prune the subset list's rows (see ``_pareto_list``)."""
     if cutoff < math.inf:
-        rows = rows[rows[:, 1] <= cutoff]
-    value = rows[:, 0]
-    # complex keys sort by cost, then by minus value
-    keys = rows[:, 1] - 1j * value
+        rows = rows[rows[:, 0] <= cutoff]
+    # (cost, minus value) read as complex keys sort by cost, then by value, highest first
+    keys = rows[:, :2].view(complex)[:, 0]
     order = keys.argsort(kind="stable")
-    value = value.take(order)
-    order = order[value >= np.maximum.accumulate(value) - margin]
+    minus = rows[:, 1].take(order)
+    order = order[minus <= np.minimum.accumulate(minus) + margin]
     rows, keys = rows.take(order, axis=0), keys.take(order)
     same = keys[1:] == keys[:-1]
     if same.any():
-        # each run of equal rows puts its lowest key first, which takes the run's count
+        # each run of equal rows keeps its least (size, masks) key, which takes the run's count
         first = np.append(True, ~same)
-        rows = rows.take(np.lexsort((*rows[:, :2:-1].T, np.cumsum(first))), axis=0)
         starts = first.nonzero()[0]
         counts = np.minimum(np.add.reduceat(rows[:, 2], starts), 2)
-        rows = rows.take(starts, axis=0)
+        if rows.shape[1] == 5:
+            # one mask column in (-2^48, 0]: size above bit 48, the mask plus 2^48 below
+            key = rows[:, 3].astype(np.int64) << 49 | rows[:, 4].astype(np.int64) + (1 << 48)
+            rows = rows[key == np.minimum.reduceat(key, starts)[np.cumsum(first) - 1]]
+        else:
+            rows = rows.take(np.lexsort((*rows[:, :2:-1].T, np.cumsum(first))), axis=0)
+            rows = rows.take(starts, axis=0)
         rows[:, 2] = counts
     return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _item_template(p: int) -> np.ndarray:
+    """The p item rows of ``_pareto_list`` with zero cost and value (read-only)."""
+    items = np.zeros((p, 4 + -(-p // _MASK_BITS)))
+    items[:, 3] = 1.0
+    bit = np.arange(p)
+    items[bit, 4 + bit // _MASK_BITS] = -np.exp2(_MASK_BITS - 1 - bit % _MASK_BITS)
+    items.setflags(write=False)
+    return items
 
 
 def _pareto_list(values: np.ndarray, costs: np.ndarray,
@@ -77,13 +93,19 @@ def _pareto_list(values: np.ndarray, costs: np.ndarray,
     Columns: value, cost, tie count (capped at 2), size, then ceil(p/48)
     mask columns; item 48k + i adds -2^(47 - i) to column k, so the least
     (size, masks) key has the fewest projects, then the lexicographically
-    smallest index tuple. Each item in index order doubles the rows. At
-    ``_ROW_CAP`` rows and after the last item, ``_prune`` sorts them by cost
-    and then by value, highest first, merges equal rows (summed count,
-    lowest key) and drops each row that a no-costlier row beats by more than
-    ``M = TIE_TOL + c·p·eps·sum|v|``, ``c = _PRUNE_SLACK``. Nothing is
-    pruned when sum|v| overflows: a row's value may then be infinite, and
-    its running maximum minus an infinite M is NaN, which would drop it.
+    smallest index tuple. The rows hold cost, minus value, count, size and
+    masks, so their first two columns read as complex are the sort key, and
+    the items' other columns come from one template per p. Each item in
+    index order doubles the rows. At ``_ROW_CAP`` rows and after the last
+    item, ``_prune`` sorts them by cost and then by value, highest first,
+    merges equal rows (summed count, lowest key) and drops each row that a
+    no-costlier row beats by more than ``M = TIE_TOL + c·p·eps·sum|v|``,
+    ``c = _PRUNE_SLACK``: its minus value exceeds the running minimum plus
+    M, the same test, as negation is exact. The value column returned is
+    ``0.0 - minus value``, the same bits: a fold from +0.0 never gives -0.0.
+    Nothing is pruned when sum|v| overflows: a row's value may then be
+    infinite, and its running minimum plus an infinite M is NaN, which
+    would drop it.
 
     A finite ``cutoff`` also drops the rows that cost more. The DP passes
     its capacity in units, where every cost is at least one unit, so such a
@@ -104,10 +126,8 @@ def _pareto_list(values: np.ndarray, costs: np.ndarray,
       a shared extension keeps the key order.
     """
     p = len(values)
-    items = np.zeros((p, 4 + -(-p // _MASK_BITS)))
-    items[:, 0], items[:, 1], items[:, 3] = values, costs, 1.0
-    bit = np.arange(p)
-    items[bit, 4 + bit // _MASK_BITS] = -np.exp2(_MASK_BITS - 1 - bit % _MASK_BITS)
+    items = _item_template(p).copy()
+    items[:, 0], items[:, 1] = costs, -values
     magnitude = sum(map(abs, values.tolist()))
     margin = TIE_TOL + _PRUNE_SLACK * p * math.ulp(1.0) * magnitude
     # rows [0, n) of the table hold the list; item j doubles them in place
@@ -127,7 +147,8 @@ def _pareto_list(values: np.ndarray, costs: np.ndarray,
         if n > guard:
             raise SolverError(f"{n} subsets after {j + 1} of {p} projects "
                               f"exceed the list guard of {guard} rows")
-    return tuple(table[:n].T.copy())
+    cost, minus_value, *rest = table[:n].T.copy()
+    return 0.0 - minus_value, cost, *rest
 
 
 class _ParetoReader:
@@ -141,13 +162,13 @@ class _ParetoReader:
     """
 
     def __init__(self, values, costs):
-        values, costs = np.asarray(values, dtype=float), np.asarray(costs, dtype=float)
         if len(costs) != len(values):
             raise ValueError(
                 f"costs must have one entry per value, got {len(costs)} for {len(values)}")
-        _require_finite("values", values)
-        _require_finite("costs", costs)
-        self.items, self.columns, self.fitting = np.stack((values, costs)), None, -1
+        self.items, self.columns, self.fitting = np.array((values, costs), dtype=float), None, -1
+        if not np.isfinite(self.items).all():
+            _require_finite("values", self.items[0])
+            _require_finite("costs", self.items[1])
 
     def read(self, capacity: float) -> WelfareSolution:
         """The least key among the fitting rows within ``TIE_TOL`` of the best."""

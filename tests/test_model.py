@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import clamp_stacked, random_instance, random_intents
@@ -281,6 +283,28 @@ class TestSubsetFeasibility:
             check_subset_feasibility(inst, (3,), thresholds(inst))
 
 
+FIELDS = ("valuations", "budgets", "targets", "bonuses")
+SIGN_TEXTS = {
+    "valuations": "valuations must be non-negative",
+    "budgets": "budgets must be non-negative",
+    "targets": "targets must be positive",
+    "bonuses": "bonuses must be positive",
+}
+
+
+#: Each field's sign fault; zero is one only where the field must be positive.
+SIGN_FAULTS = {"valuations": -1.0, "budgets": -1.0, "targets": 0.0, "bonuses": -0.0}
+
+
+def faulty_instance(*faults):
+    """A valid two-agent, two-project instance with (field, flat index, value) entries set."""
+    args = {"valuations": np.full((2, 2), 10.0), "budgets": np.ones(2),
+            "targets": np.full(2, 5.0), "bonuses": np.ones(2)}
+    for field, index, value in faults:
+        args[field].flat[index] = value
+    return Instance(*(args[field] for field in FIELDS), PprRefund())
+
+
 class TestInstanceValidation:
     def test_total_valuation_must_exceed_target(self):
         with pytest.raises(ValueError, match="total valuation"):
@@ -297,6 +321,37 @@ class TestInstanceValidation:
         args[field] = np.array(args[field]) * bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Instance(args["valuations"], args["budgets"], args["targets"], args["bonuses"], PprRefund())
+
+    @pytest.mark.parametrize("field, bad, text", [
+        ("valuations", -1.0, "valuations must be non-negative"),
+        ("valuations", -5e-324, "valuations must be non-negative"),
+        ("budgets", -1.0, "budgets must be non-negative"),
+        ("targets", -1.0, "targets must be positive"),
+        ("targets", 0.0, "targets must be positive"),
+        ("targets", -0.0, "targets must be positive"),
+        ("bonuses", -1.0, "bonuses must be positive"),
+        ("bonuses", 0.0, "bonuses must be positive"),
+        ("bonuses", -0.0, "bonuses must be positive"),
+    ])
+    def test_sign_rule_is_named(self, field, bad, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            faulty_instance((field, -1, bad))
+
+    def test_negative_zero_valuations_and_budgets_pass(self):
+        instance = faulty_instance(("valuations", 0, -0.0), ("budgets", 0, -0.0))
+        assert np.signbit(instance.valuations[0, 0]) and np.signbit(instance.budgets[0])
+
+    def test_two_faults_refuse_in_declared_order(self):
+        # every finiteness check comes before any sign check, each in field
+        # order: one pass over all four fields must not change which wins
+        faults = [(field, value) for field in FIELDS
+                  for value in (np.nan, np.inf, -np.inf, SIGN_FAULTS[field])]
+        for first, second in itertools.permutations(faults, 2):
+            field, value = min(first, second, key=lambda f: (np.isfinite(f[1]), FIELDS.index(f[0])))
+            text = (f"{SIGN_TEXTS[field]}$" if np.isfinite(value)
+                    else f"{field} must be finite, got {value} at index ")
+            with pytest.raises(ValueError, match=f"^{text}"):
+                faulty_instance((first[0], 0, first[1]), (second[0], -1, second[1]))
 
     def test_arrays_frozen(self):
         inst = single()

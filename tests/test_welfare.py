@@ -6,6 +6,7 @@ from unittest import mock
 
 import mitm_reference
 import numpy as np
+import pareto_reference
 import pytest
 from conftest import random_instance
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from ccfund.welfare import (
     TIE_TOL,
     _ParetoReader,
     _pareto_list,
+    _prune,
     _subset_stats,
 )
 
@@ -452,6 +454,95 @@ class TestParetoList:
         capacity = float(fraction * costs.sum())
         assert solve_subset_bruteforce(values, costs, capacity) == (
             mitm_reference.solve_subset_bruteforce(values, costs, capacity))
+
+
+@st.composite
+def list_cases(draw):
+    """Items for the list against its oracle, with a DP cutoff or none.
+
+    Small whole numbers tie constantly, reach zero and go negative; copies
+    repeat (value, cost) pairs; signed zeros and random floats mix; margin
+    edges put rows a few ulps either side of the pruning margin; values near
+    1e308 overflow sum|v|, so nothing is pruned. Up to 50 whole-number items
+    reach the second mask column and its ``lexsort``.
+    """
+    kind = draw(st.sampled_from(["whole", "copies", "floats", "edges", "overflow"]))
+    if kind == "edges":
+        values, costs = draw(margin_edges())
+    elif kind == "whole":
+        p = draw(st.one_of(st.integers(0, 12), st.integers(46, 50)))
+        values = draw(st.lists(st.integers(-2, 3).map(float), min_size=p, max_size=p))
+        costs = draw(st.lists(st.integers(0, 3).map(float), min_size=p, max_size=p))
+    elif kind == "copies":
+        pairs = draw(st.lists(st.tuples(st.floats(-5.0, 10.0), st.floats(0.0, 10.0)),
+                              min_size=1, max_size=4))
+        picks = draw(st.lists(st.sampled_from(pairs), max_size=12))
+        values, costs = [v for v, _ in picks], [c for _, c in picks]
+    elif kind == "floats":
+        p = draw(st.integers(0, 12))
+        some = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 10.0))
+        values = draw(st.lists(some, min_size=p, max_size=p))
+        costs = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+                              min_size=p, max_size=p))
+    else:
+        p = draw(st.integers(2, 10))
+        values = draw(st.lists(st.sampled_from([1e308, -1e308, 1.5e308, 0.0, 1.0]),
+                               min_size=p, max_size=p))
+        values[:2] = [1e308, 1e308]
+        costs = draw(st.lists(st.integers(0, 3).map(float), min_size=p, max_size=p))
+    cutoff = draw(st.one_of(st.just(math.inf), st.integers(0, 20)))
+    return np.array(values, dtype=float), np.array(costs, dtype=float), cutoff
+
+
+class TestParentList:
+    @settings(max_examples=300, deadline=None)
+    @given(list_cases())
+    def test_columns_match_the_parent_builder_bit_for_bit(self, case):
+        values, costs, cutoff = case
+        for cap in (2, 8, 128):
+            with mock.patch.object(welfare, "_ROW_CAP", cap), np.errstate(over="ignore"):
+                got = _pareto_list(values, costs, cutoff)
+                want = pareto_reference.pareto_list(values, costs, cutoff, row_cap=cap)
+            assert len(got) == len(want)
+            for column, reference in zip(got, want):
+                assert column.view(np.int64).tolist() == reference.view(np.int64).tolist()
+
+
+def mask_of(subset):
+    """One mask column's value for a subset of the first 48 items."""
+    return -float(sum(1 << (_MASK_BITS - 1 - j) for j in subset))
+
+
+class TestTieKey:
+    def test_each_run_keeps_the_fewest_items_then_the_least_indices(self):
+        # rows of (cost, minus value, count, size, mask), three runs of equal
+        # cost and value. Each survivor has the least (size, mask) of its run:
+        # {17} has fewer items than {0, 1} and {0, 2} but a larger mask offset,
+        # so a key without the size shift picks {0, 1}; {0} beats {5} on its
+        # mask alone; all 48 items have offset 1, {47} offset 2^48 - 1, the
+        # empty subset 2^48. Without the 2^48 offset, OR-ing a negative mask
+        # into the size bits gives {0, 1} and all 48 items the least keys
+        runs = [
+            (1.0, [(17,), (0, 1), (0, 2)]),
+            (2.0, [(5,), (0,)]),
+            (3.0, [tuple(range(48)), (47,)]),
+            (4.0, [(47,), ()]),
+        ]
+        rows = np.array([(cost, -cost, 1.0, len(subset), mask_of(subset))
+                         for cost, subsets in runs for subset in subsets])
+        kept = _prune(rows, 0.0, math.inf)
+        assert kept.tolist() == [
+            [1.0, -1.0, 2.0, 1.0, mask_of((17,))],
+            [2.0, -2.0, 2.0, 1.0, mask_of((0,))],
+            [3.0, -3.0, 2.0, 1.0, mask_of((47,))],
+            [4.0, -4.0, 2.0, 0.0, mask_of(())],
+        ]
+
+    def test_two_mask_columns_keep_the_lexsort(self):
+        # the same ties past 48 items: {48} has one item, {0, 1} two
+        rows = np.array([(1.0, -1.0, 1.0, 2.0, mask_of((0, 1)), 0.0),
+                         (1.0, -1.0, 1.0, 1.0, 0.0, mask_of((0,)))])
+        assert _prune(rows, 0.0, math.inf).tolist() == [[1.0, -1.0, 2.0, 1.0, 0.0, mask_of((0,))]]
 
 
 class TestTieWindow:
