@@ -65,7 +65,8 @@ def _prune(rows: np.ndarray, margin: float, cutoff: float) -> np.ndarray:
         starts = first.nonzero()[0]
         counts = np.minimum(np.add.reduceat(rows[:, 2], starts), 2)
         if rows.shape[1] == 5:
-            # one mask column in (-2^48, 0]: size above bit 48, the mask plus 2^48 below
+            # one mask column in (-2^48, 0]: size above bit 48, the mask plus 2^48 below,
+            # an exact key of each row's own subset, so one row a run holds its least
             key = rows[:, 3].astype(np.int64) << 49 | rows[:, 4].astype(np.int64) + (1 << 48)
             rows = rows[key == np.minimum.reduceat(key, starts)[np.cumsum(first) - 1]]
         else:
