@@ -13,6 +13,9 @@ shuffle instead of Floyd's algorithm. Two configs sum over at
 least eight projects, where numpy's pairwise sum is no longer a plain left
 fold, so a reordered project sum moves their bytes: the acceptance config
 at p=10, and p=17 (one full block of eight accumulators and a remainder).
+At one project numpy sums each total over the agents pairwise, in blocks
+of up to 128 values, not agent by agent: 150 agents split into two
+halves, so a left fold there moves the refund shares' bytes.
 """
 
 import hashlib
@@ -60,6 +63,8 @@ CONFIGS = {
         play_order="random",
         instances_per_cell=23,
     ),
+    # p=1: the only project's totals take numpy's recursive pairwise order
+    "one-project": lambda: _config({"n": 150, "p": 1}),
 }
 
 GOLDEN = {
@@ -77,6 +82,7 @@ GOLDEN = {
     "seventeen-projects": "94e03ec2751f8830f81d8699f7627527813646d54aa28a8cc06f342ace3ab9b2",
     "ten-thousand-one": "54314d9b8ffdf1f2b301243d361c78745fdf91c7f4ec8504bc27267768b98b03",
     "partial-block": "9c6d47c5bcf2fc6043e6958bf2e0a085d8e9f0b8d798b1c12bb311c984a29907",
+    "one-project": "7c67bb6bad8eebccf99ec86edd9ef92558e75dac1fbcfcb5de6eba34d5dd5c4a",
 }
 
 
