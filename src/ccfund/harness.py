@@ -410,11 +410,11 @@ def _deviator_masks(cfg: ExperimentConfig, n: int, ks) -> np.ndarray:
     return _choice_masks(states, n, np.array(sizes)).reshape(len(tails), len(cells), n)
 
 
-_Batch = namedtuple("_Batch", "instances targets bases rows orders")
+_Batch = namedtuple("_Batch", "valuations targets bonuses gains scheme bases rows orders")
 
 
 def _draw_batch(cfg: ExperimentConfig, ks: range) -> _Batch:
-    """Instances ``ks``, their (instance, rule, n, p) rows, score ``bases`` and any play orders.
+    """Instances ``ks`` as stacked games, their (instance, rule, n, p) rows, ``bases`` and orders.
 
     Each rule, the baseline's and then each deviant's, runs once over the
     batch. Each instance's rows are checked in order as one stacked profile
@@ -447,7 +447,8 @@ def _draw_batch(cfg: ExperimentConfig, ks: range) -> _Batch:
     bases = np.column_stack([(valuations - base_thr).sum(axis=-1), [s.welfare for s in solutions]])
     orders = ([PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n) for k in ks]
               if cfg.play_order == "random" else None)
-    return _Batch(instances, targets, bases, rows, orders)
+    return _Batch(valuations, targets, bonuses, vartheta - targets, cfg.sampler.refund, bases, rows,
+                  orders)
 
 
 def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndarray) -> np.ndarray:
@@ -478,14 +479,16 @@ def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndar
     return gathered
 
 
-def _score_group(batch: _Batch, group: slice, realized: np.ndarray,
-                 deviators: np.ndarray) -> np.ndarray:
-    """A group's (instance, row, metric, moment) sums: each instance evaluated, one scoring pass."""
+def _score_group(batch: _Batch, group: slice, realized: np.ndarray, deviators: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """A group's (instance, row, metric, moment) sums, evaluated into ``spare`` and scored."""
+    games = (batch.valuations[group].transpose(1, 0, 2)[:, :, None],
+             *(stacked[group, None] for stacked in (batch.targets, batch.bonuses, batch.gains)))
+    out = spare[: realized.size].reshape(realized.shape)
+    outcome = _evaluate(*games, batch.scheme, realized, out)
     scores = np.empty(deviators.shape[:2] + (deviators.shape[2] + 1,))
-    for slot, instance in enumerate(batch.instances[group]):
-        outcome = _evaluate(instance, realized[:, slot])
-        scores[slot, :, :-1] = outcome.agent_utilities
-        scores[slot, :, -1] = outcome.social_welfare
+    scores[..., :-1] = outcome.agent_utilities
+    scores[..., -1] = outcome.social_welfare
     scores = _normalized(scores, batch.bases[group, None])
     defined, measured = ~np.isnan(scores[..., :-1]), ~np.isnan(scores[..., -1])
     sw = np.where(measured, scores[..., -1], 0.0)
@@ -526,11 +529,13 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
     buffers = np.empty((2, size))
     for drawn in range(0, len(ks), per_batch):
         batch = _draw_batch(cfg, ks[drawn : drawn + per_batch])
-        for first in range(0, len(batch.instances), per_group):
+        for first in range(0, len(batch.rows), per_group):
             group = slice(first, first + per_group)
             slots = slice(drawn + first, drawn + first + per_group)
             realized = _play_group(batch, group, picks[slots], buffers)
-            moments[slots] = _score_group(batch, group, realized, deviators[slots])
+            # the group's per-pair utilities take the buffer its play-out left free
+            spare = buffers[1] if np.may_share_memory(realized, buffers[0]) else buffers[0]
+            moments[slots] = _score_group(batch, group, realized, deviators[slots], spare)
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)
     return moments[:, list(range(rules * alphas)) + control]

@@ -59,9 +59,10 @@ def _project_sum(terms: np.ndarray) -> np.ndarray:
     inner loop per row (the order matters: Higham 2002, §4.2). A zero
     partial sum of the other sign changes later sums at most in the sign of
     a zero, so one added 0.0 anywhere on the leftmost chain of additions
-    stands in for the identity. ``_evaluate`` sums its (..., p, n) per-pair
-    utilities here: numpy would need a transposed copy, which made a 41×100×10
-    ``evaluate`` 1.3× slower (2 vCPUs, numpy 2.4.6).
+    stands in for the identity. ``_evaluate`` sums its (n, ..., p) per-pair
+    utilities here, over strided project slices: numpy's ``sum(axis=-1)``
+    runs one p-long inner loop per row, 390 against 119 µs on a 4×41×100×10
+    play group (2 vCPUs, numpy 2.4.6).
     """
     count = len(terms)
     if count > 128:
@@ -239,46 +240,53 @@ def evaluate(instance: Instance, profile: ContributionProfile) -> Outcome:
     :func:`_evaluate`'s on an agents-first view of the contributions.
     """
     profile.validate_against(instance)
-    return _evaluate(instance, np.moveaxis(profile.contributions, -2, 0))
+    x = np.moveaxis(profile.contributions, -2, 0)
+    valuations = instance.valuations.reshape(x.shape[:1] + (1,) * (x.ndim - 2) + x.shape[-1:])
+    return _evaluate(valuations, instance.targets, instance.bonuses,
+                     instance.vartheta - instance.targets, instance.refund, x)
 
 
-def _evaluate(instance: Instance, x: np.ndarray) -> Outcome:
+def _evaluate(valuations, targets, bonuses, gains, scheme: "RefundScheme", x: np.ndarray,
+              out: np.ndarray | None = None) -> Outcome:
     """:func:`evaluate` on agent-major contributions ``x`` of shape (n, ..., p).
 
-    ``x`` is not checked; the caller vouches that it is finite, non-negative
-    and within budget, as a checked profile is and as play of checked intents
-    is (see :func:`clamp_play`). The project axis must be innermost in
-    memory. Then the totals ``x.sum(axis=0)`` add one agent to every total a
-    pass, the left fold over agents that ``sum(axis=-2)`` runs one short row
-    at a time over the (..., n, p) layout, and need no copy; the play-out's
-    buffer, agents outermost, is read in place. The other passes run on a
-    (..., p, n) copy, along agents rather than along the short project rows;
-    the utilities keep numpy's order over projects, so every field has the
-    bits ``sum`` gives the (..., n, p) array. ``per_pair_utilities`` is a
-    transposed view of that layout.
+    The games broadcast over the stack axes of ``x``: ``valuations`` is
+    (n, ..., p), and ``targets``, ``bonuses`` and ``gains`` (total valuation
+    minus target) are (..., p). ``out``, of ``x``'s shape and apart from it,
+    takes the per-pair utilities. ``x`` is not checked; the caller vouches
+    that it is finite, non-negative and within budget, as a checked profile
+    is and as play of checked intents is (see :func:`clamp_play`). Its project
+    axis must be innermost in memory: then the totals ``x.sum(axis=0)`` are
+    the left fold over agents that ``sum(axis=-2)`` runs over the (..., n, p)
+    layout, and the sums over projects add whole project slices in numpy's
+    order along a row, so every field has the bits ``sum`` gives that layout.
+    The funded entries are one gather and one scatter over the funded
+    (stack, project) columns.
     """
-    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
-    if instance.n_projects == 1:
+    if x.shape[-1] == 1:
         # numpy drops the length-1 project axis and sums the column pairwise
-        totals = xt.sum(axis=-1)
+        totals = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
     else:
         totals = x.sum(axis=0)
-    funded = totals >= instance.targets - TOL
-    refunded = ~funded & (totals > 0.0)
-    shares = instance.refund.share(xt, instance.bonuses[:, None], totals[..., None])
-    per_pair = np.where(refunded[..., None], shares, 0.0)
-    np.subtract(instance.valuations.T, xt, out=per_pair, where=funded[..., None])
-    welfare = ((instance.vartheta - instance.targets) * funded).sum(axis=-1)
+    funded = totals >= targets - TOL
+    # pools laid out as the totals are: a stack axis broadcast inside them
+    # would cut every inner loop of the share pass to p values
+    bonuses = np.ascontiguousarray(np.broadcast_to(bonuses, totals.shape))
+    per_pair = scheme.share(x, bonuses, totals, out=out)
+    # nobody paid into these: +0.0, as a refund share of -0.0 would not be
+    per_pair[(slice(None), *np.nonzero(totals <= 0.0))] = 0.0
+    columns = (slice(None), *np.nonzero(funded))
+    per_pair[columns] = np.broadcast_to(valuations, x.shape)[columns] - x[columns]
+    welfare = (gains * funded).sum(axis=-1)
     if welfare.ndim == 0:
         welfare = float(welfare)
     else:
         welfare.setflags(write=False)
-    totals.setflags(write=False)
-    per_pair.setflags(write=False)
-    funded.setflags(write=False)
-    utilities = _project_sum(np.moveaxis(per_pair, -2, 0))
-    utilities.setflags(write=False)
-    return Outcome(funded, totals, utilities, np.swapaxes(per_pair, -1, -2), welfare)
+    utilities = np.moveaxis(_project_sum(np.moveaxis(per_pair, -1, 0)), 0, -1)
+    per_pair = np.moveaxis(per_pair, 0, -2)
+    for field in (funded, totals, utilities, per_pair):
+        field.setflags(write=False)
+    return Outcome(funded, totals, utilities, per_pair, welfare)
 
 
 def check_budget_surplus(instance: Instance) -> BudgetStatus:

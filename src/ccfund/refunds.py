@@ -40,10 +40,11 @@ class RefundScheme(ABC):
     sum_additive: bool = False
 
     @abstractmethod
-    def share(self, x, bonus, total):
+    def share(self, x, bonus, total, out=None):
         """Refund for contributing ``x`` out of ``total`` with pool ``bonus``.
 
         Polymorphic over floats and numpy arrays, and deliberately unchecked.
+        An array ``out`` of the broadcast shape takes the shares and is returned.
         """
 
     def closed_form_threshold(self, theta, target, bonus):
@@ -63,11 +64,13 @@ class PprRefund(RefundScheme):
 
     tag = PPR_TAG
 
-    def share(self, x, bonus, total):
+    def share(self, x, bonus, total, out=None):
         if isinstance(x, np.ndarray) or isinstance(total, np.ndarray):
             x = np.asarray(x, dtype=float)
             total = np.asarray(total, dtype=float)
-            return x / np.where(total > 0.0, total, 1.0) * bonus
+            # x / where(total > 0, total, 1) * bonus, computed in out when one is given
+            return np.multiply(np.divide(x, np.where(total > 0.0, total, 1.0), out=out), bonus,
+                               out=out)
         if total <= 0.0:
             return 0.0
         return x / total * bonus
@@ -96,8 +99,8 @@ class LinearAdditiveRefund(RefundScheme):
         if not (self.slope > 0.0 and math.isfinite(self.slope)):
             raise ValueError(f"linear refund slope must be positive and finite, got {self.slope!r}")
 
-    def share(self, x, bonus, total):
-        return self.slope * x
+    def share(self, x, bonus, total, out=None):
+        return self.slope * x if out is None else np.multiply(self.slope, x, out=out)
 
     def closed_form_threshold(self, theta, target, bonus):
         # theta - x = slope * x
@@ -205,8 +208,9 @@ def threshold_matrix(valuations, targets, bonuses, scheme: RefundScheme) -> np.n
     valuations = np.asarray(valuations, dtype=float)
     targets = np.asarray(targets, dtype=float)
     bonuses = np.asarray(bonuses, dtype=float)
-    for name, arr in (("valuations", valuations), ("targets", targets), ("bonuses", bonuses)):
-        _require_finite(name, arr)
+    if not np.isfinite(np.concatenate((valuations, targets, bonuses), axis=None)).all():
+        for name, arr in (("valuations", valuations), ("targets", targets), ("bonuses", bonuses)):
+            _require_finite(name, arr)
     out = scheme.closed_form_threshold(valuations, targets, bonuses)
     if out is None:
         bisect = lambda *entry: threshold_general(scheme, *map(float, entry))  # noqa: E731

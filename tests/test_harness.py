@@ -588,6 +588,29 @@ class TestPlayGroups:
             monkeypatch.setattr(harness, "_PLAY_VALUES", per_group)
             assert harness._block_moments(cfg, count, _BLOCK).tobytes() == default
 
+    @pytest.mark.parametrize("play_order", ["ascending", "random"])
+    @pytest.mark.parametrize("per_group", [None, 15_000])
+    def test_groups_evaluate_into_the_spare_play_buffer(self, monkeypatch, play_order, per_group):
+        # eight groups of four instances in one draw batch, or 32 groups of
+        # one in eleven batches: each group's per-pair utilities go into the
+        # block's play buffer that its play-out left free, one array for all
+        cfg = ExperimentConfig(seed=3, play_order=play_order)
+        if per_group is not None:
+            monkeypatch.setattr(harness, "_PLAY_VALUES", per_group)
+        real, calls = harness._evaluate, []
+
+        def spy(*args):
+            calls.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_evaluate", spy)
+        harness._block_moments(cfg, _BLOCK, 0)
+        assert len(calls) == (8 if per_group is None else _BLOCK)
+        # the views are kept, so their bases stay alive and their ids distinct
+        assert len({id(out.base) for _, out in calls}) == 1
+        for played, out in calls:
+            assert played.base is out.base and not np.shares_memory(played, out)
+
 
 class TestDeviationAdvantageShrinks:
     def test_half_deviating_narrows_the_gap(self):

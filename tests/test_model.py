@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ccfund import (
     evaluate,
     thresholds,
 )
-from ccfund.model import TOL, _project_sum
+from ccfund.model import TOL, Outcome, _evaluate, _project_sum
 
 
 def single(theta=10.0, target=5.0, bonus=1.0):
@@ -168,6 +169,77 @@ class TestEvaluateMatchesReference:
                     assert str(caught.value) == str(exc)
                 else:
                     profile.validate_against(instance)
+
+
+class _LinearWithoutClosedForm(LinearAdditiveRefund):
+    """A linear refund whose thresholds bisect; its shares are the linear ones."""
+
+    def closed_form_threshold(self, theta, target, bonus):
+        return None
+
+
+@st.composite
+def stacked_games(draw):
+    """g distinct games of one size and r profiles of each, played agents first.
+
+    Each (game, profile, project) column is funded, with a drawn
+    probability, or refunded, or untouched: all of its entries zeros. About
+    half of all zero entries are -0.0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # past 128 agents numpy's pairwise sum of a one-project total splits in two
+    n = draw(st.one_of(st.integers(1, 12), st.integers(120, 150)))
+    p = draw(st.integers(1, 12))
+    g, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(
+        [PprRefund(), LinearAdditiveRefund(0.5), _LinearWithoutClosedForm(0.5)]))
+    funded_share = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    untouched_share = draw(st.sampled_from([0.0, 0.2]))
+    valuations = rng.uniform(0.0, 10.0, size=(g, n, p))
+    valuations[:, 0] += 0.5
+    vartheta = valuations.sum(axis=1)
+    targets = rng.uniform(0.2, 0.8, size=(g, p)) * vartheta
+    bonuses = rng.uniform(0.3, 1.0, size=(g, p)) * (vartheta - targets)
+    x = rng.random((n, g, r, p)) * (rng.random((n, g, r, p)) < 0.7)
+    x[0] += 0.01
+    funded = rng.random((g, r, p)) < funded_share
+    untouched = ~funded & (rng.random((g, r, p)) < untouched_share)
+    # funded columns total 1 to 1.5 targets, refunded ones below 0.99
+    level = np.where(funded, rng.uniform(1.0, 1.5, (g, r, p)), rng.uniform(0.0, 0.99, (g, r, p)))
+    x *= level * targets[:, None] / x.sum(axis=0)
+    x[:, untouched] = 0.0
+    x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    budgets = x.sum(axis=-1).max(axis=-1) + 1.0
+    instances = [Instance(valuations[k], budgets[:, k], targets[k], bonuses[k], scheme)
+                 for k in range(g)]
+    return instances, x
+
+
+class TestStackedEvaluate:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_games())
+    def test_each_game_gets_its_own_bits(self, game):
+        # every field's bytes, so every float's int64 bits, signed zeros included
+        instances, x = game
+
+        def stack(name):
+            return np.stack([getattr(instance, name) for instance in instances])
+
+        out = np.full(x.shape, np.nan)
+        got = _evaluate(stack("valuations").transpose(1, 0, 2)[:, :, None],
+                        stack("targets")[:, None], stack("bonuses")[:, None],
+                        (stack("vartheta") - stack("targets"))[:, None], instances[0].refund,
+                        x, out)
+        assert np.shares_memory(got.per_pair_utilities, out)
+        for k, instance in enumerate(instances):
+            profile = ContributionProfile(np.moveaxis(x[:, k], 0, -2))
+            for one in (evaluate, evaluate_reference):
+                want = one(instance, profile)
+                for field in fields(Outcome):
+                    a = np.asarray(getattr(got, field.name)[k])
+                    b = np.asarray(getattr(want, field.name))
+                    assert a.shape == b.shape and a.dtype == b.dtype, field.name
+                    assert a.tobytes() == b.tobytes(), (field.name, one.__name__)
 
 
 class TestOutcomeInvariants:

@@ -61,6 +61,21 @@ class TestRefundShare:
         assert (total == 0.0).any() and (x == total).any()
         assert scheme.share(x, bonus, total).tobytes() == np.array(scalar).tobytes()
 
+    @pytest.mark.parametrize("scheme", [PprRefund(), LinearAdditiveRefund(0.5)],
+                             ids=["ppr", "linear"])
+    def test_out_takes_the_shares_bits(self, scheme):
+        # agent-major contributions against per-(stack, project) pools and totals
+        rng = np.random.default_rng(29)
+        x = rng.exponential(size=(7, 3, 5))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        x[:, 1, 2] = rng.choice([0.0, -0.0], size=7)
+        total = x.sum(axis=0)
+        bonus = rng.exponential(size=(3, 5))
+        out = np.full(x.shape, np.nan)
+        assert scheme.share(x, bonus, total, out=out) is out
+        assert out.tobytes() == scheme.share(x, bonus, total).tobytes()
+
 
 class TestCertifyCm:
     def test_ppr_passes(self):
@@ -175,6 +190,26 @@ class TestThresholdMatrix:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 threshold_matrix(*args, scheme)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(3))
+    def test_the_bad_field_is_named(self, field, bad):
+        args = [np.ones((2, 3)), np.ones(3), np.full(3, 0.5)]
+        args[field][..., 1] = bad
+        name = ("valuations", "targets", "bonuses")[field]
+        index = "(0, 1)" if field == 0 else "(1,)"
+        with pytest.raises(ValueError) as caught:
+            threshold_matrix(*args, PprRefund())
+        assert str(caught.value) == f"{name} must be finite, got {bad} at index {index}"
+
+    @pytest.mark.parametrize("bad, first", [((0, 1), "valuations"), ((1, 2), "targets"),
+                                            ((0, 2), "valuations"), ((0, 1, 2), "valuations")])
+    def test_the_first_bad_field_is_named(self, bad, first):
+        args = [np.ones((2, 3)), np.ones(3), np.full(3, 0.5)]
+        for field in bad:
+            args[field][..., -1] = math.nan
+        with pytest.raises(ValueError, match=f"^{first} must be finite"):
+            threshold_matrix(*args, LinearAdditiveRefund(0.3))
 
     def test_closed_form_elementwise(self):
         # the whole-matrix closed form gives the scalar one's bits, capped at θ
