@@ -65,12 +65,13 @@ class PprRefund(RefundScheme):
     tag = PPR_TAG
 
     def share(self, x, bonus, total, out=None):
+        if out is not None:
+            np.divide(x, np.where(total > 0.0, total, 1.0), out=out)
+            return np.multiply(out, bonus, out=out)
         if isinstance(x, np.ndarray) or isinstance(total, np.ndarray):
             x = np.asarray(x, dtype=float)
             total = np.asarray(total, dtype=float)
-            # x / where(total > 0, total, 1) * bonus, computed in out when one is given
-            return np.multiply(np.divide(x, np.where(total > 0.0, total, 1.0), out=out), bonus,
-                               out=out)
+            return x / np.where(total > 0.0, total, 1.0) * bonus
         if total <= 0.0:
             return 0.0
         return x / total * bonus
