@@ -272,7 +272,11 @@ def _evaluate(valuations, targets, bonuses, gains, scheme: "RefundScheme", x: np
     # pools laid out as the totals are: a stack axis broadcast inside them
     # would cut every inner loop of the share pass to p values
     bonuses = np.ascontiguousarray(np.broadcast_to(bonuses, totals.shape))
-    per_pair = scheme.share(x, bonuses, totals, out=out)
+    per_pair = np.empty(x.shape) if out is None else out
+    if scheme.writes_out:
+        scheme.share(x, bonuses, totals, out=per_pair)
+    else:  # a scalar, a view or x itself: copied in, so x stays as it is
+        per_pair[...] = scheme.share(x, bonuses, totals)
     # nobody paid into these: +0.0, as a refund share of -0.0 would not be
     per_pair[(slice(None), *np.nonzero(totals <= 0.0))] = 0.0
     columns = (slice(None), *np.nonzero(funded))

@@ -38,13 +38,16 @@ class RefundScheme(ABC):
     #: True when summing shares over projects equals the share of the summed
     #: contribution; the single-agent knapsack reduction requires this.
     sum_additive: bool = False
+    #: True when ``share`` also takes an array ``out`` to write the shares into.
+    writes_out: bool = False
 
     @abstractmethod
-    def share(self, x, bonus, total, out=None):
+    def share(self, x, bonus, total):
         """Refund for contributing ``x`` out of ``total`` with pool ``bonus``.
 
         Polymorphic over floats and numpy arrays, and deliberately unchecked.
-        An array ``out`` of the broadcast shape takes the shares and is returned.
+        With :attr:`writes_out` set, an array ``out`` of the broadcast shape
+        takes the shares and is returned.
         """
 
     def closed_form_threshold(self, theta, target, bonus):
@@ -63,15 +66,12 @@ class PprRefund(RefundScheme):
     """
 
     tag = PPR_TAG
+    writes_out = True
 
     def share(self, x, bonus, total, out=None):
-        if out is not None:
-            np.divide(x, np.where(total > 0.0, total, 1.0), out=out)
-            return np.multiply(out, bonus, out=out)
-        if isinstance(x, np.ndarray) or isinstance(total, np.ndarray):
-            x = np.asarray(x, dtype=float)
-            total = np.asarray(total, dtype=float)
-            return x / np.where(total > 0.0, total, 1.0) * bonus
+        if out is not None or isinstance(x, np.ndarray) or isinstance(total, np.ndarray):
+            quotient = np.divide(x, np.where(total > 0.0, total, 1.0), out=out)
+            return np.multiply(quotient, bonus, out=out)
         if total <= 0.0:
             return 0.0
         return x / total * bonus
@@ -94,6 +94,7 @@ class LinearAdditiveRefund(RefundScheme):
 
     tag = LINEAR_ADDITIVE_TAG
     sum_additive = True
+    writes_out = True
 
     def __post_init__(self):
         # an infinite slope puts every threshold at 0, where share is inf·0 = nan

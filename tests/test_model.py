@@ -14,6 +14,7 @@ from ccfund import (
     Instance,
     LinearAdditiveRefund,
     PprRefund,
+    RefundScheme,
     check_budget_surplus,
     check_subset_feasibility,
     evaluate,
@@ -240,6 +241,60 @@ class TestStackedEvaluate:
                     b = np.asarray(getattr(want, field.name))
                     assert a.shape == b.shape and a.dtype == b.dtype, field.name
                     assert a.tobytes() == b.tobytes(), (field.name, one.__name__)
+
+
+class _ShareOnly(RefundScheme):
+    """A scheme whose ``share`` takes no ``out``, returning one ``kind`` of result."""
+
+    tag = "share-only"
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def share(self, x, bonus, total):
+        if self.kind == "contributions":
+            return x
+        if self.kind == "scalar":
+            return 0.25
+        if self.kind == "pools":
+            return bonus
+        return 0.5 * np.asarray(x)
+
+
+class _FullShares(_ShareOnly):
+    """``_ShareOnly``'s shares as a new array of the broadcast shape, as the reference needs."""
+
+    def share(self, x, bonus, total):
+        return np.broadcast_to(super().share(x, bonus, total), np.broadcast(x, total).shape).copy()
+
+
+class TestSchemeWithoutOut:
+    @pytest.mark.parametrize("kind", ["fresh", "contributions", "scalar", "pools"])
+    def test_evaluate_copies_its_shares(self, kind):
+        # whatever the share returns, a view of x or x itself too, the
+        # per-pair utilities are the reference's and x is left as it was
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            instance = random_instance(rng, scheme=_ShareOnly(kind))
+            x = rng.uniform(0.0, 1.0, size=instance.valuations.shape)
+            x *= (instance.budgets / np.maximum(x.sum(axis=1), 1e-12))[:, None]
+            x[:, rng.random(instance.n_projects) < 0.3] = 0.0
+            profile = ContributionProfile(x)
+            full = Instance(instance.valuations, instance.budgets, instance.targets,
+                            instance.bonuses, _FullShares(kind))
+            got, want = evaluate(instance, profile), evaluate_reference(full, profile)
+            for field in fields(Outcome):
+                a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+                assert a.tobytes() == b.tobytes(), field.name
+            agent_major = x[:, None].copy()
+            before = agent_major.copy()
+            out = np.full(agent_major.shape, np.nan)
+            stacked = _evaluate(instance.valuations[:, None], instance.targets,
+                                instance.bonuses, instance.vartheta - instance.targets,
+                                instance.refund, agent_major, out)
+            assert agent_major.tobytes() == before.tobytes()
+            assert np.shares_memory(stacked.per_pair_utilities, out)
+            assert stacked.per_pair_utilities[0].tobytes() == want.per_pair_utilities.tobytes()
 
 
 class TestOutcomeInvariants:
