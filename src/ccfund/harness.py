@@ -451,15 +451,15 @@ def _draw_batch(cfg: ExperimentConfig, ks: range) -> _Batch:
                   orders)
 
 
-def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndarray) -> tuple:
     """The realized (n, instance, row, p) ``group``: agent i of row r plays rule picks[., i, r].
 
     One gather from the batch's rows lays the stacks agents outermost, in
     each instance's play order, and one :func:`clamp_play` call realizes
     them, adding one agent to every running total of the group at a time; in
     random order one scatter puts the agents back. The gather and the
-    play-out write into views of the two rows of ``buffers``, and the result
-    is one of those views.
+    play-out write into views of the two rows of ``buffers``; the result is
+    returned with the other view, free once the group is played.
     """
     rules, n, p = batch.rows.shape[1:]
     slots = np.arange(len(picks))
@@ -471,12 +471,12 @@ def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndar
     # every index is in range; under mode="raise" numpy would buffer the output
     if batch.orders is None:
         np.take(plays, index, axis=0, out=gathered, mode="clip")
-        return clamp_play(gathered, targets, out=realized)
+        return clamp_play(gathered, targets, out=realized), gathered
     orders = np.array(batch.orders[group]).T
     np.take(plays, index[orders, slots], axis=0, out=gathered, mode="clip")
     # the intents are spent once played, so their buffer takes the scatter
     gathered[orders, slots] = clamp_play(gathered, targets, out=realized)
-    return gathered
+    return gathered, realized
 
 
 def _score_group(batch: _Batch, group: slice, realized: np.ndarray, deviators: np.ndarray,
@@ -484,8 +484,7 @@ def _score_group(batch: _Batch, group: slice, realized: np.ndarray, deviators: n
     """A group's (instance, row, metric, moment) sums, evaluated into ``spare`` and scored."""
     games = (batch.valuations[group].transpose(1, 0, 2)[:, :, None],
              *(stacked[group, None] for stacked in (batch.targets, batch.bonuses, batch.gains)))
-    out = spare[: realized.size].reshape(realized.shape)
-    outcome = _evaluate(*games, batch.scheme, realized, out)
+    outcome = _evaluate(*games, batch.scheme, realized, spare)
     scores = np.empty(deviators.shape[:2] + (deviators.shape[2] + 1,))
     scores[..., :-1] = outcome.agent_utilities
     scores[..., -1] = outcome.social_welfare
@@ -532,9 +531,7 @@ def _block_moments(cfg: ExperimentConfig, count: int, start: int) -> np.ndarray:
         for first in range(0, len(batch.rows), per_group):
             group = slice(first, first + per_group)
             slots = slice(drawn + first, drawn + first + per_group)
-            realized = _play_group(batch, group, picks[slots], buffers)
-            # the group's per-pair utilities take the buffer its play-out left free
-            spare = buffers[1] if np.may_share_memory(realized, buffers[0]) else buffers[0]
+            realized, spare = _play_group(batch, group, picks[slots], buffers)
             moments[slots] = _score_group(batch, group, realized, deviators[slots], spare)
 
     control = [rows - 1] * (alphas if cfg.include_control else 0)

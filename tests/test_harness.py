@@ -612,6 +612,24 @@ class TestPlayGroups:
             assert played.base is out.base and not np.shares_memory(played, out)
 
 
+    @pytest.mark.parametrize("play_order", ["ascending", "random"])
+    def test_scheme_without_out_scores_the_same(self, play_order):
+        # a scheme whose share takes no out has its shares copied into the
+        # spare buffer, and scores what the scheme that writes them there does
+        class _PprWithoutOut(PprRefund):
+            writes_out = False
+
+            def share(self, x, bonus, total):
+                return PprRefund.share(self, x, bonus, total)
+
+        cfg = small_config(play_order=play_order)
+        plain = small_config(play_order=play_order, sampler=SamplerConfig(
+            n=20, p=4, bonus_fraction=0.9, seed=5, refund=_PprWithoutOut()))
+        count = cfg.instances_per_cell
+        assert (harness._block_moments(plain, count, 0).tobytes()
+                == harness._block_moments(cfg, count, 0).tobytes())
+
+
 class TestDeviationAdvantageShrinks:
     def test_half_deviating_narrows_the_gap(self):
         # free-riding pays much less once half the crowd does it too
