@@ -13,6 +13,7 @@ whose internal inconsistency is documented rather than repaired.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -139,9 +140,22 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
     subset. Lifting raises the pool, which can move the optimum, so the lift
     and the subset solve iterate to a fixed point; the shipped solution is
     exact for the final budgets. A draw is rejected when the lift breaks the
-    deficit or fails to stabilize.
+    deficit or fails to stabilize. The draw is :func:`_sample`'s, built into
+    a checked :class:`Instance`.
     """
-    base = cfg.seed if seed is None else seed
+    theta, budgets, targets, bonuses, _, solution = _sample(cfg, cfg.seed if seed is None else seed)
+    return Instance(theta, budgets, targets, bonuses, cfg.refund), solution
+
+
+_Draw = namedtuple("_Draw", "valuations budgets targets bonuses thresholds solution")
+
+
+def _sample(cfg: SamplerConfig, base) -> _Draw:
+    """:func:`sample_instance`'s draw from seed ``base``, as arrays not yet checked.
+
+    ``thresholds`` are the draw's own under ``cfg.refund``, the bits
+    :func:`~ccfund.refunds.thresholds` gives for the instance.
+    """
     rejected = dict.fromkeys(("zero-valuation column", "zero threshold mass",
                               "the lift broke the deficit", "no fixed point"), 0)
     for attempt in range(cfg.max_rejections):
@@ -174,7 +188,7 @@ def sample_instance(cfg: SamplerConfig, seed=None) -> tuple[Instance, WelfareSol
                 break
             lifted = reader.read(float(lifted_pool))
             if lifted.subset == sol.subset:
-                return Instance(theta, budgets, targets, bonuses, cfg.refund), lifted
+                return _Draw(theta, budgets, targets, bonuses, thr, lifted)
             sol = lifted
         else:
             rejected["no fixed point"] += 1

@@ -23,10 +23,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .generators import SamplerConfig, sample_instance
-# intent_matrix, evaluate and thresholds are not called here; the benchmark's tracer rebinds them
+# sample_instance, intent_matrix, evaluate and thresholds are not called here;
+# the benchmark's tracer rebinds them
+from .generators import SamplerConfig, _sample, sample_instance  # noqa: F401
 from .heuristics import Heuristic, PlayOrder, _intent_rows, clamp_play, intent_matrix  # noqa: F401
-from .model import TOL, ContributionProfile, Instance, Outcome, _evaluate
+from .model import (TOL, ContributionProfile, Instance, Outcome, _checked_totals, _evaluate,
+                    _project_sum)
 from .model import evaluate  # noqa: F401
 from .refunds import PprRefund, threshold_matrix, thresholds  # noqa: F401
 
@@ -416,39 +418,49 @@ _Batch = namedtuple("_Batch", "valuations targets bonuses gains scheme bases row
 def _draw_batch(cfg: ExperimentConfig, ks: range) -> _Batch:
     """Instances ``ks`` as stacked games, their (instance, rule, n, p) rows, ``bases`` and orders.
 
-    Each rule, the baseline's and then each deviant's, runs once over the
-    batch. Each instance's rows are checked in order as one stacked profile
-    (play only lowers an entry, so it keeps any budget its rows keep), and
-    before a failed draw, whose earlier instances are drawn again to check.
-    ``bases`` are the agents' utility baselines, then the optimal welfare.
+    The sampler's draws are stacked as they come, thresholds included, and
+    checked in one pass as :class:`Instance` checks each game. Each rule, the
+    baseline's and then each deviant's, runs once over the batch, and one
+    pass checks every rule row as a stacked :class:`ContributionProfile`
+    would (play only lowers an entry, so it keeps any budget its rows keep).
+    A pass that fails builds the instances, or their profiles, in order, to
+    raise the first one's own error. A failed draw or game is raised once the
+    instances before it are drawn again and pass. ``bases`` are the agents'
+    utility baselines, then the optimal welfare.
     """
+    scheme = cfg.sampler.refund
     drawn = []
-    for k in ks:
-        try:
-            drawn.append(sample_instance(cfg.sampler, seed=(cfg.seed, k)))
-        except Exception:  # raised once the instances before it pass, as one at a time
-            if drawn:
-                _draw_batch(cfg, ks[: len(drawn)])
-            raise
-    instances, solutions = zip(*drawn)
+    try:
+        for k in ks:
+            drawn.append(_sample(cfg.sampler, (cfg.seed, k)))
+        valuations, budgets, targets, bonuses, thr = map(np.stack, list(zip(*drawn))[:5])
+        vartheta = _checked_totals(valuations, budgets, targets, bonuses)
+        if vartheta is None:
+            games, drawn = drawn, []
+            for game in games:
+                Instance(*game[:4], scheme)
+                drawn.append(game)
+    except Exception:  # raised once the instances before it pass, as one at a time
+        if 0 < len(drawn) < len(ks):
+            _draw_batch(cfg, ks[: len(drawn)])
+        raise
     n, p = cfg.sampler.n, cfg.sampler.p
-    valuations, budgets, vartheta, targets, bonuses = (
-        np.stack([getattr(instance, name) for instance in instances])
-        for name in ("valuations", "budgets", "vartheta", "targets", "bonuses"))
-    games = (valuations, targets[:, None], bonuses[:, None])
-    thr = base_thr = threshold_matrix(*games, cfg.sampler.refund)
-    if not (cfg.matched_baseline or isinstance(cfg.sampler.refund, PprRefund)):
-        base_thr = threshold_matrix(*games, PprRefund())
-    chosen = np.array([[j in s.subset for j in range(p)] for s in solutions])
+    base_thr = thr
+    if not (cfg.matched_baseline or isinstance(scheme, PprRefund)):
+        base_thr = threshold_matrix(valuations, targets[:, None], bonuses[:, None], PprRefund())
+    chosen = np.array([[j in game.solution.subset for j in range(p)] for game in drawn])
     rows = np.stack([_intent_rows(rule, valuations, budgets, vartheta / targets, chosen, thr)
                      for rule in (Heuristic.OPT_WELFARE, *cfg.deviant_heuristics)], axis=1)
-    for instance, stack in zip(instances, rows):
-        ContributionProfile(stack).validate_against(instance)
-    bases = np.column_stack([(valuations - base_thr).sum(axis=-1), [s.welfare for s in solutions]])
+    # each row's spending in the bits of rows.sum(axis=-1), in a few long passes
+    spent = _project_sum(np.moveaxis(rows, -1, 0))
+    if not (rows.min() >= 0 and (spent <= budgets[:, None] + TOL).all()):
+        for game, stack in zip(drawn, rows):
+            ContributionProfile(stack).validate_against(Instance(*game[:4], scheme))
+    bases = np.column_stack([(valuations - base_thr).sum(axis=-1),
+                             [game.solution.welfare for game in drawn]])
     orders = ([PlayOrder("random", seed=(cfg.seed, _PLAY_ORDER_SALT, k)).permutation(n) for k in ks]
               if cfg.play_order == "random" else None)
-    return _Batch(valuations, targets, bonuses, vartheta - targets, cfg.sampler.refund, bases, rows,
-                  orders)
+    return _Batch(valuations, targets, bonuses, vartheta - targets, scheme, bases, rows, orders)
 
 
 def _play_group(batch: _Batch, group: slice, picks: np.ndarray, buffers: np.ndarray) -> tuple:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ContributionProfile, Instance, _require_finite
+from .model import ContributionProfile, Instance, _project_sum, _require_finite
 
 
 class Heuristic(str, Enum):
@@ -75,10 +75,16 @@ class PlayOrder:
 
 
 def _prefix_capped(caps: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Allocate each row's budget left to right, capping entries at ``caps``."""
-    cum_before = np.zeros(caps.shape)
-    np.cumsum(caps[..., :-1], axis=-1, out=cum_before[..., 1:])
-    return np.clip(budgets[..., None] - cum_before, 0.0, caps)
+    """Allocate each row's budget over its projects in order, capping entries at ``caps``.
+
+    ``caps`` and the result are project-major, (p, ..., n), and ``budgets``
+    broadcasts against one project's slice. What is spent before a project
+    is :func:`_running_before` over the projects, one add each over the stack.
+    """
+    before = _running_before(caps, np.empty(caps.shape))
+    np.subtract(budgets, before, out=before)
+    # apart from its input: a clip in place may keep a -0.0 (numpy 2.4, one entry)
+    return np.clip(before, 0.0, caps)
 
 
 def _intent_rows(
@@ -107,22 +113,27 @@ def _intent_rows(
 
     if heuristic in (Heuristic.GREEDY_THETA, Heuristic.GREEDY_VARTHETA):
         # projects by falling valuation, each agent's own; or by falling
-        # ratio, one order for all of an instance's agents. Ties keep index order
+        # ratio, one order for all of an instance's agents. Ties keep index
+        # order. Sorted cap j of row r is flat entry r * p + order[r, j]: one
+        # flat take lays them out project-major, one flat scatter puts them back
         key = valuations if heuristic == Heuristic.GREEDY_THETA else ratios[..., None, :]
         order = np.argsort(-key, axis=-1, kind="stable")
-        alloc = _prefix_capped(np.take_along_axis(thresholds, order, axis=-1), budgets)
-        rows = np.empty(alloc.shape)
-        np.put_along_axis(rows, order, alloc, axis=-1)
+        starts = np.arange(0, thresholds.size, thresholds.shape[-1])
+        index = np.moveaxis(order, -1, 0) + starts.reshape(thresholds.shape[:-1])
+        rows = np.empty(thresholds.shape)
+        rows.reshape(-1)[index] = _prefix_capped(np.take(thresholds, index), budgets)
         return rows
 
     if heuristic == Heuristic.OPT_WELFARE:
         # thresholds on the chosen projects in index order, capped at +0.0
-        # elsewhere, then what is left spread evenly over the rest
-        picked = chosen[..., None, :]
-        rows = _prefix_capped(np.where(picked, thresholds, 0.0), budgets)
-        leftover = np.maximum(budgets - rows.sum(axis=-1), 0.0)
+        # elsewhere, then what is left spread evenly over the rest; project-major
+        picked = np.moveaxis(chosen, -1, 0)[..., None]
+        caps = np.zeros((chosen.shape[-1],) + budgets.shape)
+        np.copyto(caps, np.moveaxis(thresholds, -1, 0), where=picked)
+        rows = _prefix_capped(caps, budgets)
+        leftover = np.maximum(budgets - _project_sum(rows), 0.0)
         rest = np.maximum(chosen.shape[-1] - chosen.sum(axis=-1), 1)
-        return np.where(picked, rows, (leftover / rest[..., None])[..., None])
+        return np.moveaxis(np.where(picked, rows, leftover / rest[..., None]), 0, -1)
 
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
@@ -159,12 +170,32 @@ def intent_matrix(
     return laid[picks]
 
 
-#: Values per agent (leading entries times projects) from which the play-out
-#: adds one agent at a time to every running total. ``np.cumsum`` walks one
-#: running total after another at about 4 ns a value, bound by the latency
-#: of each addition; a wide add runs them all at once but costs a numpy call
-#: per agent. The two broke even between 256 and 512 values.
+#: Values a step (for the play-out, leading entries times projects per
+#: agent) from which a running sum adds one step at a time to every running
+#: total. ``np.cumsum`` walks one running total after another at about 4 ns a
+#: value, bound by the latency of each addition; a wide add runs them all at
+#: once but costs a numpy call per step. The two broke even between 256 and
+#: 512 values per agent of a play-out.
 _CUMSUM_MAX_WIDTH = 384
+
+
+def _running_before(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exclusive running sum of ``terms`` over its first axis, into ``out`` apart from them.
+
+    ``out[0]`` is +0.0 and ``out[i]`` the left fold of ``terms[:i]`` from
+    ``terms[0]`` itself, as ``np.cumsum`` folds: one ``np.cumsum`` over
+    narrow stacks, one wide add a step from :data:`_CUMSUM_MAX_WIDTH` values
+    a step. Both add in one order, so the bits do not depend on the width
+    (Higham 2002, §4.2).
+    """
+    out[:1] = 0.0
+    if len(terms) > 1 and terms[0].size >= _CUMSUM_MAX_WIDTH:
+        out[1] = terms[0]
+        for i in range(2, len(terms)):
+            np.add(out[i - 1], terms[i - 1], out=out[i])
+    else:
+        np.cumsum(terms[:-1], axis=0, out=out[1:])
+    return out
 
 
 def clamp_play(
@@ -184,10 +215,11 @@ def clamp_play(
     row of intents within budget keeps its play within budget.
 
     What each project still misses when an agent's turn comes is the running
-    sum of the earlier agents' intents, a left fold over agents either way:
+    sum of the earlier agents' intents, :func:`_running_before` over agents:
     one ``np.cumsum`` over narrow stacks, one wide add per agent over stacks
-    of at least :data:`_CUMSUM_MAX_WIDTH` values per agent. Both add in the
-    same order, so the bits do not depend on the width (Higham 2002, §4.2).
+    of at least :data:`_CUMSUM_MAX_WIDTH` values per agent, with the same
+    bits either way. The rule rows' :func:`_prefix_capped` takes the same
+    fold over projects.
 
     ``out``, a float array of the intents' shape, takes the result in place
     of a new array. It must not overlap ``intents``: the running sums it
@@ -203,17 +235,10 @@ def clamp_play(
         raise ValueError("out must not overlap intents")
     else:
         missing = out
-    missing[:1] = 0.0
-    n = len(intents)
     # targets laid out like one agent's intents, so that no pass runs a
     # p-long inner loop per leading index
     targets = np.ascontiguousarray(np.broadcast_to(targets, missing.shape[1:]))
-    if n > 1 and intents[0].size >= _CUMSUM_MAX_WIDTH:
-        missing[1] = intents[0]
-        for i in range(2, n):
-            np.add(missing[i - 1], intents[i - 1], out=missing[i])
-    else:
-        np.cumsum(intents[:-1], axis=0, out=missing[1:])
+    _running_before(intents, missing)
     np.subtract(targets, missing, out=missing)
     np.maximum(missing, 0.0, out=missing)
     return np.minimum(intents, missing, out=missing)

@@ -95,6 +95,23 @@ def _batch_label(index: tuple) -> str:
     return f" in profile {tuple(int(b) for b in index)}" if index else ""
 
 
+def _checked_totals(valuations, budgets, targets, bonuses) -> np.ndarray | None:
+    """Per-project total valuations of games stacked on leading axes, or None.
+
+    None when a game fails a value check of :class:`Instance`, which names
+    it. One pass tests the signs of all four arrays: a NaN makes a minimum
+    NaN, which fails its sign test.
+    """
+    flat = np.concatenate((valuations, budgets, targets, bonuses), axis=None)
+    money = targets.size + bonuses.size
+    if not (flat.max() < np.inf and flat[:-money].min() >= 0 and flat[-money:].min() > 0):
+        return None
+    vartheta = valuations.sum(axis=-2)
+    if (vartheta > targets).all() and (bonuses <= vartheta - targets + TOL).all():
+        return vartheta
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One crowdfunding game.
@@ -127,9 +144,8 @@ class Instance:
             raise ValueError(
                 f"targets/bonuses shapes {targets.shape}/{bonuses.shape} do not match {p} projects"
             )
-        # one pass over all four: a NaN makes a minimum NaN, which fails its sign test
-        flat = np.concatenate((valuations, budgets, targets, bonuses), axis=None)
-        if not (flat.max() < np.inf and flat[: -2 * p].min() >= 0 and flat[-2 * p :].min() > 0):
+        vartheta = _checked_totals(valuations, budgets, targets, bonuses)
+        if vartheta is None:  # name the first check that fails
             for name, arr in zip(("valuations", "budgets", "targets", "bonuses"),
                                  (valuations, budgets, targets, bonuses)):
                 _require_finite(name, arr)
@@ -139,15 +155,15 @@ class Instance:
                 raise ValueError("budgets must be non-negative")
             if (targets <= 0).any():
                 raise ValueError("targets must be positive")
-            raise ValueError("bonuses must be positive")
-        vartheta = valuations.sum(axis=0)
-        if (vartheta <= targets).any():
-            j = int(np.argmax(vartheta <= targets))
-            raise ValueError(
-                f"project {j} has total valuation {vartheta[j]:.12g} not above its "
-                f"target {targets[j]:.12g}"
-            )
-        if (bonuses > vartheta - targets + TOL).any():
+            if (bonuses <= 0).any():
+                raise ValueError("bonuses must be positive")
+            vartheta = valuations.sum(axis=0)
+            if (vartheta <= targets).any():
+                j = int(np.argmax(vartheta <= targets))
+                raise ValueError(
+                    f"project {j} has total valuation {vartheta[j]:.12g} not above its "
+                    f"target {targets[j]:.12g}"
+                )
             j = int(np.argmax(bonuses > vartheta - targets + TOL))
             raise ValueError(
                 f"project {j} bonus {bonuses[j]:.12g} exceeds welfare headroom "

@@ -25,7 +25,11 @@ from ccfund import (
     thresholds,
     welfare_of,
 )
+from ccfund import generators
 from ccfund.io import dumps_canonical, instance_to_jsonable
+
+#: A sampler that rejects some of its draws.
+_REJECTING = SamplerConfig(n=20, p=5, refund=LinearAdditiveRefund(0.5), seed=6)
 
 
 class TestSampler:
@@ -91,6 +95,38 @@ class TestSampler:
         inst, sol = sample_instance(cfg)
         assert isinstance(inst.refund, LinearAdditiveRefund)
         assert check_subset_feasibility(inst, sol.subset, thresholds(inst))
+
+    @pytest.mark.parametrize("cfg, seeds", [
+        (SamplerConfig(n=20, p=5, seed=8), [(8, k) for k in range(6)] + [None]),
+        (SamplerConfig(n=20, p=5, refund=LinearAdditiveRefund(1.0), target_fraction=(0.45, 0.6),
+                       budget_rho=(0.3, 0.6), seed=7), [(7, k) for k in range(6)]),
+        (SamplerConfig(n=30, p=4, valuation_dist=ValuationDist("exponential", rate=1.5),
+                       seed=9), [(9, k) for k in range(6)]),
+        (SamplerConfig(n=30, p=4, valuation_dist=ValuationDist("exponential", rate=1.5),
+                       refund=LinearAdditiveRefund(0.5), seed=9), [(9, k) for k in range(6)]),
+        # thresholds of valuation over 1.5 break the deficit of many draws
+        (_REJECTING, [(6, k) for k in range(4)]),
+    ])
+    def test_private_draw_has_the_instances_bits(self, monkeypatch, cfg, seeds):
+        # the experiment stacks _sample's arrays and thresholds unchecked:
+        # they are the bits of sample_instance's Instance, solution and thresholds
+        attempts = []
+        real_rng = generators._rng
+
+        def spy(seed, attempt):
+            attempts.append(attempt)
+            return real_rng(seed, attempt)
+
+        monkeypatch.setattr(generators, "_rng", spy)
+        for seed in seeds:
+            inst, sol = sample_instance(cfg, seed=seed)
+            drawn = generators._sample(cfg, cfg.seed if seed is None else seed)
+            for name in ("valuations", "budgets", "targets", "bonuses"):
+                assert getattr(drawn, name).tobytes() == getattr(inst, name).tobytes(), name
+            assert drawn.thresholds.tobytes() == thresholds(inst).tobytes()
+            assert drawn.solution == sol
+        if cfg is _REJECTING:
+            assert max(attempts) >= 5
 
 
 @pytest.mark.parametrize("build, flag", [

@@ -356,20 +356,46 @@ class TestRunExperiment:
         # the sampler fails at instance 4 of the batch; instance 1's bad row
         # is refused first, as when each instance was checked once drawn,
         # and with no bad row the sampler's own error comes out
-        real_sample = harness.sample_instance
+        real_sample = harness._sample
 
         def failing(sampler, seed):
             if seed[1] == 4:
                 raise SolverError("sampler rejected instance 4")
-            return real_sample(sampler, seed=seed)
+            return real_sample(sampler, seed)
 
-        monkeypatch.setattr(harness, "sample_instance", failing)
+        monkeypatch.setattr(harness, "_sample", failing)
         if bad_row:
             self._corrupt_weighted(monkeypatch, 1, np.nan)
             self._refused_before_play(
                 monkeypatch, "contributions must be finite, got nan at index (2, 3, 1)")
         else:
             self._refused_before_play(monkeypatch, "sampler rejected instance 4", SolverError)
+
+    @pytest.mark.parametrize("bad_row", [True, False])
+    def test_bonus_past_headroom_is_refused_as_instance_would(self, monkeypatch, bad_row):
+        # the batch checks its games in one pass; instance 4's bonus past its
+        # headroom then gets Instance's own text, after instance 1's bad row
+        real_sample = harness._sample
+        cfg = small_config()
+
+        def loose(sampler, seed):
+            drawn = real_sample(sampler, seed)
+            if seed[1] != 4:
+                return drawn
+            bonuses = drawn.bonuses.copy()
+            bonuses[2] = drawn.valuations[:, 2].sum() - drawn.targets[2] + 1.0
+            return drawn._replace(bonuses=bonuses)
+
+        monkeypatch.setattr(harness, "_sample", loose)
+        with pytest.raises(ValueError) as refused:
+            Instance(*loose(cfg.sampler, (cfg.seed, 4))[:4], cfg.sampler.refund)
+        assert "bonus" in str(refused.value) and "exceeds welfare headroom" in str(refused.value)
+        if bad_row:
+            self._corrupt_weighted(monkeypatch, 1, np.nan)
+            self._refused_before_play(
+                monkeypatch, "contributions must be finite, got nan at index (2, 3, 1)")
+        else:
+            self._refused_before_play(monkeypatch, str(refused.value))
 
     def test_over_budget_row_nobody_plays_is_refused(self, monkeypatch):
         # the first deviant rule's row for an agent who is not among the

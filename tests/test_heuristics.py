@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import rules_reference
 from conftest import clamp_stacked, random_instance
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccfund import (
@@ -23,7 +24,7 @@ from ccfund import (
     sample_surplus_sf_instance,
     thresholds,
 )
-from ccfund.heuristics import _CUMSUM_MAX_WIDTH, _intent_rows
+from ccfund.heuristics import _CUMSUM_MAX_WIDTH, _intent_rows, _running_before
 from ccfund.model import _project_sum
 
 
@@ -209,6 +210,83 @@ class TestBatchedRules:
                 reference = _reference_rows(rule, inst, pstar, t)
                 assert batch[slot].view(np.int64).tolist() == alone.view(np.int64).tolist()
                 assert alone.view(np.int64).tolist() == reference.view(np.int64).tolist(), rule
+
+
+#: Signed zeros, ties and ordinary values the rule-row parity draws from.
+_PARITY_VALUES = np.array([0.0, -0.0, 0.5, 1.0, 1.0, 2.5])
+
+
+@st.composite
+def rule_stacks(draw):
+    """Stacked rule-row inputs of p 1-12 whose fold slices fall on either side
+    of the width cutoff: valuations, budgets and caps of either zero sign,
+    tied valuations and ratios, and budgets under the first cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, batch = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    if draw(st.booleans()):  # at least _CUMSUM_MAX_WIDTH rows a project slice
+        n = draw(st.integers(-(-_CUMSUM_MAX_WIDTH // batch), -(-_CUMSUM_MAX_WIDTH // batch) + 4))
+    else:
+        n = draw(st.integers(1, 12))
+    shape = (batch, n, p)
+
+    def values(size, tied):
+        out = rng.uniform(0.0, 3.0, size)
+        picked = rng.random(size) < tied
+        out[picked] = rng.choice(_PARITY_VALUES, size)[picked]
+        return out
+
+    valuations = values(shape, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    valuations[:, 0] += 1.0  # every project valued, for the instances below
+    caps = np.minimum(values(shape, draw(st.sampled_from([0.0, 0.5]))), valuations)
+    budgets = values((batch, n), 0.3) * draw(st.sampled_from([0.1, 1.0, 4.0]))
+    under = rng.random((batch, n)) < 0.3  # under the first cap
+    budgets[under] = (caps[..., 0] * rng.uniform(0.0, 1.0, (batch, n)))[under]
+    ratios = (rng.choice([1.5, 2.0], (batch, p)) if draw(st.booleans())
+              else rng.uniform(1.1, 3.0, (batch, p)))
+    chosen = rng.random((batch, p)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return valuations, budgets, ratios, chosen, caps
+
+
+class TestRuleRowParity:
+    @settings(max_examples=150, deadline=None)
+    @given(rule_stacks())
+    # one entry, whose -0.0 budget a clip in place kept as -0.0
+    @example((np.array([[[3.4]]]), np.array([[-0.0]]), np.array([[1.9]]), np.array([[False]]),
+              np.array([[[0.4]]])))
+    def test_rows_have_the_reference_bytes(self, stack):
+        # the project-major folds and the flat gather and scatter give every
+        # rule the bytes of the cumsum and take/put_along_axis builder
+        valuations, budgets, ratios, chosen, caps = stack
+        for rule in Heuristic:
+            rows = _intent_rows(rule, valuations, budgets, ratios, chosen, caps)
+            want = rules_reference._intent_rows(rule, valuations, budgets, ratios, chosen, caps)
+            assert rows.shape == want.shape
+            assert np.ascontiguousarray(rows).tobytes() == want.tobytes(), rule
+        # intent_matrix lays each instance's rows end to end and picks them
+        vartheta = valuations[0].sum(axis=0)
+        inst = Instance(valuations[0], budgets[0], vartheta / 2.0, vartheta / 4.0, PprRefund())
+        rules = list(Heuristic)
+        assignment = Assignment(tuple(rules[i % len(rules)] for i in range(inst.n_agents)))
+        used = [h for h in rules if h in assignment.heuristics]
+        ratios = inst.vartheta / inst.targets
+        laid = np.concatenate([rules_reference._intent_rows(
+            h, inst.valuations, inst.budgets, ratios, chosen[0], caps[0]) for h in used])
+        picks = np.array([used.index(h) for h in assignment.heuristics]) * inst.n_agents
+        want = laid[picks + np.arange(inst.n_agents)]
+        pstar = tuple(np.flatnonzero(chosen[0]).tolist())
+        assert intent_matrix(inst, assignment, pstar, caps[0]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, _CUMSUM_MAX_WIDTH])  # np.cumsum, then one add a step
+    def test_running_sum_starts_from_the_first_term(self, width):
+        # the fold keeps a leading -0.0 as np.cumsum does; one that starts
+        # from 0.0 + term turns it into +0.0. Rule rows cannot show the
+        # difference: their clip at 0.0 maps a zero of either sign alike
+        terms = np.full((4, width, 3), -0.0)
+        terms[2:, :, 1] = 1.5
+        out = _running_before(terms, np.full(terms.shape, np.nan))
+        want = np.concatenate([np.zeros((1, width, 3)), np.cumsum(terms[:-1], axis=0)])
+        assert out.tobytes() == want.tobytes()
+        assert np.signbit(out[1:]).sum() == 2 * width * 3 + width * 2
 
 
 class TestPlay:
